@@ -7,6 +7,9 @@ exploration, plus the harness reproducing the reference convergence
 experiments.
 """
 
+# Defined before the submodule imports: the harness records it in manifests.
+__version__ = "0.1.0"
+
 from .analytic import (
     EquilibriumSolution,
     GaussianFeedbackPolicy,
@@ -25,7 +28,6 @@ from .harness import (
     ExperimentReport,
     PayoffEvaluator,
     reference_policy,
-    relative_error,
     reproduce,
     write_report,
 )
@@ -35,7 +37,6 @@ from .learner import (
     RunResult,
     estimate_gradient,
     gradient_step,
-    sample_sphere,
     sphere_gradient_estimate,
 )
 from .learner import run as learner_run
@@ -44,20 +45,13 @@ from .simulate import (
     SIGMA_FLOOR,
     MeanField,
     PolicyParams,
-    Trajectory,
     discretize_policy,
     expected_reward_exact,
     mc_expected_reward,
     propagate_mean_field,
-    propagate_mean_field_mc,
-    realized_reward,
     sample_rewards,
     simulate_states,
-    simulate_trajectory,
-    step_moments,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
@@ -77,7 +71,6 @@ __all__ = [
     "RunResult",
     "SIGMA_FLOOR",
     "TimeGrid",
-    "Trajectory",
     "default_config",
     "discretize_policy",
     "equilibrium_policy",
@@ -92,20 +85,14 @@ __all__ = [
     "load_config",
     "mc_expected_reward",
     "propagate_mean_field",
-    "propagate_mean_field_mc",
-    "realized_reward",
     "reference_policy",
-    "relative_error",
     "reproduce",
     "riccati_coefficient",
     "sample_rewards",
     "simulate_states",
     "save_config",
-    "sample_sphere",
-    "simulate_trajectory",
     "sphere_gradient_estimate",
     "solve_equilibrium",
-    "step_moments",
     "value_offset",
     "write_report",
 ]

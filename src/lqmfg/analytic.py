@@ -183,9 +183,10 @@ def step_fn(values: np.ndarray, grid: TimeGrid) -> Callable:
         raise ParameterError(
             f"expected {grid.n_steps} per-step values, got shape {values.shape}"
         )
+    starts = grid.step_times()
 
     def fn(t):
-        idx = np.clip((np.asarray(t) / grid.dt).astype(int), 0, grid.n_steps - 1)
+        idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, grid.n_steps - 1)
         out = values[idx]
         return out if np.ndim(t) else float(out)
 
@@ -311,16 +312,13 @@ def feedback_policy_payoff(
 ) -> PayoffBreakdown:
     """Expected payoff of an arbitrary Gaussian feedback policy against m(t).
 
-    ``mean_field_fn`` is either a vectorized callable t -> m(t) or a
-    grid-aligned MeanField (interpolated piecewise-linearly). Integrates the
+    ``mean_field_fn`` is a vectorized callable t -> m(t). Integrates the
     state-moment ODEs forward on the refined grid and assembles the running
     quadratic penalty, the Shannon exploration bonus, and the terminal
     penalty by composite trapezoid. Requires strictly positive policy
     variance along the horizon.
     """
     params.check_time(start_time)
-    if hasattr(mean_field_fn, "interpolant"):
-        mean_field_fn = mean_field_fn.interpolant(grid)
     times = _refined_times(start_time, params.T, grid.dt, refinement)
     var = np.asarray(policy.variance_fn(times), dtype=float)
     if np.any(var <= 0.0):
@@ -341,52 +339,6 @@ def feedback_policy_payoff(
         entropy=entropy,
         terminal=terminal,
     )
-
-
-def second_moment_path_closed_form(
-    params: GameParams,
-    mean_coeff: float,
-    variance_fn: Callable,
-    mean_field_fn: Callable,
-    grid: TimeGrid,
-    start_time: float = 0.0,
-    refinement: int = DEFAULT_REFINEMENT,
-    corrected: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponential-kernel form of the state moment paths (times, mhat, phi2).
-
-    With ``corrected=True`` this matches the ODE route (`_moment_paths`) up to
-    quadrature error. ``corrected=False`` reproduces an uncorrected variant
-    (opposite sign on the mean-path integral, missing factor 2 on the
-    squared-integral cross term) kept only for numerical comparison; it
-    disagrees with Monte Carlo whenever the mean path is nonzero.
-    """
-    k_hat = -(params.A + params.B * mean_coeff)
-    D2M2 = params.D**2 * mean_coeff**2
-    times = _refined_times(start_time, params.T, grid.dt, refinement)
-    rel = times - start_time
-    m = np.asarray(mean_field_fn(times), dtype=float)
-    var = np.asarray(variance_fn(times), dtype=float)
-
-    def cumtrap(f):
-        return np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(times))))
-
-    # mean path: mhat(s) = e^{k(s-t0)} E[xi] -/+ \int e^{k(s-z)} k m(z) dz
-    kernel = cumtrap(np.exp(-k_hat * rel) * k_hat * m)
-    sign = -1.0 if corrected else 1.0
-    mhat = np.exp(k_hat * rel) * (params.xi_mean + sign * kernel)
-
-    factor = 2.0 if corrected else 1.0
-    b_dot = (
-        -2.0 * params.xi_mean * np.exp(-k_hat * rel) * k_hat * m
-        + factor * kernel * np.exp(-k_hat * rel) * k_hat * m
-        + np.exp(-2.0 * k_hat * rel)
-        * params.D**2
-        * (mean_coeff**2 * m * m - 2.0 * mean_coeff**2 * m * mhat + var)
-    )
-    inner = cumtrap(np.exp(-D2M2 * rel) * b_dot)
-    phi2 = np.exp((2.0 * k_hat + D2M2) * rel) * (params.xi_second_moment + inner)
-    return times, mhat, phi2
 
 
 @dataclass(frozen=True)

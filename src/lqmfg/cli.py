@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error, 4 a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .config import (
     load_config,
 )
 from .params import DomainError, ParameterError
-from .simulate import MeanField, PolicyParams, mc_expected_reward, sample_rewards
+from .simulate import MeanField, PolicyParams, mean_and_stderr, sample_rewards
 from . import rng as _rng
 
 EXIT_OK = 0
@@ -177,18 +178,16 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--n-paths must be >= 2")
     policy = _policy_from_arg(args.policy, config)
     mean_field = MeanField.constant(config.game.xi_mean, config.grid)
-    mean, stderr = mc_expected_reward(
-        config.game, config.grid, policy, mean_field, args.n_paths, config.seed
+    rewards = sample_rewards(
+        config.game, config.grid, policy, mean_field, args.n_paths,
+        _rng.substream(config.seed, _rng.TRAJECTORY),
     )
+    mean, stderr = mean_and_stderr(rewards)
     print(f"mean {_fmt(mean)}")
     print(f"stderr {_fmt(stderr)}")
     print(f"n_paths {args.n_paths}")
     print(f"seed {config.seed}")
     if args.dump_paths:
-        rewards = sample_rewards(
-            config.game, config.grid, policy, mean_field, args.n_paths,
-            _rng.substream(config.seed, _rng.TRAJECTORY),
-        )
         import csv as _csv
 
         with open(args.dump_paths, "w", newline="") as fh:
@@ -202,10 +201,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_learn(args) -> int:
     config = _load(args)
     lam = config.game.lambda_se
-    single = ExperimentConfig(
-        game=config.game, grid=config.grid, learner=config.learner,
-        lambda_se_values=(lam,), n_eval_paths=config.n_eval_paths,
-        output_dir=args.out_dir, seed=config.seed,
+    single = dataclasses.replace(
+        config, lambda_se_values=(lam,), output_dir=args.out_dir
     )
     report = harness.reproduce(single)
     arm = report.arms[0]
@@ -218,12 +215,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    config = _load(args)
-    config = ExperimentConfig(
-        game=config.game, grid=config.grid, learner=config.learner,
-        lambda_se_values=config.lambda_se_values, n_eval_paths=config.n_eval_paths,
-        output_dir=args.out_dir, seed=config.seed,
-    )
+    config = dataclasses.replace(_load(args), output_dir=args.out_dir)
     report = harness.reproduce(config)
     for arm in report.arms:
         final = arm.result.trace.records[-1].rel_error

@@ -10,8 +10,8 @@ seed. Validation errors name the offending dotted key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, get_type_hints
 
 from .learner import InitSpec, LearnerConfig
 from .params import REFERENCE_MODEL, GameParams, ParameterError, TimeGrid
@@ -32,22 +32,16 @@ class ExperimentConfig:
     seed: int
 
 
-_GAME_FIELDS = (
-    "A", "B", "D", "Q", "Q_bar", "lambda_se", "lambda_ce", "T",
-    "xi_mean", "xi_second_moment",
-)
-_LEARNER_FIELDS = (
-    "n_outer", "n_inner", "n_perturbations", "radius", "step_size",
-    "sigma_floor", "initial_mean_field", "shared_rollout_noise",
-    "baseline", "warm_start",
-)
-_INIT_FIELDS = ("m_hat_mean", "m_hat_var", "sigma2_mean", "sigma2_var")
-_INT_FIELDS = {
-    "grid.n_steps", "learner.n_outer", "learner.n_inner",
-    "learner.n_perturbations", "n_eval_paths", "seed",
-}
-_BOOL_FIELDS = {"learner.shared_rollout_noise", "learner.warm_start"}
-_STR_FIELDS = {"learner.baseline", "output_dir"}
+def _schema(cls, skip=()) -> dict:
+    """Field name -> type of a dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+_GAME_FIELDS = _schema(GameParams)
+# ``init`` is a nested section; the master seed comes from the top-level seed.
+_LEARNER_FIELDS = _schema(LearnerConfig, skip=("init", "master_seed"))
+_INIT_FIELDS = _schema(InitSpec)
 
 
 def default_config() -> ExperimentConfig:
@@ -97,6 +91,29 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"field {where} must be a boolean, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"field {where} must be a string, got {value!r}")
+    return value
+
+
+_PARSERS = {float: _number, int: _integer, bool: _boolean, str: _string}
+
+
+def _parse(section: dict, schema: dict, where: str) -> dict:
+    """Every schema field of the section, type-checked; errors name the key."""
+    return {
+        name: _PARSERS[kind](_need(section, name, where), f"{where}{name}")
+        for name, kind in schema.items()
+    }
+
+
 def _check_unknown(section: dict, allowed, where: str):
     for key in section:
         if key not in allowed:
@@ -106,19 +123,11 @@ def _check_unknown(section: dict, allowed, where: str):
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
-    _check_unknown(
-        data,
-        ("game", "grid", "learner", "lambda_se_values", "n_eval_paths",
-         "output_dir", "seed"),
-        "",
-    )
+    _check_unknown(data, [f.name for f in fields(ExperimentConfig)], "")
     game_sec = _need(data, "game", "")
     _check_unknown(game_sec, _GAME_FIELDS, "game.")
     try:
-        game = GameParams(
-            **{name: _number(_need(game_sec, name, "game."), f"game.{name}")
-               for name in _GAME_FIELDS}
-        )
+        game = GameParams(**_parse(game_sec, _GAME_FIELDS, "game."))
     except ParameterError as exc:
         raise ConfigError(f"game: {exc}") from exc
 
@@ -135,26 +144,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_unknown(learner_sec, _LEARNER_FIELDS, "learner.")
     _check_unknown(init_sec, _INIT_FIELDS, "learner.init.")
     seed = _integer(_need(data, "seed", ""), "seed")
-    kwargs = {}
-    for name in _LEARNER_FIELDS:
-        value = _need(learner_sec, name, "learner.")
-        where = f"learner.{name}"
-        if where in _INT_FIELDS:
-            kwargs[name] = _integer(value, where)
-        elif where in _BOOL_FIELDS:
-            if not isinstance(value, bool):
-                raise ConfigError(f"field {where} must be a boolean, got {value!r}")
-            kwargs[name] = value
-        elif where in _STR_FIELDS:
-            if not isinstance(value, str):
-                raise ConfigError(f"field {where} must be a string, got {value!r}")
-            kwargs[name] = value
-        else:
-            kwargs[name] = _number(value, where)
-    init_kwargs = {
-        name: _number(_need(init_sec, name, "learner.init."), f"learner.init.{name}")
-        for name in _INIT_FIELDS
-    }
+    kwargs = _parse(learner_sec, _LEARNER_FIELDS, "learner.")
+    init_kwargs = _parse(init_sec, _INIT_FIELDS, "learner.init.")
     try:
         learner = LearnerConfig(
             init=InitSpec(**init_kwargs), master_seed=seed, **kwargs
@@ -171,6 +162,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for i, v in enumerate(lam_tuple):
         if v < 0:
             raise ConfigError(f"field lambda_se_values[{i}] must be nonnegative")
+        # each arm's evaluation seed and report lookup are keyed by its value
+        if v in lam_tuple[:i]:
+            raise ConfigError(f"field lambda_se_values[{i}] repeats an earlier value")
 
     n_eval = _integer(_need(data, "n_eval_paths", ""), "n_eval_paths")
     if n_eval < 2:

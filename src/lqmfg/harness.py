@@ -18,13 +18,12 @@ import csv
 import dataclasses
 import json
 import os
-import subprocess
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
+from . import __version__, rng
 from .analytic import equilibrium_policy, game_value, riccati_coefficient
 from .config import ExperimentConfig, config_to_dict
 from .learner import RunResult
@@ -34,9 +33,10 @@ from .simulate import (
     SIGMA_FLOOR,
     MeanField,
     PolicyParams,
-    _batch_rewards,
-    _draw_batch,
     discretize_policy,
+    draw_noise,
+    mean_and_stderr,
+    rollout,
 )
 
 
@@ -76,7 +76,7 @@ class PayoffEvaluator:
         self.grid = grid
         self.n_paths = n_paths
         stream = rng.substream(seed, rng.EVALUATION)
-        self._x0, self._dW = _draw_batch(stream, params, grid.dt, n_paths, grid.n_steps)
+        self._x0, self._dW = draw_noise(stream, params, grid.dt, n_paths, grid.n_steps)
         self.reference = reference_policy(params, grid, sigma_floor)
         self.reference_mean_field = MeanField.constant(params.xi_mean, grid)
         self.reference_payoff, self.reference_stderr = self.payoff(
@@ -90,33 +90,15 @@ class PayoffEvaluator:
     def payoff(self, policy: PolicyParams, mean_field: MeanField) -> tuple[float, float]:
         policy.check_aligned(self.grid)
         mean_field.check_aligned(self.grid)
-        rewards = _batch_rewards(
-            self.params,
-            self.grid.dt,
-            mean_field.values,
-            policy.m_hat,
-            policy.sigma2,
-            self._x0,
-            self._dW,
+        rewards = rollout(
+            self.params, self.grid.dt, mean_field.values, policy.m_hat, policy.sigma2,
+            self._x0, self._dW,
         )
-        return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(self.n_paths))
+        return mean_and_stderr(rewards)
 
     def rel_error(self, policy: PolicyParams, mean_field: MeanField) -> float:
         value, _ = self.payoff(policy, mean_field)
         return abs(value - self.reference_payoff) / abs(self.reference_payoff)
-
-
-def relative_error(
-    params: GameParams,
-    grid: TimeGrid,
-    policy: PolicyParams,
-    mean_field: MeanField,
-    n_eval_paths: int,
-    seed: int,
-) -> float:
-    """One-shot relative error against the discretized equilibrium."""
-    ev = PayoffEvaluator(params, grid, n_eval_paths, seed)
-    return ev.rel_error(policy, mean_field)
 
 
 @dataclass
@@ -135,7 +117,6 @@ class ExperimentReport:
 
     config: ExperimentConfig
     arms: list = field(default_factory=list)
-    version: str = ""
 
     def arm(self, lambda_se: float) -> ArmResult:
         for a in self.arms:
@@ -145,12 +126,7 @@ class ExperimentReport:
 
 
 def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
-    base = config.game
-    return GameParams(
-        A=base.A, B=base.B, D=base.D, Q=base.Q, Q_bar=base.Q_bar,
-        lambda_se=lambda_se, lambda_ce=base.lambda_ce, T=base.T,
-        xi_mean=base.xi_mean, xi_second_moment=base.xi_second_moment,
-    )
+    return dataclasses.replace(config.game, lambda_se=lambda_se)
 
 
 def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
@@ -179,7 +155,7 @@ def reproduce(config: ExperimentConfig) -> ExperimentReport:
     If the configuration names an output directory the tables are written
     there before returning.
     """
-    report = ExperimentReport(config=config, version=version_string())
+    report = ExperimentReport(config=config)
     for lam in config.lambda_se_values:
         report.arms.append(run_arm(config, lam))
     if config.output_dir:
@@ -221,22 +197,6 @@ def check_thresholds(report: ExperimentReport, threshold: float = 0.05) -> list:
                 f">= {threshold}"
             )
     return failures
-
-
-def version_string() -> str:
-    """Package version, suffixed with the git commit when available."""
-    base = "0.1.0"
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0:
-            return f"{base}+g{out.stdout.strip()}"
-    except OSError:
-        pass
-    return base
 
 
 def _fmt(x: float) -> str:
@@ -332,7 +292,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
     manifest = {
         "config": config_to_dict(report.config),
         "seed": report.config.seed,
-        "version": report.version or version_string(),
+        "version": __version__,
         "tables": [os.path.basename(p) for p in written],
     }
     tmp = os.path.join(out_dir, "manifest.json.tmp")

@@ -40,9 +40,9 @@ from .simulate import (
     SIGMA_FLOOR,
     MeanField,
     PolicyParams,
-    _batch_rewards,
-    _draw_batch,
+    draw_noise,
     propagate_mean_field,
+    rollout,
 )
 
 
@@ -101,18 +101,10 @@ class LearnerConfig:
             raise ParameterError("leave-one-out baseline needs n_perturbations >= 2")
 
 
-def sample_sphere(dim: int, radius: float, stream: np.random.Generator) -> np.ndarray:
-    """Uniform draw on the sphere of the given radius (normalized Gaussian)."""
+def _sample_sphere_batch(n: int, dim: int, radius: float, stream) -> np.ndarray:
+    """n uniform draws on the sphere of the given radius (normalized Gaussians)."""
     if dim < 1 or radius <= 0:
         raise ParameterError("dim must be >= 1 and radius positive")
-    while True:
-        u = stream.standard_normal(dim)
-        norm = np.linalg.norm(u)
-        if norm > 0:
-            return radius * u / norm
-
-
-def _sample_sphere_batch(n: int, dim: int, radius: float, stream) -> np.ndarray:
     u = stream.standard_normal((n, dim))
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     # A zero row has probability zero; regenerate defensively if it happens.
@@ -173,16 +165,14 @@ def estimate_gradient(
 
     def rollouts(points: np.ndarray) -> np.ndarray:
         if cfg.shared_rollout_noise:
-            x0_one, dW_one = _draw_batch(stream, params, grid.dt, 1, grid.n_steps)
+            x0_one, dW_one = draw_noise(stream, params, grid.dt, 1, grid.n_steps)
             x0 = np.full(n, x0_one[0])
             dW = np.broadcast_to(dW_one, (n, grid.n_steps))
         else:
-            x0, dW = _draw_batch(stream, params, grid.dt, n, grid.n_steps)
+            x0, dW = draw_noise(stream, params, grid.dt, n, grid.n_steps)
         m_hats = points[:, 0]
         sigma2s = np.maximum(points[:, 1:], cfg.sigma_floor)
-        return _batch_rewards(
-            params, grid.dt, mean_field.values, m_hats, sigma2s, x0, dW
-        )
+        return rollout(params, grid.dt, mean_field.values, m_hats, sigma2s, x0, dW)
 
     return sphere_gradient_estimate(
         rollouts, policy.to_vector(), n, cfg.radius, stream, cfg.baseline
@@ -216,12 +206,6 @@ class LearningTrace:
 
     def rel_errors(self) -> np.ndarray:
         return np.array([r.rel_error for r in self.records])
-
-    def last_error_per_outer(self) -> np.ndarray:
-        out = {}
-        for r in self.records:
-            out[r.outer] = r.rel_error
-        return np.array([out[k] for k in sorted(out)])
 
 
 EvalFn = Callable[[PolicyParams, MeanField], float]

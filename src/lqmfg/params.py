@@ -124,8 +124,3 @@ class TimeGrid:
         """Left endpoints of the N steps (where per-step policies apply)."""
         return self.dt * np.arange(self.n_steps)
 
-    def refined(self, factor: int) -> "TimeGrid":
-        """Same horizon with `factor` sub-steps per step (quadrature grids)."""
-        if factor < 1:
-            raise ParameterError("refinement factor must be >= 1")
-        return TimeGrid(n_steps=self.n_steps * factor, dt=self.dt / factor)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,17 +53,6 @@ class MeanField:
             raise ParameterError(
                 f"mean field has {len(self.values)} values, grid needs {grid.n_steps + 1}"
             )
-
-    def interpolant(self, grid: TimeGrid) -> Callable:
-        """Piecewise-linear m(t) through the grid values (vectorized)."""
-        self.check_aligned(grid)
-        times = grid.times()
-
-        def fn(t):
-            out = np.interp(np.asarray(t, dtype=float), times, self.values)
-            return out if np.ndim(t) else float(out)
-
-        return fn
 
 
 @dataclass(frozen=True)
@@ -110,35 +98,7 @@ def discretize_policy(policy: GaussianFeedbackPolicy, grid: TimeGrid) -> PolicyP
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated state path plus the feedback moments that produced it."""
-
-    states: np.ndarray
-    policy_means: np.ndarray
-    policy_variances: np.ndarray
-    seed_id: tuple
-
-
-def step_moments(
-    params: GameParams, policy: PolicyParams, m_s: float, x_s, s: int
-) -> tuple:
-    """Drift and squared diffusion of one Euler step at state(s) x_s.
-
-    These are the policy-aggregated first and second action moments pushed
-    through the dynamics; vectorized over x_s.
-    """
-    if not 0 <= s < policy.n_steps:
-        raise ParameterError(f"step index {s} outside [0, {policy.n_steps})")
-    gap = m_s - np.asarray(x_s, dtype=float)
-    drift = (params.A + params.B * policy.m_hat) * gap
-    diffusion2 = params.D**2 * (policy.m_hat**2 * gap**2 + policy.sigma2[s])
-    if np.ndim(x_s) == 0:
-        return float(drift), float(diffusion2)
-    return drift, diffusion2
-
-
-def _batch_states(
+def rollout(
     params: GameParams,
     dt: float,
     m_values: np.ndarray,
@@ -146,42 +106,25 @@ def _batch_states(
     sigma2,
     x0: np.ndarray,
     dW: np.ndarray,
+    states: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Euler paths for a batch; m_hat scalar or (n,), sigma2 (N,) or (n, N).
+    """Euler rollout kernel: realized rewards of a batch of paths.
 
-    Returns states of shape (n, N + 1).
+    Each path starts at x0 and is driven by its row of Brownian increments
+    dW (shape (n, N)); m_hat is a scalar or (n,), sigma2 (N,) or (n, N), so
+    one call can score n different policies. The reward is the running
+    quadratic penalty plus the Gaussian entropy bonus
+    0.5 * lambda_se * log(2*pi*e*sigma2_s) per step, and the terminal
+    quadratic penalty. When ``states`` is given it must have shape
+    (n, N + 1) and receives the state paths.
     """
     n, n_steps = dW.shape
-    states = np.empty((n, n_steps + 1))
-    states[:, 0] = x0
     a = params.A + params.B * np.asarray(m_hat)
     m_hat2 = np.asarray(m_hat) ** 2
     sigma2 = np.asarray(sigma2)
     x = x0.astype(float, copy=True)
-    for s in range(n_steps):
-        gap = m_values[s] - x
-        sig = sigma2[..., s] if sigma2.ndim > 1 else sigma2[s]
-        diffusion2 = params.D**2 * (m_hat2 * gap**2 + sig)
-        x = x + a * gap * dt + np.sqrt(diffusion2) * dW[:, s]
-        states[:, s + 1] = x
-    return states
-
-
-def _batch_rewards(
-    params: GameParams,
-    dt: float,
-    m_values: np.ndarray,
-    m_hat,
-    sigma2,
-    x0: np.ndarray,
-    dW: np.ndarray,
-) -> np.ndarray:
-    """Realized rewards for a batch without materializing full state paths."""
-    n, n_steps = dW.shape
-    a = params.A + params.B * np.asarray(m_hat)
-    m_hat2 = np.asarray(m_hat) ** 2
-    sigma2 = np.asarray(sigma2)
-    x = x0.astype(float, copy=True)
+    if states is not None:
+        states[:, 0] = x
     total = np.zeros(n)
     for s in range(n_steps):
         gap = m_values[s] - x
@@ -191,71 +134,33 @@ def _batch_rewards(
             total += 0.5 * params.lambda_se * np.log(2.0 * np.pi * np.e * sig) * dt
         diffusion2 = params.D**2 * (m_hat2 * gap**2 + sig)
         x = x + a * gap * dt + np.sqrt(diffusion2) * dW[:, s]
+        if states is not None:
+            states[:, s + 1] = x
     total += -0.5 * params.Q_bar * (x - m_values[n_steps]) ** 2
     return total
 
 
-def _draw_batch(stream: np.random.Generator, params: GameParams, dt: float,
-                n_paths: int, n_steps: int):
+def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
+               n_paths: int, n_steps: int):
     """Initial states and Brownian increments in the fixed batch layout."""
     x0 = params.xi_mean + np.sqrt(params.xi_var) * stream.standard_normal(n_paths)
     dW = np.sqrt(dt) * stream.standard_normal((n_paths, n_steps))
     return x0, dW
 
 
-def simulate_trajectory(
-    params: GameParams,
-    grid: TimeGrid,
-    policy: PolicyParams,
-    mean_field: MeanField,
-    stream: np.random.Generator,
-    seed_id: tuple = (),
-) -> Trajectory:
-    """One Euler path: x0 from the initial Gaussian, increments N(0, dt)."""
+def _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None):
+    """Rewards of n_paths rollouts drawn chunk by chunk (fixed draw layout)."""
     policy.check_aligned(grid)
     mean_field.check_aligned(grid)
-    x0, dW = _draw_batch(stream, params, grid.dt, 1, grid.n_steps)
-    states = _batch_states(
-        params, grid.dt, mean_field.values, policy.m_hat, policy.sigma2, x0, dW
-    )[0]
-    gaps = mean_field.values[:-1] - states[:-1]
-    return Trajectory(
-        states=states,
-        policy_means=policy.m_hat * gaps,
-        policy_variances=policy.sigma2.copy(),
-        seed_id=tuple(seed_id),
-    )
-
-
-def realized_reward(
-    params: GameParams,
-    grid: TimeGrid,
-    traj: Trajectory,
-    policy: PolicyParams,
-    mean_field: MeanField,
-) -> float:
-    """Single-trajectory reward: running quadratic penalty plus the Gaussian
-    entropy bonus per step, and the terminal quadratic penalty.
-
-    The entropy of the per-step Gaussian action law enters in closed form,
-    0.5 * log(2*pi*e*sigma2_s); with lambda_se = 0 the reward is the pure
-    quadratic cost.
-    """
-    policy.check_aligned(grid)
-    mean_field.check_aligned(grid)
-    if len(traj.states) != grid.n_steps + 1:
-        raise ParameterError("trajectory length does not match the grid")
-    gaps = traj.states[:-1] - mean_field.values[:-1]
-    total = float(np.sum(-0.5 * params.Q * gaps**2) * grid.dt)
-    if params.lambda_se > 0.0:
-        total += float(
-            np.sum(0.5 * params.lambda_se * np.log(2.0 * np.pi * np.e * policy.sigma2))
-            * grid.dt
+    rewards = np.empty(n_paths)
+    for start in range(0, n_paths, _CHUNK):
+        stop = min(start + _CHUNK, n_paths)
+        x0, dW = draw_noise(stream, params, grid.dt, stop - start, grid.n_steps)
+        rewards[start:stop] = rollout(
+            params, grid.dt, mean_field.values, policy.m_hat, policy.sigma2, x0, dW,
+            None if states is None else states[start:stop],
         )
-    total += -0.5 * params.Q_bar * float(
-        (traj.states[-1] - mean_field.values[-1]) ** 2
-    )
-    return total
+    return rewards
 
 
 def sample_rewards(
@@ -267,18 +172,7 @@ def sample_rewards(
     stream: np.random.Generator,
 ) -> np.ndarray:
     """Realized rewards over n_paths independent paths (fixed draw layout)."""
-    policy.check_aligned(grid)
-    mean_field.check_aligned(grid)
-    out = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        c = min(_CHUNK, n_paths - done)
-        x0, dW = _draw_batch(stream, params, grid.dt, c, grid.n_steps)
-        out[done : done + c] = _batch_rewards(
-            params, grid.dt, mean_field.values, policy.m_hat, policy.sigma2, x0, dW
-        )
-        done += c
-    return out
+    return _rollout_chunks(params, grid, policy, mean_field, n_paths, stream)
 
 
 def simulate_states(
@@ -290,18 +184,14 @@ def simulate_states(
     stream: np.random.Generator,
 ) -> np.ndarray:
     """State paths for n_paths independent rollouts, shape (n_paths, N + 1)."""
-    policy.check_aligned(grid)
-    mean_field.check_aligned(grid)
-    out = np.empty((n_paths, grid.n_steps + 1))
-    done = 0
-    while done < n_paths:
-        c = min(_CHUNK, n_paths - done)
-        x0, dW = _draw_batch(stream, params, grid.dt, c, grid.n_steps)
-        out[done : done + c] = _batch_states(
-            params, grid.dt, mean_field.values, policy.m_hat, policy.sigma2, x0, dW
-        )
-        done += c
-    return out
+    states = np.empty((n_paths, grid.n_steps + 1))
+    _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states)
+    return states
+
+
+def mean_and_stderr(rewards: np.ndarray) -> tuple[float, float]:
+    """Sample mean of the rewards and its standard error."""
+    return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(len(rewards)))
 
 
 def mc_expected_reward(
@@ -316,8 +206,9 @@ def mc_expected_reward(
     if n_paths < 2:
         raise ParameterError("n_paths must be >= 2")
     stream = rng.substream(seed, rng.TRAJECTORY)
-    rewards = sample_rewards(params, grid, policy, mean_field, n_paths, stream)
-    return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(n_paths))
+    return mean_and_stderr(
+        sample_rewards(params, grid, policy, mean_field, n_paths, stream)
+    )
 
 
 def expected_reward_exact(
@@ -378,29 +269,3 @@ def propagate_mean_field(
         out[s + 1] = out[s] + a * (prev.values[s] - out[s]) * grid.dt
     return MeanField(out)
 
-
-def propagate_mean_field_mc(
-    params: GameParams,
-    grid: TimeGrid,
-    policy: PolicyParams,
-    prev: MeanField,
-    n_paths: int,
-    seed: int,
-) -> MeanField:
-    """Monte Carlo variant of the mean-field update (comparison switch)."""
-    if n_paths < 2:
-        raise ParameterError("n_paths must be >= 2")
-    policy.check_aligned(grid)
-    prev.check_aligned(grid)
-    stream = rng.substream(seed, rng.TRAJECTORY)
-    sums = np.zeros(grid.n_steps + 1)
-    done = 0
-    while done < n_paths:
-        c = min(_CHUNK, n_paths - done)
-        x0, dW = _draw_batch(stream, params, grid.dt, c, grid.n_steps)
-        states = _batch_states(
-            params, grid.dt, prev.values, policy.m_hat, policy.sigma2, x0, dW
-        )
-        sums += states.sum(axis=0)
-        done += c
-    return MeanField(sums / n_paths)

@@ -29,12 +29,7 @@ from lqmfg import (
     value_offset,
 )
 from lqmfg import rng
-from lqmfg.analytic import (
-    constant_fn,
-    decay_rate,
-    second_moment_path_closed_form,
-    step_fn,
-)
+from lqmfg.analytic import _moment_paths, constant_fn, decay_rate, step_fn
 
 from conftest import make_params, random_params
 
@@ -430,42 +425,23 @@ class TestFeedbackPolicyPayoff:
 
 
 class TestClosedFormMoments:
-    def test_corrected_form_matches_ode_route(self, params, grid):
-        def mean_path(t):
-            return 0.1 + 0.5 * np.asarray(t)
-
-        var_fn = constant_fn(0.3)
-        times, mhat_cf, phi2_cf = second_moment_path_closed_form(
-            params, 0.6, var_fn, mean_path, grid, corrected=True
-        )
-        from lqmfg.analytic import _moment_paths
-
-        mhat_ode, phi2_ode = _moment_paths(params, 0.6, var_fn, mean_path, times)
-        np.testing.assert_allclose(mhat_cf, mhat_ode, atol=1e-8)
-        np.testing.assert_allclose(phi2_cf, phi2_ode, atol=1e-6)
-
-    def test_uncorrected_form_disagrees_on_nonzero_mean_paths(self, params, grid):
-        def mean_path(t):
-            return 0.1 + 0.5 * np.asarray(t)
-
-        var_fn = constant_fn(0.3)
-        _, mhat_good, phi2_good = second_moment_path_closed_form(
-            params, 0.6, var_fn, mean_path, grid, corrected=True
-        )
-        _, mhat_bad, phi2_bad = second_moment_path_closed_form(
-            params, 0.6, var_fn, mean_path, grid, corrected=False
-        )
-        assert np.max(np.abs(mhat_good - mhat_bad)) > 1e-4
-        assert np.max(np.abs(phi2_good - phi2_bad)) > 1e-4
+    """State-moment ODE route behind ``feedback_policy_payoff``."""
 
     def test_constant_mean_fixed_point(self, params, grid):
-        # a start at the constant mean path keeps the mean there; only the
-        # corrected sign convention reproduces this
+        # a start at the constant mean path keeps the mean there
         m = params.xi_mean
-        _, mhat, _ = second_moment_path_closed_form(
-            params, 0.6, constant_fn(0.3), constant_fn(m), grid, corrected=True
-        )
+        times = np.linspace(0.0, params.T, 101)
+        mhat, _ = _moment_paths(params, 0.6, constant_fn(0.3), constant_fn(m), times)
         np.testing.assert_allclose(mhat, m, atol=1e-10)
+
+
+def test_step_fn_holds_each_value_from_its_left_endpoint():
+    # 0.1 / 7 is inexact, so t / dt at a left endpoint can fall just below
+    # its step index
+    grid = TimeGrid.from_horizon(0.1, 7)
+    fn = step_fn(np.arange(7.0), grid)
+    np.testing.assert_array_equal(fn(grid.step_times()), np.arange(7.0))
+    assert fn(0.1) == 6.0
 
 
 class TestSolveEquilibrium:

@@ -63,9 +63,10 @@ def test_lambda_sweep_validation():
     data["lambda_se_values"] = []
     with pytest.raises(ConfigError, match="lambda_se_values"):
         config_from_dict(data)
-    data["lambda_se_values"] = [1.0, -2.0]
-    with pytest.raises(ConfigError, match=r"lambda_se_values\[1\]"):
-        config_from_dict(data)
+    for bad in ([1.0, -2.0], [1.0, 1.0]):
+        data["lambda_se_values"] = bad
+        with pytest.raises(ConfigError, match=r"lambda_se_values\[1\]"):
+            config_from_dict(data)
 
 
 def test_overrides_apply_and_validate():

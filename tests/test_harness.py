@@ -13,7 +13,6 @@ from lqmfg import (
     equilibrium_policy,
     discretize_policy,
     reference_policy,
-    relative_error,
     reproduce,
 )
 from lqmfg.config import config_from_dict, config_to_dict, default_config
@@ -63,12 +62,6 @@ class TestPayoffEvaluator:
         a = PayoffEvaluator(params, grid, 1024, seed=9).payoff(policy, mf)
         b = PayoffEvaluator(params, grid, 1024, seed=9).payoff(policy, mf)
         assert a == b
-
-    def test_one_shot_wrapper_matches(self, params, grid):
-        policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, 0.3))
-        mf = MeanField.constant(0.05, grid)
-        ev = PayoffEvaluator(params, grid, 2048, seed=21)
-        assert relative_error(params, grid, policy, mf, 2048, 21) == ev.rel_error(policy, mf)
 
     def test_inflated_exploration_increases_the_error(self, params, grid):
         ev = PayoffEvaluator(params, grid, 8192, seed=5)

@@ -15,7 +15,6 @@ from lqmfg import (
     estimate_gradient,
     gradient_step,
     reference_policy,
-    sample_sphere,
     sphere_gradient_estimate,
 )
 from lqmfg import rng
@@ -36,13 +35,12 @@ class TestSampleSphere:
     def test_norm_is_the_radius(self):
         stream = rng.substream(0, 1)
         for dim in (1, 2, 6, 11):
-            for _ in range(5):
-                u = sample_sphere(dim, 0.01, stream)
-                assert np.linalg.norm(u) == pytest.approx(0.01, rel=1e-12)
+            u = _sample_sphere_batch(5, dim, 0.01, stream)
+            np.testing.assert_allclose(np.linalg.norm(u, axis=1), 0.01, rtol=1e-12)
 
     def test_dimension_one_is_a_fair_sign(self):
         stream = rng.substream(0, 2)
-        draws = np.array([sample_sphere(1, 2.0, stream)[0] for _ in range(4000)])
+        draws = _sample_sphere_batch(4000, 1, 2.0, stream)[:, 0]
         assert set(np.round(np.abs(draws), 12)) == {2.0}
         assert 0.45 < np.mean(draws > 0) < 0.55
 
@@ -55,9 +53,9 @@ class TestSampleSphere:
 
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):
-            sample_sphere(0, 1.0, rng.substream(0, 4))
+            _sample_sphere_batch(1, 0, 1.0, rng.substream(0, 4))
         with pytest.raises(ParameterError):
-            sample_sphere(3, 0.0, rng.substream(0, 4))
+            _sample_sphere_batch(1, 3, 0.0, rng.substream(0, 4))
 
 
 class TestSphereGradientEstimate:

@@ -48,15 +48,6 @@ def test_grid_product_recovers_horizon():
         assert g.times()[-1] == pytest.approx(0.1, rel=1e-15)
 
 
-def test_grid_refinement():
-    g = TimeGrid.from_horizon(0.1, 5)
-    r = g.refined(10)
-    assert r.n_steps == 50
-    assert r.dt == pytest.approx(g.dt / 10)
-    with pytest.raises(ParameterError):
-        g.refined(0)
-
-
 def test_grid_validation():
     with pytest.raises(ParameterError):
         TimeGrid(n_steps=0, dt=0.1)

@@ -8,7 +8,6 @@ from lqmfg import (
     ParameterError,
     PolicyParams,
     TimeGrid,
-    Trajectory,
     DomainError,
     discretize_policy,
     equilibrium_policy,
@@ -18,16 +17,12 @@ from lqmfg import (
     game_value,
     mc_expected_reward,
     propagate_mean_field,
-    propagate_mean_field_mc,
-    realized_reward,
     sample_rewards,
     simulate_states,
-    simulate_trajectory,
-    step_moments,
 )
 from lqmfg import rng
 from lqmfg.analytic import constant_fn
-from lqmfg.simulate import SIGMA_FLOOR
+from lqmfg.simulate import SIGMA_FLOOR, draw_noise, rollout
 
 from conftest import make_params
 
@@ -36,35 +31,42 @@ def ne_policy(params, grid):
     return discretize_policy(equilibrium_policy(params, "se"), grid)
 
 
+def one_step(params, m_hat, sigma2, m_s, x_s, w, dt=0.02):
+    """State after one Euler step of the rollout kernel from x_s."""
+    x_s = np.atleast_1d(np.asarray(x_s, dtype=float))
+    states = np.empty((len(x_s), 2))
+    rollout(params, dt, np.array([m_s, m_s]), m_hat, np.array([sigma2]),
+            x_s, np.full((len(x_s), 1), w), states)
+    return states[:, 1]
+
+
 class TestStepMoments:
+    """Drift and squared diffusion of one kernel step on hand-set noise."""
+
     def test_at_the_mean(self, params):
-        policy = PolicyParams(m_hat=0.7, sigma2=np.full(5, 0.3))
-        drift, diff2 = step_moments(params, policy, m_s=0.1, x_s=0.1, s=2)
-        assert drift == 0.0
-        assert diff2 == pytest.approx(params.D**2 * 0.3, rel=1e-14)
+        x1 = one_step(params, 0.7, 0.3, m_s=0.1, x_s=0.1, w=0.05)
+        # no drift at the mean; the diffusion is the exploration noise alone
+        assert x1[0] - 0.1 == pytest.approx(math.sqrt(params.D**2 * 0.3) * 0.05, rel=1e-14)
 
     def test_no_feedback_control(self, params):
-        policy = PolicyParams(m_hat=0.0, sigma2=np.full(5, 0.3))
-        drift, diff2 = step_moments(params, policy, m_s=0.5, x_s=0.2, s=0)
-        assert drift == pytest.approx(params.A * 0.3, rel=1e-14)
-        assert diff2 == pytest.approx(params.D**2 * 0.3, rel=1e-14)
+        drift = one_step(params, 0.0, 0.3, m_s=0.5, x_s=0.2, w=0.0)[0] - 0.2
+        assert drift == pytest.approx(params.A * 0.3 * 0.02, rel=1e-14)
+        noisy = one_step(params, 0.0, 0.3, m_s=0.5, x_s=0.2, w=1.0)[0] - 0.2 - drift
+        assert noisy == pytest.approx(math.sqrt(params.D**2 * 0.3), rel=1e-14)
 
     def test_reference_arithmetic(self, params):
-        policy = PolicyParams(m_hat=0.75, sigma2=np.full(5, 0.3))
-        drift, _ = step_moments(params, policy, m_s=1.0, x_s=0.0, s=0)
-        assert drift == pytest.approx(4.25, rel=1e-14)
+        x1 = one_step(params, 0.75, 0.3, m_s=1.0, x_s=0.0, w=0.0)
+        assert x1[0] == pytest.approx(4.25 * 0.02, rel=1e-14)
 
     def test_vectorized_states(self, params):
-        policy = PolicyParams(m_hat=0.75, sigma2=np.full(5, 0.3))
         xs = np.array([0.0, 0.1, 0.2])
-        drift, diff2 = step_moments(params, policy, 0.1, xs, 1)
-        assert drift.shape == (3,)
-        assert np.all(diff2 >= params.D**2 * 0.3)
-
-    def test_step_bounds(self, params):
-        policy = PolicyParams(m_hat=0.75, sigma2=np.full(5, 0.3))
-        with pytest.raises(ParameterError):
-            step_moments(params, policy, 0.1, 0.0, 5)
+        drift = one_step(params, 0.75, 0.3, 0.1, xs, w=0.0) - xs
+        diffusion = one_step(params, 0.75, 0.3, 0.1, xs, w=1.0) - xs - drift
+        gap = 0.1 - xs
+        np.testing.assert_allclose(drift, (params.A + params.B * 0.75) * gap * 0.02, rtol=1e-12)
+        np.testing.assert_allclose(
+            diffusion, np.sqrt(params.D**2 * (0.75**2 * gap**2 + 0.3)), rtol=1e-12
+        )
 
 
 class TestSimulateTrajectory:
@@ -72,17 +74,16 @@ class TestSimulateTrajectory:
         p = make_params(xi_mean=0.3, xi_second_moment=0.09)  # deterministic start
         policy = PolicyParams(m_hat=0.75, sigma2=np.full(5, SIGMA_FLOOR))
         mf = MeanField.constant(0.3, grid)
-        traj = simulate_trajectory(p, grid, policy, mf, rng.substream(0, 1))
+        states = simulate_states(p, grid, policy, mf, 1, rng.substream(0, 1))[0]
         # noise scale is D * sqrt(floor * T) ~ 6e-4; allow a generous margin
-        assert np.max(np.abs(traj.states - 0.3)) < 5e-3
+        assert np.max(np.abs(states - 0.3)) < 5e-3
 
     def test_same_substream_identical(self, params, grid):
         policy = ne_policy(params, grid)
         mf = MeanField.constant(params.xi_mean, grid)
-        t1 = simulate_trajectory(params, grid, policy, mf, rng.substream(7, 1, 3), (7, 1, 3))
-        t2 = simulate_trajectory(params, grid, policy, mf, rng.substream(7, 1, 3), (7, 1, 3))
-        np.testing.assert_array_equal(t1.states, t2.states)
-        assert t1.seed_id == (7, 1, 3)
+        s1 = simulate_states(params, grid, policy, mf, 3, rng.substream(7, 1, 3))
+        s2 = simulate_states(params, grid, policy, mf, 3, rng.substream(7, 1, 3))
+        np.testing.assert_array_equal(s1, s2)
 
     def test_mean_invariance_monte_carlo(self, params, grid):
         policy = ne_policy(params, grid)
@@ -98,42 +99,53 @@ class TestSimulateTrajectory:
         policy = PolicyParams(m_hat=0.5, sigma2=np.full(4, 0.3))
         mf = MeanField.constant(0.1, grid)
         with pytest.raises(ParameterError):
-            simulate_trajectory(params, grid, policy, mf, rng.substream(0, 1))
+            simulate_states(params, grid, policy, mf, 1, rng.substream(0, 1))
+
+
+def kernel_rewards(params, grid, policy, mf, x0, dW, states=None):
+    return rollout(params, grid.dt, mf.values, policy.m_hat, policy.sigma2, x0, dW, states)
 
 
 class TestRealizedReward:
+    """Rewards returned by the rollout kernel on hand-set or shared noise."""
+
     def test_pinned_null_case(self, params, grid):
         sigma2 = 1.0 / (2.0 * math.pi * math.e)
         policy = PolicyParams(m_hat=0.4, sigma2=np.full(5, sigma2))
         mf = MeanField.constant(0.2, grid)
-        traj = Trajectory(
-            states=np.full(6, 0.2), policy_means=np.zeros(5),
-            policy_variances=policy.sigma2, seed_id=(),
-        )
-        assert realized_reward(params, grid, traj, policy, mf) == pytest.approx(0.0, abs=1e-14)
+        reward = kernel_rewards(params, grid, policy, mf, np.array([0.2]), np.zeros((1, 5)))
+        assert reward[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_part_linear_in_penalties(self, grid):
         p1 = make_params(lambda_se=0.0)
         p3 = make_params(lambda_se=0.0, Q=3 * 3.0, Q_bar=3 * 2.0)
         policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, 0.3))
         mf = MeanField.constant(0.1, grid)
-        traj = simulate_trajectory(p1, grid, policy, mf, rng.substream(3, 1))
-        r1 = realized_reward(p1, grid, traj, policy, mf)
-        r3 = realized_reward(p3, grid, traj, policy, mf)
-        assert r3 == pytest.approx(3 * r1, rel=1e-12)
+        x0, dW = draw_noise(rng.substream(3, 1), p1, grid.dt, 4, grid.n_steps)
+        r1 = kernel_rewards(p1, grid, policy, mf, x0, dW)
+        r3 = kernel_rewards(p3, grid, policy, mf, x0, dW)
+        np.testing.assert_allclose(r3, 3 * r1, rtol=1e-12)
 
     def test_entropy_additivity(self, params, grid):
         p0 = make_params(lambda_se=0.0)
         policy = PolicyParams(m_hat=0.5, sigma2=np.linspace(0.4, 0.2, 5))
         mf = MeanField.constant(0.1, grid)
-        traj = simulate_trajectory(params, grid, policy, mf, rng.substream(4, 1))
+        x0, dW = draw_noise(rng.substream(4, 1), params, grid.dt, 4, grid.n_steps)
+        states = np.empty((4, grid.n_steps + 1))
+        full = kernel_rewards(params, grid, policy, mf, x0, dW, states)
+        quad = kernel_rewards(p0, grid, policy, mf, x0, dW)
         bonus = (
             0.5 * params.lambda_se
             * np.sum(np.log(2 * math.pi * math.e * policy.sigma2)) * grid.dt
         )
-        full = realized_reward(params, grid, traj, policy, mf)
-        quad = realized_reward(p0, grid, traj, policy, mf)
-        assert full == pytest.approx(quad + bonus, rel=1e-12)
+        np.testing.assert_allclose(full, quad + bonus, rtol=1e-12)
+        # the quadratic part read off the returned state paths
+        gaps = states - mf.values
+        expected = (
+            -0.5 * params.Q * np.sum(gaps[:, :-1] ** 2, axis=1) * grid.dt
+            - 0.5 * params.Q_bar * gaps[:, -1] ** 2
+        )
+        np.testing.assert_allclose(quad, expected, rtol=1e-12)
 
     def test_average_matches_game_value(self, params, grid):
         policy = ne_policy(params, grid)
@@ -231,8 +243,10 @@ class TestPropagateMeanField:
         policy = ne_policy(params, grid)
         prev = MeanField(np.linspace(0.0, 0.2, 6))
         exact = propagate_mean_field(params, grid, policy, prev)
-        mc = propagate_mean_field_mc(params, grid, policy, prev, 200_000, seed=3)
-        assert np.max(np.abs(mc.values - exact.values)) < 0.01
+        mc = simulate_states(
+            params, grid, policy, prev, 200_000, rng.substream(3, rng.TRAJECTORY)
+        ).mean(axis=0)
+        assert np.max(np.abs(mc - exact.values)) < 0.01
 
 
 class TestWeakConvergence:
