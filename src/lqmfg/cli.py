@@ -4,8 +4,8 @@ Subcommands: ``solve`` (closed-form equilibrium on the grid), ``simulate``
 (Monte Carlo payoff of a policy), ``learn`` (one learner configuration),
 ``reproduce`` (the built-in temperature sweep with report tables).
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error, 4 a
-``--check`` threshold failed.
+Exit codes: 0 success, 2 configuration error, 3 runtime error (an I/O
+failure or a learner divergence), 4 a ``--check`` threshold failed.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .config import (
     default_config,
     load_config,
 )
+from .learner import LearnerDivergence
 from .params import DomainError, ParameterError
 from .simulate import MeanField, PolicyParams, mean_and_stderr, sample_rewards
 from . import rng as _rng
@@ -39,6 +40,9 @@ EXIT_RUNTIME = 3
 EXIT_CHECK = 4
 
 OUT_DIR_ENV = "LQMFG_OUT_DIR"
+
+# Rows of the --dump-paths CSV formatted and written per write call.
+_DUMP_BLOCK = 1 << 14
 
 
 def _fmt(x: float) -> str:
@@ -188,13 +192,15 @@ def _cmd_simulate(args) -> int:
     print(f"n_paths {args.n_paths}")
     print(f"seed {config.seed}")
     if args.dump_paths:
-        import csv as _csv
-
+        # CSV rows as csv.writer would write them, joined block by block: a
+        # block bounds the memory held by formatted strings
         with open(args.dump_paths, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["path", "reward"])
-            for j, r in enumerate(rewards):
-                w.writerow([j, _fmt(r)])
+            fh.write("path,reward\r\n")
+            for start in range(0, len(rewards), _DUMP_BLOCK):
+                block = rewards[start:start + _DUMP_BLOCK].tolist()
+                fh.write("".join(
+                    f"{j},{r:.17g}\r\n" for j, r in enumerate(block, start)
+                ))
     return EXIT_OK
 
 
@@ -248,7 +254,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, LearnerDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -31,6 +31,12 @@ class ExperimentConfig:
     output_dir: Optional[str]
     seed: int
 
+    def __post_init__(self):
+        # each arm's evaluation seed and report lookup are keyed by its value
+        for i, v in enumerate(self.lambda_se_values):
+            if v in self.lambda_se_values[:i]:
+                raise ConfigError(f"field lambda_se_values[{i}] repeats an earlier value")
+
 
 def _schema(cls, skip=()) -> dict:
     """Field name -> type of a dataclass, in declaration order."""
@@ -162,9 +168,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for i, v in enumerate(lam_tuple):
         if v < 0:
             raise ConfigError(f"field lambda_se_values[{i}] must be nonnegative")
-        # each arm's evaluation seed and report lookup are keyed by its value
-        if v in lam_tuple[:i]:
-            raise ConfigError(f"field lambda_se_values[{i}] repeats an earlier value")
 
     n_eval = _integer(_need(data, "n_eval_paths", ""), "n_eval_paths")
     if n_eval < 2:

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, rng
 from .analytic import equilibrium_policy, game_value, riccati_coefficient
 from .config import ExperimentConfig, config_to_dict
-from .learner import RunResult
+from .learner import LearnerDivergence, RunResult
 from .learner import run as learner_run
 from .params import GameParams, ParameterError, TimeGrid
 from .simulate import (
@@ -87,17 +87,19 @@ class PayoffEvaluator:
                 "reference payoff is numerically zero; relative error undefined"
             )
 
-    def payoff(self, policy: PolicyParams, mean_field: MeanField) -> tuple[float, float]:
+    def _rewards(self, policy: PolicyParams, mean_field: MeanField) -> np.ndarray:
         policy.check_aligned(self.grid)
         mean_field.check_aligned(self.grid)
-        rewards = rollout(
+        return rollout(
             self.params, self.grid.dt, mean_field.values, policy.m_hat, policy.sigma2,
             self._x0, self._dW,
         )
-        return mean_and_stderr(rewards)
+
+    def payoff(self, policy: PolicyParams, mean_field: MeanField) -> tuple[float, float]:
+        return mean_and_stderr(self._rewards(policy, mean_field))
 
     def rel_error(self, policy: PolicyParams, mean_field: MeanField) -> float:
-        value, _ = self.payoff(policy, mean_field)
+        value = float(np.add.reduce(self._rewards(policy, mean_field)) / self.n_paths)
         return abs(value - self.reference_payoff) / abs(self.reference_payoff)
 
 
@@ -140,7 +142,10 @@ def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
     )
     cfg = dataclasses.replace(config.learner, master_seed=config.seed)
     start = time.perf_counter()
-    result = learner_run(params, grid, cfg, evaluate=evaluator.rel_error)
+    # a diverging policy overflows the kernel before the step that makes it
+    # non-finite raises LearnerDivergence; that error names it, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = learner_run(params, grid, cfg, evaluate=evaluator.rel_error)
     return ArmResult(
         lambda_se=lambda_se,
         result=result,
@@ -153,11 +158,25 @@ def reproduce(config: ExperimentConfig) -> ExperimentReport:
     """Sweep the configured temperatures and assemble the report.
 
     If the configuration names an output directory the tables are written
-    there before returning.
+    there before returning. If an arm diverges, the directory instead gets a
+    FAILED marker naming the arm, the step and the last finite policy, and
+    the LearnerDivergence propagates.
     """
     report = ExperimentReport(config=config)
     for lam in config.lambda_se_values:
-        report.arms.append(run_arm(config, lam))
+        try:
+            report.arms.append(run_arm(config, lam))
+        except LearnerDivergence as exc:
+            if config.output_dir:
+                os.makedirs(config.output_dir, exist_ok=True)
+                _clear_markers(config.output_dir)
+                policy = exc.last_policy
+                _write_failed(config.output_dir, (
+                    f"lambda_se={_fmt(lam)}: {exc}\n"
+                    f"last finite policy: m_hat={_fmt(policy.m_hat)} "
+                    f"sigma2={' '.join(_fmt(v) for v in policy.sigma2)}\n"
+                ))
+            raise
     if config.output_dir:
         write_report(report, config.output_dir)
     return report
@@ -203,6 +222,20 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _clear_markers(out_dir: str) -> None:
+    # a manifest must always describe the tables next to it: clear leftovers
+    # from any previous run before writing anything new
+    for stale in ("manifest.json", "FAILED"):
+        path = os.path.join(out_dir, stale)
+        if os.path.exists(path):
+            os.remove(path)
+
+
+def _write_failed(out_dir: str, text: str) -> None:
+    with open(os.path.join(out_dir, "FAILED"), "w") as fh:
+        fh.write(text)
+
+
 def write_report(report: ExperimentReport, out_dir: str) -> list:
     """Write the report tables; the manifest is written last and atomically.
 
@@ -210,12 +243,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
     never a manifest. Returns the list of written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
-    # a manifest must always describe the tables next to it: clear leftovers
-    # from any previous run before writing anything new
-    for stale in ("manifest.json", "FAILED"):
-        path = os.path.join(out_dir, stale)
-        if os.path.exists(path):
-            os.remove(path)
+    _clear_markers(out_dir)
     written = []
     try:
         path = os.path.join(out_dir, "learning_curve.csv")
@@ -284,9 +312,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
             json.dump(summary, fh, indent=2)
         written.append(path)
     except Exception as exc:
-        marker = os.path.join(out_dir, "FAILED")
-        with open(marker, "w") as fh:
-            fh.write(f"report writing failed: {exc}\n")
+        _write_failed(out_dir, f"report writing failed: {exc}\n")
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
 
     manifest = {

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .params import GameParams, ParameterError, TimeGrid
+from .params import DomainError, GameParams, ParameterError, TimeGrid
 from .simulate import (
     SIGMA_FLOOR,
     MeanField,
@@ -106,12 +106,13 @@ def _sample_sphere_batch(n: int, dim: int, radius: float, stream) -> np.ndarray:
     if dim < 1 or radius <= 0:
         raise ParameterError("dim must be >= 1 and radius positive")
     u = stream.standard_normal((n, dim))
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    # the bits of np.linalg.norm(u, axis=1, keepdims=True), without its overhead
+    norms = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
     # A zero row has probability zero; regenerate defensively if it happens.
-    while np.any(norms == 0.0):
+    while (norms == 0.0).any():
         bad = norms[:, 0] == 0.0
         u[bad] = stream.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
     return radius * u / norms
 
 
@@ -140,7 +141,8 @@ def sphere_gradient_estimate(
         if n < 2:
             raise ParameterError("leave-one-out baseline needs n >= 2")
         values = values - (values.sum() - values) / (n - 1)
-    return (U * (values / radius**2)[:, None]).mean(axis=0)
+    # the bits of .mean(axis=0), without its overhead
+    return np.add.reduce(U * (values / radius**2)[:, None], axis=0) / n
 
 
 def estimate_gradient(
@@ -165,9 +167,8 @@ def estimate_gradient(
 
     def rollouts(points: np.ndarray) -> np.ndarray:
         if cfg.shared_rollout_noise:
-            x0_one, dW_one = draw_noise(stream, params, grid.dt, 1, grid.n_steps)
-            x0 = np.full(n, x0_one[0])
-            dW = np.broadcast_to(dW_one, (n, grid.n_steps))
+            x0, dW = draw_noise(stream, params, grid.dt, 1, grid.n_steps)
+            x0, dW = x0[0], dW[0]
         else:
             x0, dW = draw_noise(stream, params, grid.dt, n, grid.n_steps)
         m_hats = points[:, 0]
@@ -185,6 +186,24 @@ def gradient_step(
     """Ascent step on the reward, then project variances onto [floor, inf)."""
     vec = policy.to_vector() + cfg.step_size * np.asarray(estimate, dtype=float)
     return PolicyParams.from_vector(vec, floor=cfg.sigma_floor)
+
+
+class LearnerDivergence(RuntimeError):
+    """A gradient step made the policy non-finite.
+
+    ``outer`` and ``inner`` index the failing step (outer round k, inner step
+    i, both from 0); ``last_policy`` is the last finite policy, the one the
+    step started from.
+    """
+
+    def __init__(self, outer: int, inner: int, last_policy: PolicyParams):
+        super().__init__(
+            f"learner diverged at outer round k={outer}, inner step i={inner}: "
+            "the gradient step made the policy non-finite"
+        )
+        self.outer = outer
+        self.inner = inner
+        self.last_policy = last_policy
 
 
 @dataclass(frozen=True)
@@ -225,6 +244,7 @@ def inner_loop(
     Draws the initial policy from the configured initializer unless one is
     passed in, then performs ``n_inner`` gradient steps. Returns the final
     policy and the I + 1 per-step records (the first covers the initializer).
+    Raises LearnerDivergence when a step makes the policy non-finite.
     """
     if initial is None:
         init_stream = rng.substream(cfg.master_seed, rng.INITIAL_POLICY, outer_index)
@@ -249,7 +269,13 @@ def inner_loop(
     for i in range(cfg.n_inner):
         stream = rng.substream(cfg.master_seed, rng.PERTURBATION, outer_index, i)
         estimate = estimate_gradient(params, grid, policy, mean_field, cfg, stream)
-        policy = gradient_step(policy, estimate, cfg)
+        try:
+            stepped = gradient_step(policy, estimate, cfg)
+        except (DomainError, ParameterError) as exc:
+            # the step clamps variances to the floor, so the new policy fails
+            # validation only when its gain or a variance is not finite
+            raise LearnerDivergence(outer_index, i, policy) from exc
+        policy = stepped
         record(i + 1, policy)
     return policy, records
 

@@ -66,9 +66,9 @@ class PolicyParams:
         object.__setattr__(self, "sigma2", np.asarray(self.sigma2, dtype=float))
         if self.sigma2.ndim != 1:
             raise ParameterError("sigma2 must be a 1-d per-step schedule")
-        if not np.all(np.isfinite(self.sigma2)) or np.any(self.sigma2 <= 0.0):
+        if not np.isfinite(self.sigma2).all() or (self.sigma2 <= 0.0).any():
             raise DomainError("per-step variances must be finite and strictly positive")
-        if not np.isfinite(self.m_hat):
+        if not math.isfinite(self.m_hat):
             raise ParameterError("m_hat must be finite")
 
     @property
@@ -104,47 +104,83 @@ def rollout(
     m_values: np.ndarray,
     m_hat,
     sigma2,
-    x0: np.ndarray,
+    x0,
     dW: np.ndarray,
     states: np.ndarray | None = None,
 ) -> np.ndarray:
     """Euler rollout kernel: realized rewards of a batch of paths.
 
-    Each path starts at x0 and is driven by its row of Brownian increments
-    dW (shape (n, N)); m_hat is a scalar or (n,), sigma2 (N,) or (n, N), so
-    one call can score n different policies. The reward is the running
+    Path j starts at x0[j] and is driven by the Brownian increments
+    dW[j, :]. x0 is a scalar or (n,); dW is (n, N), or (N,) for one noise
+    path shared by all n paths; m_hat is a scalar or (n,), sigma2 (N,) or
+    (n, N), so one call can score n different policies on common noise. The
+    kernel reads dW one step (column) at a time, so a Fortran-ordered dW,
+    as ``draw_noise`` returns it, is read contiguously; any order gives the
+    same bits. The inputs are not modified. The reward is the running
     quadratic penalty plus the Gaussian entropy bonus
     0.5 * lambda_se * log(2*pi*e*sigma2_s) per step, and the terminal
     quadratic penalty. When ``states`` is given it must have shape
     (n, N + 1) and receives the state paths.
     """
-    n, n_steps = dW.shape
-    a = params.A + params.B * np.asarray(m_hat)
-    m_hat2 = np.asarray(m_hat) ** 2
+    n_steps = dW.shape[-1]
+    m_hat = np.asarray(m_hat)
     sigma2 = np.asarray(sigma2)
-    x = x0.astype(float, copy=True)
+    shape = np.broadcast(x0, m_hat, sigma2[..., 0], dW[..., 0]).shape
+    a = params.A + params.B * m_hat
+    m_hat2 = m_hat**2
+    quad = -0.5 * params.Q
+    diff2 = params.D**2
+    # Preallocated buffers, updated in place where possible (an in-place pass
+    # is the cheaper one). Every element goes through the operations of
+    #   total += quad * gap**2 * dt;  total += bonus_s
+    #   x = x + a * gap * dt + sqrt(D^2 * (m_hat^2 * gap**2 + sigma2_s)) * dW_s
+    # in this order, with only the operands of products swapped, so the bits
+    # do not depend on the buffering. The entropy bonus does not depend on
+    # the state, so all steps' bonuses are computed at once.
+    if params.lambda_se > 0.0:
+        bonus = 0.5 * params.lambda_se * np.log(2.0 * np.pi * np.e * sigma2) * dt
+    gap, gap2, x = np.empty(shape), np.empty(shape), np.empty(shape)
+    total = np.zeros(shape)
+    x[...] = x0
     if states is not None:
         states[:, 0] = x
-    total = np.zeros(n)
     for s in range(n_steps):
-        gap = m_values[s] - x
-        sig = sigma2[..., s] if sigma2.ndim > 1 else sigma2[s]
-        total += -0.5 * params.Q * gap**2 * dt
+        np.subtract(m_values[s], x, out=gap)
+        np.square(gap, out=gap2)
+        gap *= a
+        gap *= dt
+        x += gap
+        np.multiply(quad, gap2, out=gap)
+        gap *= dt
+        total += gap
         if params.lambda_se > 0.0:
-            total += 0.5 * params.lambda_se * np.log(2.0 * np.pi * np.e * sig) * dt
-        diffusion2 = params.D**2 * (m_hat2 * gap**2 + sig)
-        x = x + a * gap * dt + np.sqrt(diffusion2) * dW[:, s]
+            total += bonus[..., s]
+        gap2 *= m_hat2
+        gap2 += sigma2[..., s]
+        gap2 *= diff2
+        np.sqrt(gap2, out=gap2)
+        gap2 *= dW[..., s]
+        x += gap2
         if states is not None:
             states[:, s + 1] = x
-    total += -0.5 * params.Q_bar * (x - m_values[n_steps]) ** 2
+    np.subtract(x, m_values[n_steps], out=gap)
+    np.square(gap, out=gap)
+    gap *= -0.5 * params.Q_bar
+    total += gap
     return total
 
 
 def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
                n_paths: int, n_steps: int):
-    """Initial states and Brownian increments in the fixed batch layout."""
+    """Initial states and Brownian increments in the fixed batch layout.
+
+    The draws fill dW row by row (path by path); the returned dW holds the
+    same values Fortran-ordered, so the kernel's per-step columns are
+    contiguous.
+    """
     x0 = params.xi_mean + np.sqrt(params.xi_var) * stream.standard_normal(n_paths)
-    dW = np.sqrt(dt) * stream.standard_normal((n_paths, n_steps))
+    dW = np.asfortranarray(stream.standard_normal((n_paths, n_steps)))
+    dW *= np.sqrt(dt)
     return x0, dW
 
 

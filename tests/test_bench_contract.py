@@ -1,6 +1,7 @@
 """The benchmark's traced run patches package attributes by name; they must resolve."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +26,37 @@ def test_sample_rewards_leading_parameters():
     # the path-step counter reads n_paths from args[4] and the grid from args[1]
     names = list(inspect.signature(sample_rewards).parameters)
     assert names[:6] == ["params", "grid", "policy", "mean_field", "n_paths", "stream"]
+
+
+# A tiny learner arm (2 rounds of 3 steps) under the benchmark's tracer; prints
+# the calls and busy time of every traced span.
+_TRACED_ARM = """
+import json, sys
+sys.path[:0] = ["src", "bench"]
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from lqmfg import harness
+from lqmfg.config import config_from_dict, config_to_dict, default_config
+data = config_to_dict(default_config())
+data["lambda_se_values"] = [1.0]
+data["learner"].update(n_outer=2, n_inner=3)
+harness.run_arm(config_from_dict(data), 1.0)
+print(json.dumps({"calls": tracer.calls, "busy": tracer.busy}))
+"""
+
+
+def test_traced_learner_layers_count_every_step():
+    # the per-layer evidence of the seed_sweep workload must not read 0
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_ARM], cwd=ROOT, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    spans = json.loads(out.stdout.splitlines()[-1])
+    calls, busy = spans["calls"], spans["busy"]
+    assert calls["learner.estimate_gradient"] == 2 * 3
+    assert calls["learner.gradient_step"] == 2 * 3
+    assert calls["harness.rel_error"] == 2 * (3 + 1)
+    for span in ("learner.estimate_gradient", "learner.gradient_step", "harness.rel_error"):
+        assert busy[span] > 0.0, span

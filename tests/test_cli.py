@@ -207,3 +207,25 @@ class TestExitCodes:
         )
         assert code == EXIT_RUNTIME
         assert "error" in err
+
+    def test_learner_divergence_exit_code_and_marker(self, capsys, tmp_path):
+        import warnings
+
+        from lqmfg.cli import EXIT_RUNTIME
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")  # left by an earlier run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warnings
+            code, _, err = run_cli(
+                capsys, "learn", "--lambda-se", "1", "--set", "learner.step_size=50",
+                "--set", "learner.n_outer=1", "--set", "learner.n_inner=200",
+                "--out-dir", str(out),
+            )
+        assert code == EXIT_RUNTIME
+        assert "learner diverged at outer round k=0, inner step i=" in err
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith("lambda_se=1: learner diverged at outer round k=0")
+        assert "last finite policy: m_hat=" in marker
+        assert not (out / "manifest.json").exists()

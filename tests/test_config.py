@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -67,6 +68,9 @@ def test_lambda_sweep_validation():
         data["lambda_se_values"] = bad
         with pytest.raises(ConfigError, match=r"lambda_se_values\[1\]"):
             config_from_dict(data)
+    # a config built in code gets the same duplicate check
+    with pytest.raises(ConfigError, match=r"lambda_se_values\[2\] repeats"):
+        dataclasses.replace(default_config(), lambda_se_values=(1.0, 3.0, 1.0))
 
 
 def test_overrides_apply_and_validate():

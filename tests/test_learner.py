@@ -18,7 +18,7 @@ from lqmfg import (
     sphere_gradient_estimate,
 )
 from lqmfg import rng
-from lqmfg.learner import _sample_sphere_batch, inner_loop
+from lqmfg.learner import LearnerDivergence, _sample_sphere_batch, inner_loop
 from lqmfg.learner import run as learner_run
 
 
@@ -194,6 +194,25 @@ class TestInnerLoop:
         assert wins >= 18
 
 
+    def test_divergence_names_the_step_and_the_last_finite_policy(self, params, grid):
+        mf = MeanField.constant(params.xi_mean, grid)
+        cfg = LearnerConfig(step_size=50.0, n_inner=200, master_seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LearnerDivergence) as info:
+                inner_loop(params, grid, mf, cfg, outer_index=2)
+            exc = info.value
+            assert exc.outer == 2 and 0 < exc.inner < 200
+            assert f"k=2, inner step i={exc.inner}" in str(exc)
+            # the last finite policy is the one the first exc.inner steps reach
+            reached, _ = inner_loop(
+                params, grid, mf, LearnerConfig(step_size=50.0, n_inner=exc.inner),
+                outer_index=2,
+            )
+        assert reached.m_hat == exc.last_policy.m_hat
+        np.testing.assert_array_equal(reached.sigma2, exc.last_policy.sigma2)
+        assert np.isfinite(exc.last_policy.to_vector()).all()
+
+
 class TestRun:
     def test_minimal_loop(self, params, grid):
         cfg = small_cfg(n_outer=1, n_inner=0)
@@ -298,18 +317,16 @@ class TestRawEstimatorRegime:
     def test_raw_run_diverges_at_reference_constants(self, params, grid):
         # ascent kicks of size step * estimate ~ 0.4 per coordinate random-walk
         # the gain into the explosive region; the run either overflows into a
-        # validation error or ends with a policy far from any optimum
+        # named divergence or ends with a policy far from any optimum
         cfg = LearnerConfig(
             n_outer=1, shared_rollout_noise=False, baseline="none", master_seed=1
         )
-        from lqmfg import DomainError
-
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 result = learner_run(params, grid, cfg)
                 diverged = abs(result.policy.m_hat - 0.75) > 5.0
-            except (ParameterError, DomainError):
-                # overflow surfaced as a nonfinite-parameter rejection
+            except LearnerDivergence:
+                # overflow made a step's policy non-finite
                 diverged = True
         assert diverged
 

@@ -157,6 +157,49 @@ class TestRealizedReward:
         assert abs(mean - gv) <= 3 * stderr + 0.6 * grid.dt
 
 
+class TestRolloutInputs:
+    """Shapes and memory orders the kernel accepts, and inputs it must not touch."""
+
+    def _inputs(self, params, grid, n=7):
+        x0, dW = draw_noise(rng.substream(5, 1), params, grid.dt, n, grid.n_steps)
+        m_hats = np.linspace(0.2, 1.1, n)
+        sigma2s = np.linspace(0.1, 0.5, n * grid.n_steps).reshape(n, grid.n_steps)
+        m_values = np.linspace(0.0, 0.2, grid.n_steps + 1)
+        return x0, dW, m_hats, sigma2s, m_values
+
+    def test_shared_path_equals_its_broadcast(self, params, grid):
+        x0, dW, m_hats, sigma2s, m_values = self._inputs(params, grid)
+        n = len(x0)
+        shared = rollout(params, grid.dt, m_values, m_hats, sigma2s, x0[0], dW[0])
+        spread = rollout(
+            params, grid.dt, m_values, m_hats, sigma2s,
+            np.full(n, x0[0]), np.broadcast_to(dW[0], (n, grid.n_steps)),
+        )
+        assert shared.shape == (n,)
+        np.testing.assert_array_equal(shared, spread)
+
+    def test_memory_order_does_not_change_the_bits(self, params, grid):
+        x0, dW, m_hats, sigma2s, m_values = self._inputs(params, grid)
+        assert dW.flags.f_contiguous
+        outputs = []
+        for noise in (np.ascontiguousarray(dW), np.asfortranarray(dW)):
+            states = np.empty((len(x0), grid.n_steps + 1))
+            rewards = rollout(params, grid.dt, m_values, m_hats, sigma2s, x0, noise, states)
+            outputs.append((rewards, states))
+        np.testing.assert_array_equal(outputs[0][0], outputs[1][0])
+        np.testing.assert_array_equal(outputs[0][1], outputs[1][1])
+
+    def test_inputs_are_left_unmodified(self, params, grid):
+        inputs = self._inputs(params, grid)
+        x0, dW, m_hats, sigma2s, m_values = inputs
+        before = [np.copy(a) for a in inputs]
+        first = rollout(params, grid.dt, m_values, m_hats, sigma2s, x0, dW)
+        second = rollout(params, grid.dt, m_values, m_hats, sigma2s, x0, dW)
+        np.testing.assert_array_equal(first, second)
+        for kept, now in zip(before, inputs):
+            np.testing.assert_array_equal(kept, now)
+
+
 class TestMcExpectedReward:
     def test_path_count_validated(self, params, grid):
         policy = ne_policy(params, grid)
