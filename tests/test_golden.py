@@ -4,8 +4,10 @@ The SHA-256 digests below pin the exact bytes of the package's main
 outputs: the three report CSVs of ``reproduce`` (built-in configuration cut
 to two rounds of 30 steps), the state paths and rewards of the Euler
 rollout at 2^14 + 1 paths (one path past a full chunk) on a 50-step grid
-against a linear mean path, and one gradient estimate in each estimator
-mode. They were computed with numpy 2.4.6 on x86-64; a different numpy
+against a linear mean path, one gradient estimate in each estimator mode,
+and the moment-ODE payoff (the four parts of ``feedback_policy_payoff`` and
+the ``_moment_paths`` arrays behind them) of equilibrium, per-step and
+linear policies. They were computed with numpy 2.4.6 on x86-64; a different numpy
 release may change the Philox normal draws or the rounding of ``log`` and
 ``sqrt`` and so invalidate them, which is a reason to regenerate, not to
 loosen the comparison.
@@ -17,16 +19,20 @@ import hashlib
 import numpy as np
 
 from lqmfg import (
+    GaussianFeedbackPolicy,
     LearnerConfig,
     MeanField,
     TimeGrid,
+    equilibrium_policy,
     estimate_gradient,
+    feedback_policy_payoff,
     reference_policy,
     reproduce,
     sample_rewards,
     simulate_states,
 )
 from lqmfg import rng
+from lqmfg.analytic import DEFAULT_REFINEMENT, _moment_paths, _refined_times, step_fn
 from lqmfg.config import config_from_dict, config_to_dict, default_config
 
 from conftest import make_params
@@ -46,6 +52,22 @@ GOLDEN = {
         "cae6b0f0b8d88bb98e2c57c7b4d93870d9f950de1b6bb0713d8ef9cdad4716e0",
     "estimate_gradient[raw]":
         "943797a65d9c970c139a0fe9570a37b4d063abd783fe82c406a608a2f94bf10b",
+    "feedback_policy_payoff[se[5]]":
+        "21f660ee2d462b493a8e15db60ac3f15c26481fde15d0f71e473de991330a271",
+    "feedback_policy_payoff[ee[5]]":
+        "380f45a7c3ce8af18145f8522dce0e2b00218be7f9972982b6e4202e0c3bd6ac",
+    "feedback_policy_payoff[se[11]]":
+        "c9f977971f472fbc0efe25aa82f649ca75632ca2a987c7b35c148b8de16bdd80",
+    "feedback_policy_payoff[ee[11]]":
+        "8aa9b59f71e50f1f1b34714f51b09c95ece50a410a357e84f98fe2d6a27c37fa",
+    "feedback_policy_payoff[se[50]]":
+        "e870acc087afc012c500619fb5fe0c134cba9cb8934268dc378cd1937c308472",
+    "feedback_policy_payoff[ee[50]]":
+        "d326a9c05c9560210bbe059edbbee74fcdd37211052c28c52f918efd8ff301f8",
+    "feedback_policy_payoff[step_fn[7]]":
+        "f4819d5f49f4d3326dcc146feb7fa30c748ca054e130b4c2ffb82dcada7a5e07",
+    "feedback_policy_payoff[linear[5]]":
+        "50e84a3b9445d75f7eca6145739bd16567c38704133bc2c0239d663212714566",
 }
 
 
@@ -94,3 +116,48 @@ def test_gradient_estimates():
         stream = rng.substream(3, rng.PERTURBATION, 1, 2)
         estimate = estimate_gradient(params, grid, policy, mean_field, cfg, stream)
         assert _sha(estimate.tobytes()) == GOLDEN[key], key
+
+
+def _payoff_cases():
+    """(name, params, policy, mean path, grid) for the payoff digests."""
+    cases = []
+    for n_steps in (5, 11, 50):
+        for game in ("se", "ee"):
+            params = make_params(lambda_ce=1.0 if game == "ee" else 0.0)
+            policy = equilibrium_policy(params, game)
+            grid = TimeGrid.from_horizon(params.T, n_steps)
+            cases.append((f"{game}[{n_steps}]", params, policy, policy.reference_mean_fn, grid))
+    # 0.1 / 7 is inexact: step left endpoints fall between refined nodes
+    params = make_params()
+    grid = TimeGrid.from_horizon(0.1, 7)
+    mean_fn = step_fn(np.linspace(0.1, 0.4, 7), grid)
+    policy = GaussianFeedbackPolicy(
+        mean_coeff=0.5,
+        variance_fn=step_fn(np.linspace(0.4, 0.2, 7), grid),
+        reference_mean_fn=mean_fn,
+    )
+    cases.append(("step_fn[7]", params, policy, mean_fn, grid))
+
+    def linear_variance(t):
+        return 0.3 - 0.8 * np.asarray(t)
+
+    def linear_mean(t):
+        return 0.05 + 0.7 * np.asarray(t)
+
+    policy = GaussianFeedbackPolicy(
+        mean_coeff=0.6, variance_fn=linear_variance, reference_mean_fn=linear_mean
+    )
+    cases.append(("linear[5]", params, policy, linear_mean, TimeGrid.from_horizon(0.1, 5)))
+    return cases
+
+
+def test_payoff_outputs():
+    for name, params, policy, mean_fn, grid in _payoff_cases():
+        out = feedback_policy_payoff(params, policy, mean_fn, grid)
+        parts = np.array([out.total, out.running_quadratic, out.entropy, out.terminal])
+        times = _refined_times(0.0, params.T, grid.dt, DEFAULT_REFINEMENT)
+        mhat, phi2 = _moment_paths(
+            params, policy.mean_coeff, policy.variance_fn, mean_fn, times
+        )
+        digest = _sha(parts.tobytes() + mhat.tobytes() + phi2.tobytes())
+        assert digest == GOLDEN[f"feedback_policy_payoff[{name}]"], name
