@@ -12,10 +12,11 @@ equilibrium Gaussian feedback policy, the equilibrium state variance, the
 game value, and the expected payoff of an arbitrary Gaussian feedback policy
 evaluated through its first/second state-moment ODEs.
 
-Riccati coefficients are always evaluated from the closed form; ODE stepping
-appears only in test oracles. Integrals use composite trapezoid on a uniform
-refinement of the simulation grid (smooth integrands, O(h^2) error,
-verifiable by refinement).
+Riccati coefficients are always evaluated from the closed form. The one
+ODE stepped here is the linear state-moment system behind the policy payoff
+(classical RK4 on the refined grid, ``_moment_paths``). Integrals use
+composite trapezoid on a uniform refinement of the simulation grid (smooth
+integrands, O(h^2) error, verifiable by refinement).
 """
 
 from __future__ import annotations
@@ -273,33 +274,54 @@ def _moment_paths(
         mhat' = a * (m(t) - mhat),                      a = A + B*mean_coeff
         phi2' = -2a*phi2 + 2a*m(t)*mhat
                 + D^2 * (mean_coeff^2 * (phi2 - 2*m(t)*mhat + m(t)^2) + var(t))
+
+    Both callables must be vectorized: each is called once per stage time
+    vector (step starts, midpoints, ends), and the RK4 recurrence then runs
+    on Python floats. Every stage time and right-hand side is formed in the
+    same operation order as a step-by-step RK4 that calls m and var at each
+    stage, so the result is bit-identical to it.
     """
     a = params.A + params.B * mean_coeff
     D2 = params.D**2
     M2 = mean_coeff**2
+    two_a = 2.0 * a
+    minus_two_a = -2.0 * a
 
-    def rhs(t, mhat, phi2):
-        m = mean_field_fn(t)
-        var = variance_fn(t)
-        ex2 = phi2 - 2.0 * m * mhat + m * m
-        dm = a * (m - mhat)
-        dp = -2.0 * a * phi2 + 2.0 * a * m * mhat + D2 * (M2 * ex2 + var)
-        return dm, dp
+    t0 = times[:-1]
+    h = times[1:] - t0
+    # a step ends at t0 + h, which can differ from times[1:] in the last bit
+    stage_times = (t0, t0 + h / 2, t0 + h)
+    m_start, m_mid, m_end = (
+        np.asarray(mean_field_fn(t), dtype=float).tolist() for t in stage_times
+    )
+    v_start, v_mid, v_end = (
+        np.asarray(variance_fn(t), dtype=float).tolist() for t in stage_times
+    )
 
-    n = len(times)
-    mhat = np.empty(n)
-    phi2 = np.empty(n)
-    mhat[0] = params.xi_mean
-    phi2[0] = params.xi_second_moment
-    for i in range(n - 1):
-        t, h = times[i], times[i + 1] - times[i]
-        k1m, k1p = rhs(t, mhat[i], phi2[i])
-        k2m, k2p = rhs(t + h / 2, mhat[i] + h / 2 * k1m, phi2[i] + h / 2 * k1p)
-        k3m, k3p = rhs(t + h / 2, mhat[i] + h / 2 * k2m, phi2[i] + h / 2 * k2p)
-        k4m, k4p = rhs(t + h, mhat[i] + h * k3m, phi2[i] + h * k3p)
-        mhat[i + 1] = mhat[i] + h / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        phi2[i + 1] = phi2[i] + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return mhat, phi2
+    mh = float(params.xi_mean)
+    p2 = float(params.xi_second_moment)
+    mhat = [mh]
+    phi2 = [p2]
+    steps = zip(h.tolist(), m_start, v_start, m_mid, v_mid, m_end, v_end)
+    for dt, ms, vs, mm, vm, me, ve in steps:
+        half = dt / 2
+        k1m = a * (ms - mh)
+        k1p = minus_two_a * p2 + two_a * ms * mh + D2 * (M2 * (p2 - 2.0 * ms * mh + ms * ms) + vs)
+        x, y = mh + half * k1m, p2 + half * k1p
+        k2m = a * (mm - x)
+        k2p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
+        x, y = mh + half * k2m, p2 + half * k2p
+        k3m = a * (mm - x)
+        k3p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
+        x, y = mh + dt * k3m, p2 + dt * k3p
+        k4m = a * (me - x)
+        k4p = minus_two_a * y + two_a * me * x + D2 * (M2 * (y - 2.0 * me * x + me * me) + ve)
+        sixth = dt / 6
+        mh = mh + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        p2 = p2 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        mhat.append(mh)
+        phi2.append(p2)
+    return np.array(mhat), np.array(phi2)
 
 
 def feedback_policy_payoff(
@@ -312,11 +334,12 @@ def feedback_policy_payoff(
 ) -> PayoffBreakdown:
     """Expected payoff of an arbitrary Gaussian feedback policy against m(t).
 
-    ``mean_field_fn`` is a vectorized callable t -> m(t). Integrates the
-    state-moment ODEs forward on the refined grid and assembles the running
-    quadratic penalty, the Shannon exploration bonus, and the terminal
-    penalty by composite trapezoid. Requires strictly positive policy
-    variance along the horizon.
+    ``mean_field_fn`` (t -> m(t)) and the policy's ``variance_fn`` must both
+    be vectorized: they are only ever called on arrays of times. Integrates
+    the state-moment ODEs forward on the refined grid and assembles the
+    running quadratic penalty, the Shannon exploration bonus, and the
+    terminal penalty by composite trapezoid. Requires strictly positive
+    policy variance along the horizon.
     """
     params.check_time(start_time)
     times = _refined_times(start_time, params.T, grid.dt, refinement)

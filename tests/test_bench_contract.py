@@ -60,3 +60,34 @@ def test_traced_learner_layers_count_every_step():
     assert calls["harness.rel_error"] == 2 * (3 + 1)
     for span in ("learner.estimate_gradient", "learner.gradient_step", "harness.rel_error"):
         assert busy[span] > 0.0, span
+
+
+# One payoff and one equilibrium solve of the reference game on 5 steps
+# under the benchmark's tracer; prints the calls and busy time of every span.
+_TRACED_CLOSED_FORM = """
+import json, sys
+sys.path[:0] = ["src", "bench"]
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from lqmfg import analytic
+from lqmfg.config import default_config
+cfg = default_config()
+policy = analytic.equilibrium_policy(cfg.game, "se")
+analytic.feedback_policy_payoff(cfg.game, policy, policy.reference_mean_fn, cfg.grid)
+analytic.solve_equilibrium(cfg.game, "se", cfg.grid)
+print(json.dumps({"calls": tracer.calls, "busy": tracer.busy}))
+"""
+
+
+def test_traced_closed_form_layers_count_every_call():
+    # the per-layer evidence of the closed_form workload must not read 0
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_CLOSED_FORM], cwd=ROOT, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    spans = json.loads(out.stdout.splitlines()[-1])
+    for span in ("analytic.feedback_policy_payoff", "analytic.solve_equilibrium"):
+        assert spans["calls"][span] == 1, span
+        assert spans["busy"][span] > 0.0, span
