@@ -7,7 +7,8 @@ rollout at 2^14 + 1 paths (one path past a full chunk) on a 50-step grid
 against a linear mean path, one gradient estimate in each estimator mode,
 and the moment-ODE payoff (the four parts of ``feedback_policy_payoff`` and
 the ``_moment_paths`` arrays behind them) of equilibrium, per-step and
-linear policies. They were computed with numpy 2.4.6 on x86-64; a different numpy
+linear policies, and every array of ``solve_equilibrium`` with its game
+value. They were computed with numpy 2.4.6 on x86-64; a different numpy
 release may change the Philox normal draws or the rounding of ``log`` and
 ``sqrt`` and so invalidate them, which is a reason to regenerate, not to
 loosen the comparison.
@@ -30,6 +31,7 @@ from lqmfg import (
     reproduce,
     sample_rewards,
     simulate_states,
+    solve_equilibrium,
 )
 from lqmfg import rng
 from lqmfg.analytic import DEFAULT_REFINEMENT, _moment_paths, _refined_times, step_fn
@@ -68,6 +70,8 @@ GOLDEN = {
         "f4819d5f49f4d3326dcc146feb7fa30c748ca054e130b4c2ffb82dcada7a5e07",
     "feedback_policy_payoff[linear[5]]":
         "50e84a3b9445d75f7eca6145739bd16567c38704133bc2c0239d663212714566",
+    "solve_equilibrium":
+        "c2ae5f25d741b27ab085ca3bc017e80fd4ff610b5a60b1bf8c3f032aa50a2b4b",
 }
 
 
@@ -161,3 +165,17 @@ def test_payoff_outputs():
         )
         digest = _sha(parts.tobytes() + mhat.tobytes() + phi2.tobytes())
         assert digest == GOLDEN[f"feedback_policy_payoff[{name}]"], name
+
+
+def test_solve_outputs():
+    # both variants of the reference game (lambda_ce = 1 for "ee"), one digest
+    chunks = []
+    for n_steps in (5, 50, 100):
+        for game in ("se", "ee"):
+            params = make_params(lambda_ce=1.0 if game == "ee" else 0.0)
+            sol = solve_equilibrium(params, game, TimeGrid.from_horizon(params.T, n_steps))
+            for column in (sol.times, sol.riccati, sol.value_offset,
+                           sol.policy_variance, sol.state_variance):
+                chunks.append(column.tobytes())
+            chunks.append(np.float64(sol.game_value).tobytes())
+    assert _sha(b"".join(chunks)) == GOLDEN["solve_equilibrium"]
