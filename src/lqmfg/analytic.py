@@ -17,6 +17,11 @@ ODE stepped here is the linear state-moment system behind the policy payoff
 (classical RK4 on the refined grid, ``_moment_paths``). Integrals use
 composite trapezoid on a uniform refinement of the simulation grid (smooth
 integrands, O(h^2) error, verifiable by refinement).
+
+The value offsets and the equilibrium state variance share one pass over
+the refined nodes (``_equilibrium_integrals``): backward cumulative
+trapezoids give every offset, the "ee" cross term included, and one forward
+cumulative trapezoid gives the variance path.
 """
 
 from __future__ import annotations
@@ -83,36 +88,6 @@ def _refined_times(t0: float, t1: float, base_dt: float, refinement: int) -> np.
     return np.linspace(t0, t1, n + 1)
 
 
-def value_offset(
-    params: GameParams,
-    t: float,
-    grid: TimeGrid,
-    game: str = "se",
-    refinement: int = DEFAULT_REFINEMENT,
-) -> float:
-    """State-independent part of the value function at time ``t``.
-
-    Vanishes identically at t = T. For "ee" a third term proportional to
-    lambda_ce integrates the value curvature against the equilibrium state
-    variance; it drops out exactly at lambda_ce = 0.
-    """
-    params.check_time(t)
-    params.require_positive_temperature()
-    _check_game(game)
-    if t == params.T:
-        return 0.0
-    lam = temperature(params, game)
-    zs = _refined_times(t, params.T, grid.dt, refinement)
-    eta = riccati_coefficient(params, zs, game)
-    out = (lam / 2.0) * math.log(2.0 * math.pi * lam / params.D**2) * (params.T - t)
-    out -= (lam / 2.0) * float(np.trapezoid(np.log(eta), zs))
-    if game == "ee" and params.lambda_ce > 0.0:
-        kappa = _state_variance_path(params, zs, start_time=t, game="ee")
-        coeff = (params.B**2 / (2.0 * params.D**2)) * params.lambda_ce * lam / params.lambda_se**2
-        out += coeff * float(np.trapezoid(eta * kappa, zs))
-    return out
-
-
 def equilibrium_state_rates(params: GameParams, game: str = "ee") -> tuple[float, float]:
     """Linear rates (drift_rate, variance_feedback_rate) of the equilibrium state.
 
@@ -133,21 +108,58 @@ def equilibrium_state_rates(params: GameParams, game: str = "ee") -> tuple[float
     return drift_rate, variance_feedback
 
 
-def _state_variance_path(
-    params: GameParams, times: np.ndarray, start_time: float, game: str
-) -> np.ndarray:
-    """Equilibrium Var[X_s] along ``times`` for the game started at start_time."""
+def _equilibrium_integrals(
+    params: GameParams, game: str, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value offsets (integrated up to times[-1], the horizon T) and the
+    equilibrium state variance (started at times[0]) at every node."""
+    params.require_positive_temperature()
+    _check_game(game)
     lam = temperature(params, game)
+    eta = riccati_coefficient(params, times, game)
+    h = np.diff(times)
+
+    def head(f):  # \int_{times[0]}^{times[i]} f
+        return np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * h)))
+
+    def tail(f):  # \int_{times[i]}^{times[-1]} f
+        return np.concatenate((np.cumsum((0.5 * (f[1:] + f[:-1]) * h)[::-1])[::-1], [0.0]))
+
     drift_rate, feedback = equilibrium_state_rates(params, game)
     rate = 2.0 * drift_rate + feedback
-    eta = riccati_coefficient(params, times, game)
-    rel = times - start_time
+    rel = times - times[0]
+    grow, shrink = np.exp(rate * rel), np.exp(-rate * rel)
     # var(s) = e^{rate*(s-t0)} * (var0 + \int_{t0}^{s} e^{-rate*(u-t0)} lam/eta(u) du)
-    integrand = np.exp(-rate * rel) * lam / eta
-    cum = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)))
-    )
-    return np.exp(rate * rel) * (params.xi_var + cum)
+    variance = grow * (params.xi_var + head(shrink * lam / eta))
+
+    offsets = (lam / 2.0) * tail(np.log(2.0 * math.pi * lam / (params.D**2 * eta)))
+    if game == "ee" and params.lambda_ce > 0.0:
+        # G(z) = \int_z^T eta(s) Var[X_s | start z] ds, without a variance path
+        # per z: with H(z) = \int_z^T eta(s) e^{rate*(s-z)} ds,
+        # G(z) = Var[xi] H(z) + \int_z^T lam/eta(u) H(u) du.
+        decayed = shrink * tail(eta * grow)
+        cross = params.xi_var * decayed + tail(lam / eta * decayed)
+        coeff = (params.B**2 / (2.0 * params.D**2)) * params.lambda_ce * lam / params.lambda_se**2
+        offsets = offsets + coeff * cross
+    return offsets, variance
+
+
+def value_offset(
+    params: GameParams,
+    t: float,
+    grid: TimeGrid,
+    game: str = "se",
+    refinement: int = DEFAULT_REFINEMENT,
+) -> float:
+    """State-independent part of the value function at time ``t``.
+
+    Vanishes identically at t = T. For "ee" a third term proportional to
+    lambda_ce integrates the value curvature against the equilibrium state
+    variance; it drops out exactly at lambda_ce = 0.
+    """
+    params.check_time(t)
+    zs = _refined_times(t, params.T, grid.dt, refinement)
+    return float(_equilibrium_integrals(params, game, zs)[0][0])
 
 
 def equilibrium_state_variance(
@@ -159,13 +171,11 @@ def equilibrium_state_variance(
     refinement: int = DEFAULT_REFINEMENT,
 ) -> float:
     """Variance of the equilibrium state at time ``s``, started at ``start_time``."""
-    params.require_positive_temperature()
-    _check_game(game)
     params.check_time(start_time)
     if not start_time <= s <= params.T:
         raise DomainError(f"time {s!r} outside [{start_time}, {params.T}]")
     times = _refined_times(start_time, s, grid.dt, refinement)
-    return float(_state_variance_path(params, times, start_time, game)[-1])
+    return float(_equilibrium_integrals(params, game, times)[1][-1])
 
 
 def constant_fn(value: float) -> Callable:
@@ -383,34 +393,26 @@ def solve_equilibrium(
     params: GameParams,
     game: str,
     grid: TimeGrid,
-    t: float = 0.0,
     refinement: int = DEFAULT_REFINEMENT,
 ) -> EquilibriumSolution:
-    """Evaluate every closed-form equilibrium object on the grid."""
-    params.require_positive_temperature()
-    _check_game(game)
+    """Evaluate every closed-form equilibrium object on the grid, in one pass."""
     times = grid.times()
+    params.check_time(float(times[-1]))
+    fine = _refined_times(0.0, params.T, grid.dt, refinement)
+    # the grid times are every refinement-th node only if the grid spans [0, T]
+    if len(fine) != grid.n_steps * refinement + 1:
+        raise ParameterError(f"grid of {grid.n_steps} steps does not span [0, {params.T}]")
+    offsets, variance = _equilibrium_integrals(params, game, fine)
     policy = equilibrium_policy(params, game)
-    offsets = np.array(
-        [value_offset(params, float(z), grid, game, refinement) for z in times]
-    )
-    # Population variance is anchored at the start time; undefined before it.
-    var_path = np.array(
-        [
-            equilibrium_state_variance(params, float(z), grid, game, t, refinement)
-            if z >= t
-            else np.nan
-            for z in times
-        ]
-    )
     return EquilibriumSolution(
         game=game,
         times=times,
         riccati=riccati_coefficient(params, times, game),
-        value_offset=offsets,
+        value_offset=offsets[::refinement],
         policy=policy,
         policy_variance=policy.variance_on(times),
-        game_value=game_value(params, game, t, grid, refinement),
+        game_value=-0.5 * riccati_coefficient(params, 0.0, game) * params.xi_var
+        + float(offsets[0]),
         m_star=params.xi_mean,
-        state_variance=var_path,
+        state_variance=variance[::refinement],
     )

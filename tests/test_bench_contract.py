@@ -6,7 +6,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from lqmfg import TimeGrid, solve_equilibrium
+from lqmfg.params import DomainError
 from lqmfg.simulate import sample_rewards
+
+from conftest import make_params
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -91,3 +97,14 @@ def test_traced_closed_form_layers_count_every_call():
     for span in ("analytic.feedback_policy_payoff", "analytic.solve_equilibrium"):
         assert spans["calls"][span] == 1, span
         assert spans["busy"][span] > 0.0, span
+
+
+@pytest.mark.parametrize("game", ["se", "ee"])
+def test_closed_form_overshoot_failure(game):
+    # closed_form counts this error on the reference game at 11 steps as its
+    # fixed failed cases: 11 * (0.1 / 11) ends one ulp above T. This is the
+    # TimeGrid overshoot named by a FOUND line in CHANGES.md; the change that
+    # fixes it must change this test together with the benchmark's check.
+    params = make_params(lambda_ce=1.0 if game == "ee" else 0.0)
+    with pytest.raises(DomainError, match="outside the horizon"):
+        solve_equilibrium(params, game, TimeGrid.from_horizon(params.T, 11))

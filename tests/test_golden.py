@@ -71,7 +71,7 @@ GOLDEN = {
     "feedback_policy_payoff[linear[5]]":
         "50e84a3b9445d75f7eca6145739bd16567c38704133bc2c0239d663212714566",
     "solve_equilibrium":
-        "c2ae5f25d741b27ab085ca3bc017e80fd4ff610b5a60b1bf8c3f032aa50a2b4b",
+        "caa466c1de5819710a7b09b82ed600071ddcdcea4f3032366ef59247f001acb0",
 }
 
 
