@@ -219,9 +219,6 @@ class GaussianFeedbackPolicy:
     def variance_on(self, times) -> np.ndarray:
         return np.asarray(self.variance_fn(np.asarray(times, dtype=float)), dtype=float)
 
-    def reference_mean_on(self, times) -> np.ndarray:
-        return np.asarray(self.reference_mean_fn(np.asarray(times, dtype=float)), dtype=float)
-
 
 def equilibrium_policy(params: GameParams, game: str = "se") -> GaussianFeedbackPolicy:
     """Equilibrium Gaussian feedback policy of the chosen game variant."""

@@ -120,12 +120,6 @@ class ExperimentReport:
     config: ExperimentConfig
     arms: list = field(default_factory=list)
 
-    def arm(self, lambda_se: float) -> ArmResult:
-        for a in self.arms:
-            if a.lambda_se == lambda_se:
-                return a
-        raise KeyError(f"no arm with lambda_se={lambda_se}")
-
 
 def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
     return dataclasses.replace(config.game, lambda_se=lambda_se)

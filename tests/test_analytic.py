@@ -198,9 +198,7 @@ class TestEquilibriumPolicy:
         assert ee.mean_coeff == se.mean_coeff
         ts = np.linspace(0, params.T, 9)
         np.testing.assert_array_equal(ee.variance_on(ts), se.variance_on(ts))
-        np.testing.assert_array_equal(
-            ee.reference_mean_on(ts), se.reference_mean_on(ts)
-        )
+        np.testing.assert_array_equal(ee.reference_mean_fn(ts), se.reference_mean_fn(ts))
 
     def test_enhanced_gain(self):
         p = make_params(lambda_se=1.0, lambda_ce=1.0)
