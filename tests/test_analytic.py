@@ -457,3 +457,9 @@ class TestSolveEquilibrium:
         )
         assert sol.state_variance[0] == pytest.approx(params.xi_var, rel=1e-12)
         assert sol.game_value == pytest.approx(GAME_VALUE_SE_ORACLE, abs=2e-6)
+
+    def test_grid_must_span_the_horizon(self, params):
+        # the columns are read off a refinement of [0, T]; a grid ending
+        # before T has no nodes to read them from
+        with pytest.raises(ParameterError, match="does not span"):
+            solve_equilibrium(params, "se", TimeGrid(n_steps=5, dt=0.01))
