@@ -11,9 +11,7 @@ experiments.
 __version__ = "0.1.0"
 
 from .analytic import (
-    EquilibriumSolution,
     GaussianFeedbackPolicy,
-    PayoffBreakdown,
     equilibrium_policy,
     equilibrium_state_rates,
     equilibrium_state_variance,
@@ -25,7 +23,6 @@ from .analytic import (
 )
 from .config import ConfigError, ExperimentConfig, default_config, load_config, save_config
 from .harness import (
-    ExperimentReport,
     PayoffEvaluator,
     reference_policy,
     reproduce,
@@ -34,7 +31,6 @@ from .harness import (
 from .learner import (
     InitSpec,
     LearnerConfig,
-    RunResult,
     estimate_gradient,
     gradient_step,
     sphere_gradient_estimate,
@@ -56,19 +52,15 @@ from .simulate import (
 __all__ = [
     "ConfigError",
     "DomainError",
-    "EquilibriumSolution",
     "ExperimentConfig",
-    "ExperimentReport",
     "GameParams",
     "GaussianFeedbackPolicy",
     "InitSpec",
     "LearnerConfig",
     "MeanField",
     "ParameterError",
-    "PayoffBreakdown",
     "PayoffEvaluator",
     "PolicyParams",
-    "RunResult",
     "SIGMA_FLOOR",
     "TimeGrid",
     "default_config",

@@ -125,52 +125,70 @@ def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
     return dataclasses.replace(config.game, lambda_se=lambda_se)
 
 
-def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
-    """Run the learner for one temperature and evaluate its whole trace."""
-    params = _arm_params(config, lambda_se)
-    grid = config.grid
-    index = config.lambda_se_values.index(lambda_se)
-    eval_seed = rng.derive_seed(config.seed, rng.EVALUATION, index)
-    evaluator = PayoffEvaluator(
-        params, grid, config.n_eval_paths, eval_seed, config.learner.sigma_floor
-    )
-    cfg = dataclasses.replace(config.learner, master_seed=config.seed)
+def run_arms(arms) -> list:
+    """Run (config, lambda_se) arms in lockstep and evaluate their traces.
+
+    Configurations may differ only in ``seed`` and ``lambda_se_values``,
+    which must hold the arm's temperature (its position picks the
+    evaluation draws). Each result is bit-identical to the arm's run alone;
+    ``runtime_seconds`` is the shared run's time.
+    """
+    params, cfgs, evaluators = [], [], []
+    grid = arms[0][0].grid
+    for config, lambda_se in arms:
+        if lambda_se not in config.lambda_se_values:
+            raise ParameterError(
+                f"lambda_se={lambda_se!r} is not one of the configured "
+                f"lambda_se_values {config.lambda_se_values}"
+            )
+        if config.grid != grid:
+            raise ParameterError("arms run in lockstep must share the time grid")
+        params.append(_arm_params(config, lambda_se))
+        cfgs.append(dataclasses.replace(config.learner, master_seed=config.seed))
+        index = config.lambda_se_values.index(lambda_se)
+        eval_seed = rng.derive_seed(config.seed, rng.EVALUATION, index)
+        evaluators.append(PayoffEvaluator(
+            params[-1], grid, config.n_eval_paths, eval_seed, config.learner.sigma_floor
+        ))
     start = time.perf_counter()
     # a diverging policy overflows the kernel before the step that makes it
     # non-finite raises LearnerDivergence; that error names it, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        result = learner_run(params, grid, cfg, evaluate=evaluator.rel_error)
-    return ArmResult(
-        lambda_se=lambda_se,
-        result=result,
-        evaluator=evaluator,
-        runtime_seconds=time.perf_counter() - start,
-    )
+        results = learner_run(params, grid, cfgs, evaluate=[e.rel_error for e in evaluators])
+    runtime = time.perf_counter() - start
+    return [
+        ArmResult(lambda_se=lam, result=result, evaluator=evaluator, runtime_seconds=runtime)
+        for (_, lam), result, evaluator in zip(arms, results, evaluators)
+    ]
+
+
+def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
+    """Run the learner for one temperature and evaluate its whole trace."""
+    return run_arms([(config, lambda_se)])[0]
 
 
 def reproduce(config: ExperimentConfig) -> ExperimentReport:
-    """Sweep the configured temperatures and assemble the report.
+    """Sweep the configured temperatures in lockstep and assemble the report.
 
     If the configuration names an output directory the tables are written
     there before returning. If an arm diverges, the directory instead gets a
-    FAILED marker naming the arm, the step and the last finite policy, and
-    the LearnerDivergence propagates.
+    FAILED marker naming the first diverging arm in sweep order, the step
+    and the last finite policy, and the LearnerDivergence propagates.
     """
-    report = ExperimentReport(config=config)
-    for lam in config.lambda_se_values:
-        try:
-            report.arms.append(run_arm(config, lam))
-        except LearnerDivergence as exc:
-            if config.output_dir:
-                os.makedirs(config.output_dir, exist_ok=True)
-                _clear_markers(config.output_dir)
-                policy = exc.last_policy
-                _write_failed(config.output_dir, (
-                    f"lambda_se={_fmt(lam)}: {exc}\n"
-                    f"last finite policy: m_hat={_fmt(policy.m_hat)} "
-                    f"sigma2={' '.join(_fmt(v) for v in policy.sigma2)}\n"
-                ))
-            raise
+    try:
+        arms = run_arms([(config, lam) for lam in config.lambda_se_values])
+    except LearnerDivergence as exc:
+        if config.output_dir:
+            os.makedirs(config.output_dir, exist_ok=True)
+            _clear_markers(config.output_dir)
+            policy = exc.last_policy
+            _write_failed(config.output_dir, (
+                f"lambda_se={_fmt(config.lambda_se_values[exc.arm])}: {exc}\n"
+                f"last finite policy: m_hat={_fmt(policy.m_hat)} "
+                f"sigma2={' '.join(_fmt(v) for v in policy.sigma2)}\n"
+            ))
+        raise
+    report = ExperimentReport(config=config, arms=arms)
     if config.output_dir:
         write_report(report, config.output_dir)
     return report

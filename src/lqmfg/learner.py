@@ -28,14 +28,15 @@ estimator exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .params import DomainError, GameParams, ParameterError, TimeGrid
+from .params import GameParams, ParameterError, TimeGrid
 from .simulate import (
     SIGMA_FLOOR,
     MeanField,
@@ -116,6 +117,17 @@ def _sample_sphere_batch(n: int, dim: int, radius: float, stream) -> np.ndarray:
     return radius * u / norms
 
 
+def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float, baseline: str) -> np.ndarray:
+    """(1/n) * sum_j (value_j / radius^2) * U_j for U (..., n, dim), values (..., n)."""
+    n = values.shape[-1]
+    if baseline == "loo":
+        if n < 2:
+            raise ParameterError("leave-one-out baseline needs n >= 2")
+        values = values - (values.sum(axis=-1, keepdims=True) - values) / (n - 1)
+    # the bits of .mean(axis=-2), without its overhead
+    return np.add.reduce(U * (values / radius**2)[..., None], axis=-2) / n
+
+
 def sphere_gradient_estimate(
     evaluate_batch: Callable,
     center: np.ndarray,
@@ -137,55 +149,48 @@ def sphere_gradient_estimate(
     center = np.asarray(center, dtype=float)
     U = _sample_sphere_batch(n, len(center), radius, stream)
     values = np.asarray(evaluate_batch(center[None, :] + U), dtype=float)
-    if baseline == "loo":
-        if n < 2:
-            raise ParameterError("leave-one-out baseline needs n >= 2")
-        values = values - (values.sum() - values) / (n - 1)
-    # the bits of .mean(axis=0), without its overhead
-    return np.add.reduce(U * (values / radius**2)[:, None], axis=0) / n
+    return _sphere_average(U, values, radius, baseline)
 
 
-def estimate_gradient(
-    params: GameParams,
-    grid: TimeGrid,
-    policy: PolicyParams,
-    mean_field: MeanField,
-    cfg: LearnerConfig,
-    stream: np.random.Generator,
-) -> np.ndarray:
-    """Sphere-smoothed reward-gradient estimate at the current policy.
+def estimate_gradient(params, grid: TimeGrid, policies, mean_paths, cfg: LearnerConfig, streams):
+    """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
+    arms: one GameParams per arm (differing only in lambda_se), an (S, 1 + N)
+    policy matrix, (S, N + 1) mean paths and one generator per arm (a single
+    GameParams, PolicyParams, MeanField and generator are a stack of one).
 
-    Each perturbed policy is evaluated on one rollout; perturbed variances
-    are clamped to the floor for the evaluation only, leaving the stored
-    perturbations (and hence the estimator geometry) untouched. Draw order is
-    fixed (perturbations, then rollout noise), so a given substream always
-    yields the same estimate.
+    Arms given the same generator share its draws, made once in a fixed
+    order (perturbations, then rollout noise); all S * n perturbed policies
+    are scored in one kernel call. Perturbed variances are clamped to the
+    floor for the evaluation only, leaving the estimator geometry untouched.
     """
-    policy.check_aligned(grid)
-    mean_field.check_aligned(grid)
+    if isinstance(policies, PolicyParams):
+        params, policies, mean_paths, streams = (
+            [params], policies.to_vector()[None], mean_paths.values[None], [streams]
+        )
+    dim = policies.shape[1]
+    if dim != grid.n_steps + 1 or mean_paths.shape != (len(policies), dim):
+        raise ParameterError(f"policies and mean paths need {dim} entries per arm")
     n = cfg.n_perturbations
-
-    def rollouts(points: np.ndarray) -> np.ndarray:
-        if cfg.shared_rollout_noise:
-            x0, dW = draw_noise(stream, params, grid.dt, 1, grid.n_steps)
-            x0, dW = x0[0], dW[0]
-        else:
-            x0, dW = draw_noise(stream, params, grid.dt, n, grid.n_steps)
-        m_hats = points[:, 0]
-        sigma2s = np.maximum(points[:, 1:], cfg.sigma_floor)
-        return rollout(params, grid.dt, mean_field.values, m_hats, sigma2s, x0, dW)
-
-    return sphere_gradient_estimate(
-        rollouts, policy.to_vector(), n, cfg.radius, stream, cfg.baseline
+    n_paths = 1 if cfg.shared_rollout_noise else n
+    draws = {id(s): (_sample_sphere_batch(n, dim, cfg.radius, s),
+                     *draw_noise(s, params[0], grid.dt, n_paths, grid.n_steps))
+             for s in {id(s): s for s in streams}.values()}
+    U, x0, dW = (np.array(parts) for parts in zip(*(draws[id(s)] for s in streams)))
+    points = policies[:, None, :] + U
+    values = rollout(
+        params[0], grid.dt, mean_paths.T[:, :, None], points[..., 0],
+        np.maximum(points[..., 1:], cfg.sigma_floor), x0, dW,
+        lambda_se=np.array([p.lambda_se for p in params])[:, None, None],
     )
+    return _sphere_average(U, values, cfg.radius, cfg.baseline)
 
 
-def gradient_step(
-    policy: PolicyParams, estimate: np.ndarray, cfg: LearnerConfig
-) -> PolicyParams:
-    """Ascent step on the reward, then project variances onto [floor, inf)."""
-    vec = policy.to_vector() + cfg.step_size * np.asarray(estimate, dtype=float)
-    return PolicyParams.from_vector(vec, floor=cfg.sigma_floor)
+def gradient_step(policies: np.ndarray, estimates: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
+    """Ascent step on the reward, then project variances onto [floor, inf),
+    row by row on (..., 1 + N) policy vectors; non-finite rows stay so."""
+    stepped = policies + cfg.step_size * np.asarray(estimates, dtype=float)
+    np.maximum(stepped[..., 1:], cfg.sigma_floor, out=stepped[..., 1:])
+    return stepped
 
 
 class LearnerDivergence(RuntimeError):
@@ -193,10 +198,10 @@ class LearnerDivergence(RuntimeError):
 
     ``outer`` and ``inner`` index the failing step (outer round k, inner step
     i, both from 0); ``last_policy`` is the last finite policy, the one the
-    step started from.
+    step started from; ``arm`` indexes the arm in its stack.
     """
 
-    def __init__(self, outer: int, inner: int, last_policy: PolicyParams):
+    def __init__(self, outer: int, inner: int, last_policy: PolicyParams, arm: int = 0):
         super().__init__(
             f"learner diverged at outer round k={outer}, inner step i={inner}: "
             "the gradient step made the policy non-finite"
@@ -204,6 +209,7 @@ class LearnerDivergence(RuntimeError):
         self.outer = outer
         self.inner = inner
         self.last_policy = last_policy
+        self.arm = arm
 
 
 @dataclass(frozen=True)
@@ -231,53 +237,65 @@ EvalFn = Callable[[PolicyParams, MeanField], float]
 
 
 def inner_loop(
-    params: GameParams,
+    params: Sequence[GameParams],
     grid: TimeGrid,
-    mean_field: MeanField,
-    cfg: LearnerConfig,
+    mean_fields: Sequence[MeanField],
+    cfg: Sequence[LearnerConfig],
     outer_index: int = 0,
-    initial: Optional[PolicyParams] = None,
-    evaluate: Optional[EvalFn] = None,
-) -> tuple[PolicyParams, list]:
-    """One best-response round against a frozen mean path.
+    initial: Optional[np.ndarray] = None,
+    evaluate: Optional[Sequence[EvalFn]] = None,
+) -> tuple:
+    """One best-response round of a stack of arms (arm j: ``params[j]``,
+    ``cfg[j]``, ``mean_fields[j]``, ``evaluate[j]``) against frozen mean paths.
 
-    Draws the initial policy from the configured initializer unless one is
-    passed in, then performs ``n_inner`` gradient steps. Returns the final
-    policy and the I + 1 per-step records (the first covers the initializer).
-    Raises LearnerDivergence when a step makes the policy non-finite.
+    Starts from the (S, 1 + N) matrix ``initial`` or the initializer, then
+    takes ``n_inner`` gradient steps for all arms at once; arms with the same
+    master seed share every substream, drawn once. Returns the final policy
+    matrix, each arm's I + 1 records (the first covers the start) and the
+    divergence of the first diverging arm, or None: it and the arms after it
+    stop, so the matrix holds the arms before it. Raises it if none is left.
     """
+    shared = cfg[0]
+    seeds = [c.master_seed for c in cfg]
     if initial is None:
-        init_stream = rng.substream(cfg.master_seed, rng.INITIAL_POLICY, outer_index)
-        policy = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
-    else:
-        policy = initial
-    records = []
-
-    def record(i: int, pol: PolicyParams):
-        err = evaluate(pol, mean_field) if evaluate is not None else math.nan
-        records.append(
-            TraceRecord(
-                outer=outer_index,
-                inner=i,
-                rel_error=err,
-                m_hat=pol.m_hat,
-                sigma2=pol.sigma2.copy(),
-            )
+        drawn = {seed: shared.init.sample(
+            grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), shared.sigma_floor
+        ).to_vector() for seed in set(seeds)}
+        initial = np.array([drawn[seed] for seed in seeds])
+    policies = initial
+    mean_paths = np.array([mf.values for mf in mean_fields])
+    history = [policies]
+    failure = None
+    for i in range(shared.n_inner):
+        streams = {seed: rng.substream(seed, rng.PERTURBATION, outer_index, i) for seed in set(seeds)}
+        estimates = estimate_gradient(
+            params, grid, policies, mean_paths, shared, [streams[seed] for seed in seeds]
         )
+        stepped = gradient_step(policies, estimates, shared)
+        finite = np.isfinite(stepped).all(axis=1)
+        if not finite.all():
+            # the first diverging arm, and every arm after it, stop here
+            j = int(finite.argmin())
+            last = PolicyParams.from_vector(policies[j], shared.sigma_floor)
+            failure = LearnerDivergence(outer_index, i, last, arm=j)
+            if j == 0:
+                raise failure
+            stepped, params, mean_paths, seeds = stepped[:j], params[:j], mean_paths[:j], seeds[:j]
+        policies = stepped
+        history.append(policies)
 
-    record(0, policy)
-    for i in range(cfg.n_inner):
-        stream = rng.substream(cfg.master_seed, rng.PERTURBATION, outer_index, i)
-        estimate = estimate_gradient(params, grid, policy, mean_field, cfg, stream)
-        try:
-            stepped = gradient_step(policy, estimate, cfg)
-        except (DomainError, ParameterError) as exc:
-            # the step clamps variances to the floor, so the new policy fails
-            # validation only when its gain or a variance is not finite
-            raise LearnerDivergence(outer_index, i, policy) from exc
-        policy = stepped
-        record(i + 1, policy)
-    return policy, records
+    def record(j: int, i: int, row: np.ndarray) -> TraceRecord:
+        policy = PolicyParams.from_vector(row, shared.sigma_floor)
+        err = math.nan if evaluate is None else evaluate[j](policy, mean_fields[j])
+        return TraceRecord(outer_index, i, err, policy.m_hat, policy.sigma2)
+
+    # arm by arm, so each evaluator's frozen draws stay in cache across its
+    # calls (cycling through 60 arms' draws every step evicts them)
+    records = [
+        [record(j, i, step[j]) for i, step in enumerate(history) if j < len(step)]
+        for j in range(len(cfg))
+    ]
+    return policies, records, failure
 
 
 @dataclass(frozen=True)
@@ -288,28 +306,43 @@ class RunResult:
 
 
 def run(
-    params: GameParams,
+    params: Sequence[GameParams],
     grid: TimeGrid,
-    cfg: LearnerConfig,
-    evaluate: Optional[EvalFn] = None,
-) -> RunResult:
-    """Full fictitious-play run: alternate best response and mean-path update.
-
-    Deterministic given (params, grid, cfg); the optional evaluate callback
-    fills the relative-error column of the trace and does not influence the
-    learned policy.
+    cfg: Sequence[LearnerConfig],
+    evaluate: Optional[Sequence[EvalFn]] = None,
+) -> list:
+    """Fictitious play for a stack of arms in lockstep: arm j plays game
+    ``params[j]`` with learner ``cfg[j]``, and arms may differ only in
+    lambda_se and master_seed. Returns one RunResult per arm, bit-identical
+    to the arm's run alone; ``evaluate[j]`` fills arm j's relative-error
+    column and does not influence learning. If arms diverge, raises the
+    divergence of the first in stack order once the arms before it finish.
     """
-    mean_field = MeanField.constant(cfg.initial_mean_field, grid)
-    trace = LearningTrace()
-    policy: Optional[PolicyParams] = None
-    for k in range(cfg.n_outer):
-        initial = policy if (cfg.warm_start and policy is not None) else None
-        policy, records = inner_loop(
-            params, grid, mean_field, cfg,
-            outer_index=k, initial=initial, evaluate=evaluate,
+    shared = cfg[0]
+    games = {dataclasses.replace(p, lambda_se=0.0) for p in params}
+    learners = {dataclasses.replace(c, master_seed=0) for c in cfg}
+    if len(games) > 1 or len(learners) > 1:
+        raise ParameterError("arms run in lockstep may differ only in lambda_se and master_seed")
+    mean_fields = [MeanField.constant(shared.initial_mean_field, grid)] * len(cfg)
+    traces = [LearningTrace() for _ in cfg]
+    policies, failure = None, None
+    for k in range(shared.n_outer):
+        active = len(mean_fields)
+        initial = policies if shared.warm_start and policies is not None else None
+        policies, records, diverged = inner_loop(
+            params[:active], grid, mean_fields, cfg[:active], k, initial, evaluate
         )
-        trace.records.extend(records)
-        mean_field = propagate_mean_field(params, grid, policy, mean_field)
-        trace.outer_policies.append(policy)
-        trace.outer_mean_fields.append(mean_field)
-    return RunResult(policy=policy, mean_field=mean_field, trace=trace)
+        failure = diverged or failure
+        mean_fields = mean_fields[:len(policies)]
+        for j, (trace, row) in enumerate(zip(traces, policies)):
+            policy = PolicyParams.from_vector(row, shared.sigma_floor)
+            mean_fields[j] = propagate_mean_field(params[j], grid, policy, mean_fields[j])
+            trace.records.extend(records[j])
+            trace.outer_policies.append(policy)
+            trace.outer_mean_fields.append(mean_fields[j])
+    if failure is not None:
+        raise failure
+    return [
+        RunResult(policy=t.outer_policies[-1], mean_field=t.outer_mean_fields[-1], trace=t)
+        for t in traces
+    ]

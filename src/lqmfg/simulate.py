@@ -107,17 +107,22 @@ def rollout(
     x0,
     dW: np.ndarray,
     states: np.ndarray | None = None,
+    lambda_se=None,
 ) -> np.ndarray:
     """Euler rollout kernel: realized rewards of a batch of paths.
 
     Path j starts at x0[j] and is driven by the Brownian increments
     dW[j, :]. x0 is a scalar or (n,); dW is (n, N), or (N,) for one noise
     path shared by all n paths; m_hat is a scalar or (n,), sigma2 (N,) or
-    (n, N), so one call can score n different policies on common noise. The
-    kernel reads dW one step (column) at a time, so a Fortran-ordered dW,
-    as ``draw_noise`` returns it, is read contiguously; any order gives the
-    same bits. The inputs are not modified. The reward is the running
-    quadratic penalty plus the Gaussian entropy bonus
+    (n, N), so one call can score n different policies on common noise.
+    All inputs broadcast over leading path axes, and so do the trailing
+    axes of m_values ((N + 1,) or (N + 1, ...)) and the entropy weight
+    ``lambda_se`` (default ``params.lambda_se``): a stack of arms can have
+    its own mean paths and weights. A path's reward does not depend on the
+    batch it runs in. The kernel reads dW one step (column) at a time, so a
+    Fortran-ordered dW, as ``draw_noise`` returns it, is read contiguously;
+    any order gives the same bits. The inputs are not modified. The reward
+    is the running quadratic penalty plus the Gaussian entropy bonus
     0.5 * lambda_se * log(2*pi*e*sigma2_s) per step, and the terminal
     quadratic penalty. When ``states`` is given it must have shape
     (n, N + 1) and receives the state paths.
@@ -125,6 +130,7 @@ def rollout(
     n_steps = dW.shape[-1]
     m_hat = np.asarray(m_hat)
     sigma2 = np.asarray(sigma2)
+    lam = params.lambda_se if lambda_se is None else lambda_se
     shape = np.broadcast(x0, m_hat, sigma2[..., 0], dW[..., 0]).shape
     a = params.A + params.B * m_hat
     m_hat2 = m_hat**2
@@ -136,9 +142,12 @@ def rollout(
     #   x = x + a * gap * dt + sqrt(D^2 * (m_hat^2 * gap**2 + sigma2_s)) * dW_s
     # in this order, with only the operands of products swapped, so the bits
     # do not depend on the buffering. The entropy bonus does not depend on
-    # the state, so all steps' bonuses are computed at once.
-    if params.lambda_se > 0.0:
-        bonus = 0.5 * params.lambda_se * np.log(2.0 * np.pi * np.e * sigma2) * dt
+    # the state, so all steps' bonuses are computed at once. A given weight
+    # is applied even where it is zero: that adds a signed zero, which
+    # leaves every nonzero total, and the +0.0 a total starts from, as is.
+    entropy = lambda_se is not None or lam > 0.0
+    if entropy:
+        bonus = 0.5 * lam * np.log(2.0 * np.pi * np.e * sigma2) * dt
     gap, gap2, x = np.empty(shape), np.empty(shape), np.empty(shape)
     total = np.zeros(shape)
     x[...] = x0
@@ -153,7 +162,7 @@ def rollout(
         np.multiply(quad, gap2, out=gap)
         gap *= dt
         total += gap
-        if params.lambda_se > 0.0:
+        if entropy:
             total += bonus[..., s]
         gap2 *= m_hat2
         gap2 += sigma2[..., s]

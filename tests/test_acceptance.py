@@ -46,7 +46,7 @@ from lqmfg import (
 from lqmfg import rng
 from lqmfg.analytic import decay_rate
 from lqmfg.config import config_from_dict, config_to_dict, default_config
-from lqmfg.harness import analytic_variance_schedule, run_arm
+from lqmfg.harness import analytic_variance_schedule, run_arms
 from lqmfg.learner import _sample_sphere_batch
 
 from conftest import make_params
@@ -270,30 +270,30 @@ def test_criterion_6_gradient_estimator_moment():
 
 @pytest.fixture(scope="module")
 def experiment():
-    """20-seed runs of the reference configuration for each temperature."""
-    results = {}
+    """20-seed runs of the reference configuration for each temperature,
+    all 60 arms advanced in lockstep (each bit-identical to its run alone)."""
+    arms = []
     for lam in (0.0, 1.0, 3.0):
-        per_seed = []
         for seed in SEEDS:
             data = config_to_dict(default_config())
             data["lambda_se_values"] = [lam]
             data["seed"] = seed
-            config = config_from_dict(data)
-            arm = run_arm(config, lam)
-            records = arm.result.trace.records
-            n_inner = config.learner.n_inner
-            errors = np.array([r.rel_error for r in records]).reshape(
-                config.learner.n_outer, n_inner + 1
-            )
-            per_seed.append(
-                {
-                    "errors": errors,
-                    "m_hat": arm.result.policy.m_hat,
-                    "sigma2": arm.result.policy.sigma2,
-                    "final": records[-1].rel_error,
-                }
-            )
-        results[lam] = per_seed
+            arms.append((config_from_dict(data), lam))
+    results = {lam: [] for lam in (0.0, 1.0, 3.0)}
+    for (config, lam), arm in zip(arms, run_arms(arms)):
+        records = arm.result.trace.records
+        n_inner = config.learner.n_inner
+        errors = np.array([r.rel_error for r in records]).reshape(
+            config.learner.n_outer, n_inner + 1
+        )
+        results[lam].append(
+            {
+                "errors": errors,
+                "m_hat": arm.result.policy.m_hat,
+                "sigma2": arm.result.policy.sigma2,
+                "final": records[-1].rel_error,
+            }
+        )
     results["analytic"] = {
         lam: analytic_variance_schedule(make_params(lambda_se=lam), REFERENCE_GRID)
         for lam in (1.0, 3.0)

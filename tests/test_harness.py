@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -20,8 +21,11 @@ from lqmfg.harness import (
     DegenerateReferenceError,
     analytic_variance_schedule,
     check_thresholds,
+    run_arm,
+    run_arms,
     write_report,
 )
+from lqmfg.learner import LearnerDivergence
 from lqmfg.simulate import SIGMA_FLOOR
 
 from conftest import make_params
@@ -200,3 +204,78 @@ class TestCheckThresholds:
     def test_zero_temperature_arm_not_checked(self):
         report = reproduce(tiny_config(lambda_se_values=[0.0]))
         assert check_thresholds(report) == []
+
+
+def _same_arm(a, b):
+    """Bit-for-bit equal outputs: every rel_error row, the policies of every
+    step and round, and the mean paths."""
+    ta, tb = a.result.trace, b.result.trace
+    assert a.lambda_se == b.lambda_se
+    assert ta.rel_errors().tobytes() == tb.rel_errors().tobytes()
+    for ra, rb in zip(ta.records, tb.records, strict=True):
+        assert (ra.outer, ra.inner, ra.m_hat) == (rb.outer, rb.inner, rb.m_hat)
+        assert ra.sigma2.tobytes() == rb.sigma2.tobytes()
+    for pa, pb in zip(ta.outer_policies + [a.result.policy], tb.outer_policies + [b.result.policy],
+                      strict=True):
+        assert pa.to_vector().tobytes() == pb.to_vector().tobytes()
+    for ma, mb in zip(ta.outer_mean_fields, tb.outer_mean_fields, strict=True):
+        assert ma.values.tobytes() == mb.values.tobytes()
+
+
+class TestRunArms:
+    @pytest.mark.parametrize("learner", [
+        {},
+        {"shared_rollout_noise": False, "baseline": "none", "step_size": 1e-3, "radius": 0.5},
+        {"warm_start": False},
+    ], ids=["default", "raw", "cold"])
+    def test_lockstep_equals_one_arm_at_a_time(self, learner):
+        # arms share seed 4 or 5, or have seed 6 alone; lambda 0 included
+        def config(seed, lams):
+            data = config_to_dict(tiny_config(seed=seed, lambda_se_values=lams))
+            data["learner"].update(learner)
+            return config_from_dict(data)
+
+        arms = [(config(seed, [0.0, 1.0, 3.0]), lam) for seed in (4, 5) for lam in (0.0, 1.0, 3.0)]
+        arms.append((config(6, [2.0]), 2.0))
+        together = run_arms(arms)
+        assert len(together) == len(arms)
+        for (cfg, lam), arm in zip(arms, together):
+            _same_arm(arm, run_arm(cfg, lam))
+
+    def test_reproduce_runs_its_sweep_in_lockstep(self):
+        config = tiny_config(lambda_se_values=[1.0, 0.0, 3.0])
+        report = reproduce(config)
+        for lam, arm in zip(config.lambda_se_values, report.arms, strict=True):
+            _same_arm(arm, run_arm(config, lam))
+        assert len({arm.runtime_seconds for arm in report.arms}) == 1
+
+    def test_temperature_outside_the_sweep_is_named(self):
+        config = tiny_config()
+        with pytest.raises(ParameterError, match="lambda_se=2.0 is not one of"):
+            run_arm(config, 2.0)
+        with pytest.raises(ParameterError, match="lambda_se=2.0 is not one of"):
+            run_arms([(config, 1.0), (config, 2.0)])
+
+    def test_arms_must_share_the_grid(self):
+        data = config_to_dict(tiny_config())
+        data["grid"]["n_steps"] = 6
+        with pytest.raises(ParameterError, match="time grid"):
+            run_arms([(tiny_config(), 1.0), (config_from_dict(data), 1.0)])
+
+    def test_divergence_marker_names_the_first_arm_in_sweep_order(self, tmp_path):
+        # at seed 1 and step 3, lambda 0 diverges at k=0, i=18 and lambda 1
+        # at k=0, i=12: the sweep fails as lambda 0 would, run first alone
+        data = config_to_dict(tiny_config(seed=1, lambda_se_values=[0.0, 1.0]))
+        data["learner"].update(n_perturbations=50, n_inner=20, step_size=3.0)
+        data["output_dir"] = str(tmp_path)
+        config = config_from_dict(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LearnerDivergence) as info:
+                reproduce(config)
+            with pytest.raises(LearnerDivergence) as alone:
+                run_arm(dataclasses.replace(config, lambda_se_values=(0.0,)), 0.0)
+        assert (info.value.arm, info.value.outer, info.value.inner) == (0, 0, 18)
+        assert str(info.value) == str(alone.value)
+        marker = (tmp_path / "FAILED").read_text()
+        assert marker.startswith(f"lambda_se=0: {alone.value}\n")
+        assert not (tmp_path / "manifest.json").exists()

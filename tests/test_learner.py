@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,21 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return LearnerConfig(**base)
+
+
+def run_one(params, grid, cfg):
+    """The learner's run of a stack of one arm."""
+    return learner_run([params], grid, [cfg])[0]
+
+
+def inner_one(params, grid, mean_field, cfg, initial=None, evaluate=None, **kwargs):
+    """One best-response round of a stack of one arm: (policy, records)."""
+    policies, records, _ = inner_loop(
+        [params], grid, [mean_field], [cfg],
+        initial=None if initial is None else initial.to_vector()[None],
+        evaluate=None if evaluate is None else [evaluate], **kwargs,
+    )
+    return PolicyParams(m_hat=float(policies[0, 0]), sigma2=policies[0, 1:]), records[0]
 
 
 class TestSampleSphere:
@@ -102,7 +118,7 @@ class TestEstimateGradient:
         a = estimate_gradient(params, grid, policy, mf, cfg, rng.substream(3, 1))
         b = estimate_gradient(params, grid, policy, mf, cfg, rng.substream(3, 1))
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (1 + grid.n_steps,)
+        assert a.shape == (1, 1 + grid.n_steps)
 
     def test_raw_estimator_mode_runs(self, params, grid):
         policy = reference_policy(params, grid)
@@ -123,16 +139,15 @@ class TestEstimateGradient:
 class TestGradientStep:
     def test_zero_estimate_is_identity(self, grid):
         policy = PolicyParams(m_hat=0.5, sigma2=np.linspace(0.4, 0.2, 5))
-        out = gradient_step(policy, np.zeros(6), small_cfg())
-        assert out.m_hat == policy.m_hat
-        np.testing.assert_array_equal(out.sigma2, policy.sigma2)
+        out = gradient_step(policy.to_vector(), np.zeros(6), small_cfg())
+        np.testing.assert_array_equal(out, policy.to_vector())
 
     def test_projection_to_the_floor(self):
         cfg = small_cfg()
         policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, 0.01))
         estimate = np.concatenate(([0.0], np.full(5, -10.0)))
-        out = gradient_step(policy, estimate, cfg)
-        np.testing.assert_array_equal(out.sigma2, np.full(5, cfg.sigma_floor))
+        out = gradient_step(policy.to_vector(), estimate, cfg)
+        np.testing.assert_array_equal(out[1:], np.full(5, cfg.sigma_floor))
 
     def test_oracle_gradient_ascends_the_expected_reward(self, params, grid):
         # oracle direction: central differences of a common-random-number
@@ -157,7 +172,9 @@ class TestGradientStep:
         policy = PolicyParams(m_hat=0.4, sigma2=np.full(5, 0.45))
         start, _ = evaluator.payoff(policy, mf)
         for _ in range(10):
-            policy = gradient_step(policy, oracle_gradient(policy), cfg)
+            policy = PolicyParams.from_vector(
+                gradient_step(policy.to_vector(), oracle_gradient(policy), cfg)
+            )
         end, _ = evaluator.payoff(policy, mf)
         assert end > start
 
@@ -166,7 +183,7 @@ class TestInnerLoop:
     def test_no_steps_returns_the_initializer(self, params, grid):
         mf = MeanField.constant(params.xi_mean, grid)
         cfg = small_cfg(n_inner=0)
-        policy, records = inner_loop(params, grid, mf, cfg)
+        policy, records = inner_one(params, grid, mf, cfg)
         init_stream = rng.substream(cfg.master_seed, rng.INITIAL_POLICY, 0)
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
         assert policy.m_hat == expected.m_hat
@@ -176,7 +193,7 @@ class TestInnerLoop:
     def test_point_mass_initializer(self, params, grid):
         spec = InitSpec(m_hat_mean=0.75, m_hat_var=0.0, sigma2_mean=0.3, sigma2_var=0.0)
         cfg = small_cfg(n_inner=0, init=spec)
-        policy, _ = inner_loop(params, grid, MeanField.constant(0.1, grid), cfg)
+        policy, _ = inner_one(params, grid, MeanField.constant(0.1, grid), cfg)
         assert policy.m_hat == 0.75
         np.testing.assert_array_equal(policy.sigma2, np.full(5, 0.3))
 
@@ -188,7 +205,7 @@ class TestInnerLoop:
         for seed in range(20):
             evaluator = PayoffEvaluator(params, grid, 2048, seed=1000 + seed)
             cfg = LearnerConfig(master_seed=seed)
-            policy, records = inner_loop(params, grid, mf, cfg, evaluate=evaluator.rel_error)
+            policy, records = inner_one(params, grid, mf, cfg, evaluate=evaluator.rel_error)
             if records[-1].rel_error <= records[0].rel_error:
                 wins += 1
         assert wins >= 18
@@ -199,12 +216,12 @@ class TestInnerLoop:
         cfg = LearnerConfig(step_size=50.0, n_inner=200, master_seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
-                inner_loop(params, grid, mf, cfg, outer_index=2)
+                inner_one(params, grid, mf, cfg, outer_index=2)
             exc = info.value
             assert exc.outer == 2 and 0 < exc.inner < 200
             assert f"k=2, inner step i={exc.inner}" in str(exc)
             # the last finite policy is the one the first exc.inner steps reach
-            reached, _ = inner_loop(
+            reached, _ = inner_one(
                 params, grid, mf, LearnerConfig(step_size=50.0, n_inner=exc.inner),
                 outer_index=2,
             )
@@ -216,7 +233,7 @@ class TestInnerLoop:
 class TestRun:
     def test_minimal_loop(self, params, grid):
         cfg = small_cfg(n_outer=1, n_inner=0)
-        result = learner_run(params, grid, cfg)
+        result = run_one(params, grid, cfg)
         init_stream = rng.substream(cfg.master_seed, rng.INITIAL_POLICY, 0)
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
         assert result.policy.m_hat == expected.m_hat
@@ -231,7 +248,7 @@ class TestRun:
 
     def test_trace_shape(self, params, grid):
         cfg = small_cfg(n_outer=3, n_inner=7)
-        result = learner_run(params, grid, cfg)
+        result = run_one(params, grid, cfg)
         assert len(result.trace.records) == 3 * (7 + 1)
         outers = [r.outer for r in result.trace.records]
         inners = [r.inner for r in result.trace.records]
@@ -240,8 +257,8 @@ class TestRun:
 
     def test_run_is_deterministic(self, params, grid):
         cfg = small_cfg()
-        r1 = learner_run(params, grid, cfg)
-        r2 = learner_run(params, grid, cfg)
+        r1 = run_one(params, grid, cfg)
+        r2 = run_one(params, grid, cfg)
         assert r1.policy.m_hat == r2.policy.m_hat
         np.testing.assert_array_equal(r1.policy.sigma2, r2.policy.sigma2)
         np.testing.assert_array_equal(r1.mean_field.values, r2.mean_field.values)
@@ -251,13 +268,13 @@ class TestRun:
             shared_rollout_noise=False, baseline="none",
             n_inner=3, step_size=1e-4, radius=0.5,
         )
-        r1 = learner_run(params, grid, cfg)
-        r2 = learner_run(params, grid, cfg)
+        r1 = run_one(params, grid, cfg)
+        r2 = run_one(params, grid, cfg)
         assert r1.policy.m_hat == r2.policy.m_hat
 
     def test_variances_respect_the_floor_throughout(self, params, grid):
         cfg = small_cfg(n_outer=2, n_inner=50, step_size=0.5, radius=0.05)
-        result = learner_run(params, grid, cfg)
+        result = run_one(params, grid, cfg)
         for record in result.trace.records:
             assert np.all(record.sigma2 >= cfg.sigma_floor)
 
@@ -282,7 +299,7 @@ class TestRun:
         noise_scale = 3 * evaluator.reference_stderr / abs(evaluator.reference_payoff)
         policy = ne
         for k in range(cfg.n_outer):
-            policy, records = inner_loop(
+            policy, records = inner_one(
                 params, grid, mf, cfg, outer_index=k, initial=policy,
                 evaluate=evaluator.rel_error,
             )
@@ -290,6 +307,62 @@ class TestRun:
 
             mf = propagate_mean_field(params, grid, policy, mf)
             assert records[-1].rel_error <= noise_scale
+
+
+class TestLockstepDivergence:
+    """Arms advanced together fail as the first of them in stack order would
+    fail when run one after the other."""
+
+    # step 3 on 2 rounds of 20 steps: run alone, (lambda_se, seed) (1, 0)
+    # diverges at k=1, i=11; (0, 1) at k=0, i=18; (1, 1) at k=0, i=12;
+    # (0, 5) at k=0, i=11; (1, 2) does not diverge
+    def stack(self, params, arms):
+        cfg = LearnerConfig(n_outer=2, n_inner=20, step_size=3.0)
+        return (
+            [dataclasses.replace(params, lambda_se=lam) for lam, _ in arms],
+            [dataclasses.replace(cfg, master_seed=seed) for _, seed in arms],
+        )
+
+    def test_a_later_arm_diverging_first_does_not_pre_empt_an_earlier_one(self, params, grid):
+        arms = [(1.0, 0), (0.0, 1), (1.0, 1), (1.0, 2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            params_1, cfg_1 = self.stack(params, arms[:1])
+            with pytest.raises(LearnerDivergence) as alone:
+                learner_run(params_1, grid, cfg_1)
+            params_s, cfg_s = self.stack(params, arms)
+            with pytest.raises(LearnerDivergence) as together:
+                learner_run(params_s, grid, cfg_s)
+        exc = together.value
+        assert (exc.arm, exc.outer, exc.inner) == (0, 1, 11)
+        assert (alone.value.outer, alone.value.inner) == (1, 11)
+        assert str(exc) == str(alone.value)
+        np.testing.assert_array_equal(
+            exc.last_policy.to_vector(), alone.value.last_policy.to_vector()
+        )
+
+    def test_earlier_arms_finish_before_the_error_is_raised(self, params, grid):
+        calls = [0, 0, 0]
+
+        def counter(j):
+            def evaluate(policy, mean_field):
+                calls[j] += 1
+                return 0.0
+            return evaluate
+
+        params_s, cfg_s = self.stack(params, [(1.0, 2), (0.0, 5), (1.0, 2)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LearnerDivergence) as info:
+                learner_run(params_s, grid, cfg_s, evaluate=[counter(j) for j in range(3)])
+        assert (info.value.arm, info.value.outer, info.value.inner) == (1, 0, 11)
+        # arm 0 ran both rounds; arm 1 and the arm after it stopped at step 11
+        assert calls == [2 * 21, 12, 12]
+
+    def test_arms_must_share_all_but_temperature_and_seed(self, params, grid):
+        params_s, cfg_s = self.stack(params, [(1.0, 0), (1.0, 1)])
+        with pytest.raises(ParameterError, match="lockstep"):
+            learner_run(params_s, grid, [cfg_s[0], dataclasses.replace(cfg_s[1], radius=0.5)])
+        with pytest.raises(ParameterError, match="lockstep"):
+            learner_run([params_s[0], dataclasses.replace(params_s[1], Q=1.0)], grid, cfg_s)
 
 
 class TestRawEstimatorRegime:
@@ -323,7 +396,7 @@ class TestRawEstimatorRegime:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                result = learner_run(params, grid, cfg)
+                result = run_one(params, grid, cfg)
                 diverged = abs(result.policy.m_hat - 0.75) > 5.0
             except LearnerDivergence:
                 # overflow made a step's policy non-finite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -199,6 +200,39 @@ class TestRolloutInputs:
         for kept, now in zip(before, inputs):
             np.testing.assert_array_equal(kept, now)
 
+    def test_a_path_does_not_depend_on_its_batch(self, params, grid):
+        # lockstep batching relies on it: a slice of the inputs scores the
+        # same bits as the same slice of the full call
+        x0, dW, m_hats, sigma2s, m_values = self._inputs(params, grid, n=1001)
+        full = rollout(params, grid.dt, m_values, m_hats, sigma2s, x0, dW)
+        for part in (slice(0, 1), slice(3, 10), slice(1, 1000), slice(517, 1001)):
+            alone = rollout(
+                params, grid.dt, m_values, m_hats[part], sigma2s[part], x0[part], dW[part]
+            )
+            assert alone.tobytes() == full[part].tobytes(), part
+
+    def test_a_stack_of_arms_scores_each_arm_as_alone(self, params, grid):
+        # arms with their own mean path and entropy weight (0 included) in
+        # one call, laid out (arm, path) as the learner stacks them
+        x0, dW, m_hats, sigma2s, _ = self._inputs(params, grid, n=60)
+        lams = [1.0, 0.0, 3.0]
+
+        def stack(a):
+            return a.reshape((3, 20) + a.shape[1:])
+
+        m_paths = np.linspace(0.0, 0.2, 3 * (grid.n_steps + 1)).reshape(3, grid.n_steps + 1)
+        together = rollout(
+            params, grid.dt, m_paths.T[:, :, None], stack(m_hats), stack(sigma2s),
+            stack(x0), stack(dW), lambda_se=np.array(lams)[:, None, None],
+        )
+        assert together.shape == (3, 20)
+        for j, lam in enumerate(lams):
+            alone = rollout(
+                dataclasses.replace(params, lambda_se=lam), grid.dt, m_paths[j],
+                stack(m_hats)[j], stack(sigma2s)[j], stack(x0)[j], stack(dW)[j],
+            )
+            assert alone.tobytes() == together[j].tobytes(), lam
+
 
 class TestMcExpectedReward:
     def test_path_count_validated(self, params, grid):
@@ -322,6 +356,16 @@ class TestDeterminismAndAlignment:
         a = sample_rewards(params, grid, policy, mf, 50_000, rng.substream(1, 2))
         b = sample_rewards(params, grid, policy, mf, 50_000, rng.substream(1, 2))
         np.testing.assert_array_equal(a, b)
+
+    def test_chunk_boundary_does_not_change_the_first_chunk(self, params, grid):
+        # one path past a full chunk starts a new chunk; the first 2^14
+        # rewards keep their bits
+        policy = ne_policy(params, grid)
+        mf = MeanField(np.linspace(0.1, 0.3, grid.n_steps + 1))
+        n = 1 << 14
+        exact = sample_rewards(params, grid, policy, mf, n, rng.substream(12, rng.TRAJECTORY))
+        over = sample_rewards(params, grid, policy, mf, n + 1, rng.substream(12, rng.TRAJECTORY))
+        assert over[:n].tobytes() == exact.tobytes()
 
     def test_policy_validation(self):
         with pytest.raises(DomainError):
