@@ -33,7 +33,6 @@ from .learner import (
     LearnerConfig,
     estimate_gradient,
     gradient_step,
-    sphere_gradient_estimate,
 )
 from .learner import run as learner_run
 from .params import DomainError, GameParams, ParameterError, TimeGrid
@@ -83,7 +82,6 @@ __all__ = [
     "sample_rewards",
     "simulate_states",
     "save_config",
-    "sphere_gradient_estimate",
     "solve_equilibrium",
     "value_offset",
     "write_report",

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, rng
 from .analytic import equilibrium_policy, game_value, riccati_coefficient
 from .config import ExperimentConfig, config_to_dict
-from .learner import LearnerDivergence, RunResult
+from .learner import LearnerDivergence, LearningTrace, RunResult
 from .learner import run as learner_run
 from .params import GameParams, ParameterError, TimeGrid
 from .simulate import (
@@ -125,13 +125,23 @@ def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
     return dataclasses.replace(config.game, lambda_se=lambda_se)
 
 
+def _score(trace: LearningTrace, evaluator: PayoffEvaluator) -> None:
+    """Fill the trace's rel_error column: each row against its round's path."""
+    paths = [MeanField(path) for path in trace.mean_paths]
+    rows = trace.records
+    rows.rel_error = [
+        evaluator.rel_error(PolicyParams(m_hat, sigma2), paths[k])
+        for k, m_hat, sigma2 in zip(rows.outer.tolist(), rows.m_hat.tolist(), rows.sigma2)
+    ]
+
+
 def run_arms(arms) -> list:
-    """Run (config, lambda_se) arms in lockstep and evaluate their traces.
+    """Run (config, lambda_se) arms in lockstep, then score their traces.
 
     Configurations may differ only in ``seed`` and ``lambda_se_values``,
     which must hold the arm's temperature (its position picks the
     evaluation draws). Each result is bit-identical to the arm's run alone;
-    ``runtime_seconds`` is the shared run's time.
+    ``runtime_seconds`` is the shared run's time, scoring included.
     """
     params, cfgs, evaluators = [], [], []
     grid = arms[0][0].grid
@@ -154,7 +164,11 @@ def run_arms(arms) -> list:
     # a diverging policy overflows the kernel before the step that makes it
     # non-finite raises LearnerDivergence; that error names it, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        results = learner_run(params, grid, cfgs, evaluate=[e.rel_error for e in evaluators])
+        results = learner_run(params, grid, cfgs)
+        # arm by arm, so each evaluator's frozen draws stay in cache across
+        # its calls (cycling through 60 arms' draws every step evicts them)
+        for result, evaluator in zip(results, evaluators):
+            _score(result.trace, evaluator)
     runtime = time.perf_counter() - start
     return [
         ArmResult(lambda_se=lam, result=result, evaluator=evaluator, runtime_seconds=runtime)
@@ -163,7 +177,7 @@ def run_arms(arms) -> list:
 
 
 def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
-    """Run the learner for one temperature and evaluate its whole trace."""
+    """Run the learner for one temperature and score its whole trace."""
     return run_arms([(config, lambda_se)])[0]
 
 
@@ -263,12 +277,10 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
             w = csv.writer(fh)
             w.writerow(["lambda_se", "k", "i", "total_iter", "rel_error"])
             for arm in report.arms:
-                n_inner = report.config.learner.n_inner
-                for r in arm.result.trace.records:
-                    total = r.outer * (n_inner + 1) + r.inner
-                    w.writerow(
-                        [_fmt(arm.lambda_se), r.outer, r.inner, total, _fmt(r.rel_error)]
-                    )
+                rows = arm.result.trace.records[["outer", "inner", "rel_error"]].tolist()
+                # rows are in (k, i) order, so a row's index is k * (I + 1) + i
+                for total, (k, i, err) in enumerate(rows):
+                    w.writerow([_fmt(arm.lambda_se), k, i, total, _fmt(err)])
         written.append(path)
 
         path = os.path.join(out_dir, "variance_schedule.csv")
@@ -290,12 +302,8 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
             w = csv.writer(fh)
             w.writerow(["lambda_se", "k", "s", "m"])
             for arm in report.arms:
-                initial = MeanField.constant(
-                    report.config.learner.initial_mean_field, report.config.grid
-                )
-                paths = [initial] + arm.result.trace.outer_mean_fields
-                for k, mf in enumerate(paths):
-                    for s, m in enumerate(mf.values):
+                for k, values in enumerate(arm.result.trace.mean_paths):
+                    for s, m in enumerate(values):
                         w.writerow([_fmt(arm.lambda_se), k, s, _fmt(m)])
         written.append(path)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -128,30 +128,6 @@ def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float, baseline: 
     return np.add.reduce(U * (values / radius**2)[..., None], axis=-2) / n
 
 
-def sphere_gradient_estimate(
-    evaluate_batch: Callable,
-    center: np.ndarray,
-    n: int,
-    radius: float,
-    stream: np.random.Generator,
-    baseline: str = "none",
-) -> np.ndarray:
-    """Smoothed-gradient estimate of a black-box function at ``center``.
-
-    ``evaluate_batch`` maps an (n, dim) matrix of perturbed points to their n
-    scalar values. The estimate is (1/n) * sum_j (value_j / radius^2) * U_j
-    over uniform sphere perturbations; its expectation on smooth functions is
-    grad / dim. The optional leave-one-out baseline centers each value by the
-    mean of the others, which leaves the expectation unchanged (each baseline
-    is independent of the perturbation it multiplies) while cancelling the
-    common value level.
-    """
-    center = np.asarray(center, dtype=float)
-    U = _sample_sphere_batch(n, len(center), radius, stream)
-    values = np.asarray(evaluate_batch(center[None, :] + U), dtype=float)
-    return _sphere_average(U, values, radius, baseline)
-
-
 def estimate_gradient(params, grid: TimeGrid, policies, mean_paths, cfg: LearnerConfig, streams):
     """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
     arms: one GameParams per arm (differing only in lambda_se), an (S, 1 + N)
@@ -194,18 +170,19 @@ def gradient_step(policies: np.ndarray, estimates: np.ndarray, cfg: LearnerConfi
 
 
 class LearnerDivergence(RuntimeError):
-    """A gradient step made the policy non-finite.
+    """A gradient step made the policy non-finite, or the mean-field update
+    after a round made the mean path non-finite.
 
     ``outer`` and ``inner`` index the failing step (outer round k, inner step
-    i, both from 0); ``last_policy`` is the last finite policy, the one the
-    step started from; ``arm`` indexes the arm in its stack.
+    i, both from 0; ``inner`` is None for the mean-field update after round
+    k); ``last_policy`` is the last finite policy, the one the step started
+    from or the round ended at; ``arm`` indexes the arm in its stack.
     """
 
-    def __init__(self, outer: int, inner: int, last_policy: PolicyParams, arm: int = 0):
-        super().__init__(
-            f"learner diverged at outer round k={outer}, inner step i={inner}: "
-            "the gradient step made the policy non-finite"
-        )
+    def __init__(self, outer: int, inner: Optional[int], last_policy: PolicyParams, arm: int = 0):
+        where = (f", inner step i={inner}: the gradient step made the policy" if inner is not None
+                 else ": the mean-field update after the round made the mean path")
+        super().__init__(f"learner diverged at outer round k={outer}{where} non-finite")
         self.outer = outer
         self.inner = inner
         self.last_policy = last_policy
@@ -213,47 +190,38 @@ class LearnerDivergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    outer: int
-    inner: int
-    rel_error: float
-    m_hat: float
-    sigma2: np.ndarray
-
-
-@dataclass
 class LearningTrace:
-    """Per-step diagnostics plus per-outer-round snapshots."""
+    """One arm's policy at every step and its mean path at every round.
 
-    records: list = field(default_factory=list)
-    outer_policies: list = field(default_factory=list)
-    outer_mean_fields: list = field(default_factory=list)
+    ``records`` is a record array of K * (I + 1) rows with fields ``outer``,
+    ``inner``, ``rel_error`` (NaN until the harness scores the row),
+    ``m_hat`` and ``sigma2`` (N,); a round's first row is its starting
+    policy. ``mean_paths`` is (K + 1, N + 1): the initial path, then the path
+    after each round, so round k plays against ``mean_paths[k]``.
+    """
 
-    def rel_errors(self) -> np.ndarray:
-        return np.array([r.rel_error for r in self.records])
-
-
-EvalFn = Callable[[PolicyParams, MeanField], float]
+    records: np.recarray
+    mean_paths: np.ndarray
 
 
 def inner_loop(
     params: Sequence[GameParams],
     grid: TimeGrid,
-    mean_fields: Sequence[MeanField],
+    mean_paths: np.ndarray,
     cfg: Sequence[LearnerConfig],
     outer_index: int = 0,
     initial: Optional[np.ndarray] = None,
-    evaluate: Optional[Sequence[EvalFn]] = None,
 ) -> tuple:
     """One best-response round of a stack of arms (arm j: ``params[j]``,
-    ``cfg[j]``, ``mean_fields[j]``, ``evaluate[j]``) against frozen mean paths.
+    ``cfg[j]``, ``mean_paths[j]``) against frozen (S, N + 1) mean paths.
 
     Starts from the (S, 1 + N) matrix ``initial`` or the initializer, then
     takes ``n_inner`` gradient steps for all arms at once; arms with the same
-    master seed share every substream, drawn once. Returns the final policy
-    matrix, each arm's I + 1 records (the first covers the start) and the
-    divergence of the first diverging arm, or None: it and the arms after it
-    stop, so the matrix holds the arms before it. Raises it if none is left.
+    master seed share every substream, drawn once. Returns the (S, I + 1,
+    1 + N) block of each arm's policy before every step and after the last,
+    and the divergence of the first diverging arm, or None: it and the arms
+    after it stop, so the block holds the arms before it. Raises it if none
+    is left.
     """
     shared = cfg[0]
     seeds = [c.master_seed for c in cfg]
@@ -262,9 +230,8 @@ def inner_loop(
             grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), shared.sigma_floor
         ).to_vector() for seed in set(seeds)}
         initial = np.array([drawn[seed] for seed in seeds])
-    policies = initial
-    mean_paths = np.array([mf.values for mf in mean_fields])
-    history = [policies]
+    steps = np.empty((len(cfg), shared.n_inner + 1, grid.n_steps + 1))
+    steps[:, 0] = policies = initial
     failure = None
     for i in range(shared.n_inner):
         streams = {seed: rng.substream(seed, rng.PERTURBATION, outer_index, i) for seed in set(seeds)}
@@ -281,21 +248,9 @@ def inner_loop(
             if j == 0:
                 raise failure
             stepped, params, mean_paths, seeds = stepped[:j], params[:j], mean_paths[:j], seeds[:j]
-        policies = stepped
-        history.append(policies)
-
-    def record(j: int, i: int, row: np.ndarray) -> TraceRecord:
-        policy = PolicyParams.from_vector(row, shared.sigma_floor)
-        err = math.nan if evaluate is None else evaluate[j](policy, mean_fields[j])
-        return TraceRecord(outer_index, i, err, policy.m_hat, policy.sigma2)
-
-    # arm by arm, so each evaluator's frozen draws stay in cache across its
-    # calls (cycling through 60 arms' draws every step evicts them)
-    records = [
-        [record(j, i, step[j]) for i, step in enumerate(history) if j < len(step)]
-        for j in range(len(cfg))
-    ]
-    return policies, records, failure
+            steps = steps[:j]
+        steps[:, i + 1] = policies = stepped
+    return steps, failure
 
 
 @dataclass(frozen=True)
@@ -305,44 +260,59 @@ class RunResult:
     trace: LearningTrace
 
 
-def run(
-    params: Sequence[GameParams],
-    grid: TimeGrid,
-    cfg: Sequence[LearnerConfig],
-    evaluate: Optional[Sequence[EvalFn]] = None,
-) -> list:
+def run(params: Sequence[GameParams], grid: TimeGrid, cfg: Sequence[LearnerConfig]) -> list:
     """Fictitious play for a stack of arms in lockstep: arm j plays game
     ``params[j]`` with learner ``cfg[j]``, and arms may differ only in
     lambda_se and master_seed. Returns one RunResult per arm, bit-identical
-    to the arm's run alone; ``evaluate[j]`` fills arm j's relative-error
-    column and does not influence learning. If arms diverge, raises the
-    divergence of the first in stack order once the arms before it finish.
+    to the arm's run alone. If arms diverge, within a round or in the
+    mean-field update after it, raises the divergence of the first in stack
+    order once the arms before it finish.
     """
     shared = cfg[0]
     games = {dataclasses.replace(p, lambda_se=0.0) for p in params}
     learners = {dataclasses.replace(c, master_seed=0) for c in cfg}
     if len(games) > 1 or len(learners) > 1:
         raise ParameterError("arms run in lockstep may differ only in lambda_se and master_seed")
-    mean_fields = [MeanField.constant(shared.initial_mean_field, grid)] * len(cfg)
-    traces = [LearningTrace() for _ in cfg]
-    policies, failure = None, None
-    for k in range(shared.n_outer):
-        active = len(mean_fields)
-        initial = policies if shared.warm_start and policies is not None else None
-        policies, records, diverged = inner_loop(
-            params[:active], grid, mean_fields, cfg[:active], k, initial, evaluate
+    n_outer, n_rows, n = shared.n_outer, shared.n_inner + 1, grid.n_steps
+    steps = np.empty((len(cfg), n_outer, n_rows, n + 1))
+    mean_paths = np.empty((len(cfg), n_outer + 1, n + 1))
+    mean_paths[:, 0] = shared.initial_mean_field
+    active, failure = len(cfg), None
+    for k in range(n_outer):
+        initial = steps[:active, k - 1, -1] if shared.warm_start and k else None
+        block, diverged = inner_loop(
+            params[:active], grid, mean_paths[:active, k], cfg[:active], k, initial
         )
         failure = diverged or failure
-        mean_fields = mean_fields[:len(policies)]
-        for j, (trace, row) in enumerate(zip(traces, policies)):
-            policy = PolicyParams.from_vector(row, shared.sigma_floor)
-            mean_fields[j] = propagate_mean_field(params[j], grid, policy, mean_fields[j])
-            trace.records.extend(records[j])
-            trace.outer_policies.append(policy)
-            trace.outer_mean_fields.append(mean_fields[j])
+        active = len(block)
+        steps[:active, k] = block
+        for j in range(active):
+            policy = PolicyParams.from_vector(block[j, -1], shared.sigma_floor)
+            try:
+                mean_paths[j, k + 1] = propagate_mean_field(
+                    params[j], grid, policy, MeanField(mean_paths[j, k])
+                ).values
+            except ParameterError:
+                # a finite but huge gain overflows the update: this arm and
+                # every arm after it stop here, as for a diverging step
+                failure, active = LearnerDivergence(k, None, policy, arm=j), j
+                break
+        if active == 0:
+            raise failure
     if failure is not None:
         raise failure
-    return [
-        RunResult(policy=t.outer_policies[-1], mean_field=t.outer_mean_fields[-1], trace=t)
-        for t in traces
-    ]
+    dtype = [("outer", np.int64), ("inner", np.int64), ("rel_error", float),
+             ("m_hat", float), ("sigma2", float, (n,))]
+    outer, inner = np.divmod(np.arange(n_outer * n_rows), n_rows)
+    results = []
+    for arm_steps, arm_paths in zip(steps, mean_paths):
+        rows = arm_steps.reshape(-1, n + 1)
+        records = np.rec.fromarrays(
+            [outer, inner, np.full(len(rows), np.nan), rows[:, 0], rows[:, 1:]], dtype=dtype
+        )
+        results.append(RunResult(
+            policy=PolicyParams.from_vector(rows[-1], shared.sigma_floor),
+            mean_field=MeanField(arm_paths[-1]),
+            trace=LearningTrace(records=records, mean_paths=arm_paths),
+        ))
+    return results

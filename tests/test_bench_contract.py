@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from lqmfg import TimeGrid, solve_equilibrium
+from lqmfg import TimeGrid, harness, solve_equilibrium
+from lqmfg.config import config_from_dict, config_to_dict, default_config
 from lqmfg.params import DomainError
 from lqmfg.simulate import sample_rewards
 
@@ -66,6 +68,19 @@ def test_traced_learner_layers_count_every_step():
     assert calls["harness.rel_error"] == 2 * (3 + 1)
     for span in ("learner.estimate_gradient", "learner.gradient_step", "harness.rel_error"):
         assert busy[span] > 0.0, span
+
+
+def test_seed_sweep_reads_a_scored_trace():
+    # SeedSweep.check reads the rel_error of every trace record of a run_arm
+    # result: n_outer * (n_inner + 1) values, all finite once the harness
+    # has scored the learner's trace
+    data = config_to_dict(default_config())
+    data["lambda_se_values"] = [1.0]
+    data["learner"].update(n_outer=2, n_inner=3)
+    arm = harness.run_arm(config_from_dict(data), 1.0)
+    errors = np.array([r.rel_error for r in arm.result.trace.records])
+    assert errors.shape == (2 * (3 + 1),)
+    assert np.isfinite(errors).all()
 
 
 # One payoff and one equilibrium solve of the reference game on 5 steps

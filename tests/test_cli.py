@@ -229,3 +229,24 @@ class TestExitCodes:
         assert marker.startswith("lambda_se=1: learner diverged at outer round k=0")
         assert "last finite policy: m_hat=" in marker
         assert not (out / "manifest.json").exists()
+
+    def test_mean_field_blow_up_exit_code_and_marker(self, capsys, tmp_path):
+        # a finite but huge gain after round 0 overflows the mean-field update
+        import warnings
+
+        from lqmfg.cli import EXIT_RUNTIME
+
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warnings
+            code, _, err = run_cli(
+                capsys, "learn", "--lambda-se", "0", "--set", "learner.step_size=10",
+                "--set", "learner.n_outer=3", "--set", "learner.n_inner=30",
+                "--seed", "0", "--out-dir", str(out),
+            )
+        assert code == EXIT_RUNTIME
+        assert "learner diverged at outer round k=0: the mean-field update" in err
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith("lambda_se=0: learner diverged at outer round k=0: ")
+        assert "last finite policy: m_hat=" in marker
+        assert not (out / "manifest.json").exists()

@@ -185,8 +185,8 @@ class TestReproduce:
     def test_seed_changes_the_curves(self, tmp_path):
         r1 = reproduce(tiny_config(seed=1, lambda_se_values=[1.0]))
         r2 = reproduce(tiny_config(seed=2, lambda_se_values=[1.0]))
-        e1 = r1.arms[0].result.trace.rel_errors()
-        e2 = r2.arms[0].result.trace.rel_errors()
+        e1 = r1.arms[0].result.trace.records.rel_error
+        e2 = r2.arms[0].result.trace.records.rel_error
         assert not np.array_equal(e1, e2)
 
 
@@ -207,19 +207,13 @@ class TestCheckThresholds:
 
 
 def _same_arm(a, b):
-    """Bit-for-bit equal outputs: every rel_error row, the policies of every
-    step and round, and the mean paths."""
+    """Bit-for-bit equal outputs: every trace row (indices, rel_error and the
+    step's policy), the mean paths of every round, and the final policy."""
     ta, tb = a.result.trace, b.result.trace
     assert a.lambda_se == b.lambda_se
-    assert ta.rel_errors().tobytes() == tb.rel_errors().tobytes()
-    for ra, rb in zip(ta.records, tb.records, strict=True):
-        assert (ra.outer, ra.inner, ra.m_hat) == (rb.outer, rb.inner, rb.m_hat)
-        assert ra.sigma2.tobytes() == rb.sigma2.tobytes()
-    for pa, pb in zip(ta.outer_policies + [a.result.policy], tb.outer_policies + [b.result.policy],
-                      strict=True):
-        assert pa.to_vector().tobytes() == pb.to_vector().tobytes()
-    for ma, mb in zip(ta.outer_mean_fields, tb.outer_mean_fields, strict=True):
-        assert ma.values.tobytes() == mb.values.tobytes()
+    assert ta.records.tobytes() == tb.records.tobytes()
+    assert ta.mean_paths.tobytes() == tb.mean_paths.tobytes()
+    assert a.result.policy.to_vector().tobytes() == b.result.policy.to_vector().tobytes()
 
 
 class TestRunArms:

@@ -16,10 +16,9 @@ from lqmfg import (
     estimate_gradient,
     gradient_step,
     reference_policy,
-    sphere_gradient_estimate,
 )
-from lqmfg import rng
-from lqmfg.learner import LearnerDivergence, _sample_sphere_batch, inner_loop
+from lqmfg import learner, rng
+from lqmfg.learner import LearnerDivergence, _sample_sphere_batch, _sphere_average, inner_loop
 from lqmfg.learner import run as learner_run
 
 
@@ -37,14 +36,14 @@ def run_one(params, grid, cfg):
     return learner_run([params], grid, [cfg])[0]
 
 
-def inner_one(params, grid, mean_field, cfg, initial=None, evaluate=None, **kwargs):
-    """One best-response round of a stack of one arm: (policy, records)."""
-    policies, records, _ = inner_loop(
-        [params], grid, [mean_field], [cfg],
-        initial=None if initial is None else initial.to_vector()[None],
-        evaluate=None if evaluate is None else [evaluate], **kwargs,
+def inner_one(params, grid, mean_field, cfg, initial=None, **kwargs):
+    """One best-response round of a stack of one arm: (final policy, the
+    (I + 1, 1 + N) policies before every step and after the last)."""
+    steps, _ = inner_loop(
+        [params], grid, mean_field.values[None], [cfg],
+        initial=None if initial is None else initial.to_vector()[None], **kwargs,
     )
-    return PolicyParams(m_hat=float(policies[0, 0]), sigma2=policies[0, 1:]), records[0]
+    return PolicyParams.from_vector(steps[0, -1], cfg.sigma_floor), steps[0]
 
 
 class TestSampleSphere:
@@ -75,14 +74,14 @@ class TestSampleSphere:
 
 
 class TestSphereGradientEstimate:
+    """The sphere draws and the averaging step of ``estimate_gradient``, on
+    20 000 estimates of known functions."""
+
     def test_constant_function_averages_to_zero(self):
         # the odd moment of the sphere kills a constant integrand
         stream = rng.substream(1, 1)
-        center = np.array([0.4, 0.3, 0.2])
-        est = np.array([
-            sphere_gradient_estimate(lambda P: np.full(len(P), 5.0), center, 1, 0.1, stream)
-            for _ in range(20_000)
-        ])
+        U = _sample_sphere_batch(20_000 * 1, 3, 0.1, stream).reshape(20_000, 1, 3)
+        est = _sphere_average(U, np.full((20_000, 1), 5.0), 0.1, "none")
         stderr = est.std(axis=0, ddof=1) / math.sqrt(len(est))
         assert np.all(np.abs(est.mean(axis=0)) <= 5 * stderr)
 
@@ -95,19 +94,15 @@ class TestSphereGradientEstimate:
         center = np.zeros(4)
         stream = rng.substream(1, 2)
         n = 4 if baseline == "loo" else 1
-        est = np.array([
-            sphere_gradient_estimate(lambda P: P @ c, center, n, 0.2, stream, baseline)
-            for _ in range(20_000)
-        ])
+        U = _sample_sphere_batch(20_000 * n, 4, 0.2, stream).reshape(20_000, n, 4)
+        est = _sphere_average(U, (center + U) @ c, 0.2, baseline)
         stderr = est.std(axis=0, ddof=1) / math.sqrt(len(est))
         np.testing.assert_array_less(np.abs(est.mean(axis=0) - c / 4), 5 * stderr)
 
     def test_loo_needs_two_points(self):
+        U = _sample_sphere_batch(1, 3, 0.1, rng.substream(1, 3))
         with pytest.raises(ParameterError):
-            sphere_gradient_estimate(
-                lambda P: np.zeros(len(P)), np.zeros(3), 1, 0.1,
-                rng.substream(1, 3), baseline="loo",
-            )
+            _sphere_average(U, np.zeros(1), 0.1, "loo")
 
 
 class TestEstimateGradient:
@@ -205,8 +200,9 @@ class TestInnerLoop:
         for seed in range(20):
             evaluator = PayoffEvaluator(params, grid, 2048, seed=1000 + seed)
             cfg = LearnerConfig(master_seed=seed)
-            policy, records = inner_one(params, grid, mf, cfg, evaluate=evaluator.rel_error)
-            if records[-1].rel_error <= records[0].rel_error:
+            _, steps = inner_one(params, grid, mf, cfg)
+            first, last = (PolicyParams.from_vector(steps[i]) for i in (0, -1))
+            if evaluator.rel_error(last, mf) <= evaluator.rel_error(first, mf):
                 wins += 1
         assert wins >= 18
 
@@ -247,13 +243,22 @@ class TestRun:
         )
 
     def test_trace_shape(self, params, grid):
-        cfg = small_cfg(n_outer=3, n_inner=7)
+        cfg = small_cfg(n_outer=3, n_inner=7, initial_mean_field=0.25)
         result = run_one(params, grid, cfg)
-        assert len(result.trace.records) == 3 * (7 + 1)
-        outers = [r.outer for r in result.trace.records]
-        inners = [r.inner for r in result.trace.records]
+        records, paths = result.trace.records, result.trace.mean_paths
+        assert len(records) == 3 * (7 + 1)
+        outers = [r.outer for r in records]
+        inners = [r.inner for r in records]
         assert outers == sorted(outers)
         assert inners[:8] == list(range(8))
+        assert records.sigma2.shape == (3 * 8, grid.n_steps)
+        assert paths.shape == (3 + 1, grid.n_steps + 1)
+        np.testing.assert_array_equal(paths[0], np.full(grid.n_steps + 1, 0.25))
+        np.testing.assert_array_equal(paths[-1], result.mean_field.values)
+        assert records[-1].m_hat == result.policy.m_hat
+        np.testing.assert_array_equal(records[-1].sigma2, result.policy.sigma2)
+        # the learner does not score its trace
+        assert np.isnan(records.rel_error).all()
 
     def test_run_is_deterministic(self, params, grid):
         cfg = small_cfg()
@@ -299,14 +304,11 @@ class TestRun:
         noise_scale = 3 * evaluator.reference_stderr / abs(evaluator.reference_payoff)
         policy = ne
         for k in range(cfg.n_outer):
-            policy, records = inner_one(
-                params, grid, mf, cfg, outer_index=k, initial=policy,
-                evaluate=evaluator.rel_error,
-            )
+            policy, _ = inner_one(params, grid, mf, cfg, outer_index=k, initial=policy)
+            assert evaluator.rel_error(policy, mf) <= noise_scale
             from lqmfg import propagate_mean_field
 
             mf = propagate_mean_field(params, grid, policy, mf)
-            assert records[-1].rel_error <= noise_scale
 
 
 class TestLockstepDivergence:
@@ -340,22 +342,46 @@ class TestLockstepDivergence:
             exc.last_policy.to_vector(), alone.value.last_policy.to_vector()
         )
 
-    def test_earlier_arms_finish_before_the_error_is_raised(self, params, grid):
-        calls = [0, 0, 0]
+    def test_earlier_arms_finish_before_the_error_is_raised(self, params, grid, monkeypatch):
+        sizes = []
+        estimate = learner.estimate_gradient
 
-        def counter(j):
-            def evaluate(policy, mean_field):
-                calls[j] += 1
-                return 0.0
-            return evaluate
+        def counted(params, grid, policies, *args):
+            sizes.append(len(policies))
+            return estimate(params, grid, policies, *args)
 
+        monkeypatch.setattr(learner, "estimate_gradient", counted)
         params_s, cfg_s = self.stack(params, [(1.0, 2), (0.0, 5), (1.0, 2)])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
-                learner_run(params_s, grid, cfg_s, evaluate=[counter(j) for j in range(3)])
+                learner_run(params_s, grid, cfg_s)
         assert (info.value.arm, info.value.outer, info.value.inner) == (1, 0, 11)
-        # arm 0 ran both rounds; arm 1 and the arm after it stopped at step 11
-        assert calls == [2 * 21, 12, 12]
+        # arm 1 and the arm after it stopped at step 11; arm 0 ran both rounds
+        assert sizes == [3] * 12 + [1] * (8 + 20)
+
+    def test_a_blown_up_mean_field_update_is_a_divergence_in_stack_order(self, params, grid):
+        # step 10 on 30 steps: run alone, (lambda_se, seed) (0, 0) ends round
+        # 0 with a gain whose mean-field update overflows; (1, 1) diverges
+        # at k=0, i=10, earlier in time but later in stack order
+        cfg = LearnerConfig(n_outer=2, n_inner=30, step_size=10.0)
+        arms = [(0.0, 0), (1.0, 1)]
+        params_s = [dataclasses.replace(params, lambda_se=lam) for lam, _ in arms]
+        cfg_s = [dataclasses.replace(cfg, master_seed=seed) for _, seed in arms]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LearnerDivergence) as alone:
+                learner_run(params_s[:1], grid, cfg_s[:1])
+            with pytest.raises(LearnerDivergence) as together:
+                learner_run(params_s, grid, cfg_s)
+        exc = together.value
+        assert (exc.arm, exc.outer, exc.inner) == (0, 0, None)
+        assert str(exc) == str(alone.value) == (
+            "learner diverged at outer round k=0: the mean-field update after the round "
+            "made the mean path non-finite"
+        )
+        # the last finite policy is the one round 0 ended at
+        policy = exc.last_policy
+        assert np.isfinite(policy.to_vector()).all() and abs(policy.m_hat) > 1e50
+        np.testing.assert_array_equal(policy.to_vector(), alone.value.last_policy.to_vector())
 
     def test_arms_must_share_all_but_temperature_and_seed(self, params, grid):
         params_s, cfg_s = self.stack(params, [(1.0, 0), (1.0, 1)])
