@@ -80,7 +80,7 @@ class TestSphereGradientEstimate:
     def test_constant_function_averages_to_zero(self):
         # the odd moment of the sphere kills a constant integrand
         stream = rng.substream(1, 1)
-        U = _sample_sphere_batch(20_000 * 1, 3, 0.1, stream).reshape(20_000, 1, 3)
+        U = _sample_sphere_batch(20_000, 3, 0.1, stream)[:, None, :]
         est = _sphere_average(U, np.full((20_000, 1), 5.0), 0.1, "none")
         stderr = est.std(axis=0, ddof=1) / math.sqrt(len(est))
         assert np.all(np.abs(est.mean(axis=0)) <= 5 * stderr)
