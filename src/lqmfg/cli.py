@@ -16,13 +16,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import harness
 from .analytic import solve_equilibrium
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _number,
+    _numbers,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -173,7 +173,9 @@ def _policy_from_arg(arg: str, config: ExperimentConfig) -> PolicyParams:
         raise ConfigError(f"invalid JSON in policy file {arg}: {exc}") from exc
     if not isinstance(data, dict) or "m_hat" not in data or "sigma2" not in data:
         raise ConfigError("policy file must contain fields m_hat and sigma2")
-    return PolicyParams(m_hat=float(data["m_hat"]), sigma2=np.asarray(data["sigma2"]))
+    return PolicyParams(
+        m_hat=_number(data["m_hat"], "m_hat"), sigma2=_numbers(data["sigma2"], "sigma2")
+    )
 
 
 def _cmd_simulate(args) -> int:

@@ -2,18 +2,20 @@
 
 The schema mirrors the dataclasses it builds: a ``game`` section
 (GameParams), ``grid`` (n_steps; the step is T / n_steps), ``learner``
-(LearnerConfig minus the master seed, which always comes from the top-level
-``seed``), the temperature sweep, evaluation path count, output directory and
-seed. Validation errors name the offending dotted key.
+(LearnerConfig, with its ``init`` section), the temperature sweep,
+evaluation path count, output directory and seed. Validation errors name the
+offending dotted key.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, get_type_hints
 
-from .learner import InitSpec, LearnerConfig
+from .learner import LearnerConfig
 from .params import REFERENCE_MODEL, GameParams, ParameterError, TimeGrid
 
 
@@ -32,22 +34,18 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        # each arm's evaluation seed and report lookup are keyed by its value
+        if not self.lambda_se_values:
+            raise ConfigError("field lambda_se_values must be a nonempty list")
         for i, v in enumerate(self.lambda_se_values):
+            if not math.isfinite(v):
+                raise ConfigError(f"field lambda_se_values[{i}] must be finite")
+            if v < 0:
+                raise ConfigError(f"field lambda_se_values[{i}] must be nonnegative")
+            # each arm's evaluation seed and report lookup are keyed by its value
             if v in self.lambda_se_values[:i]:
                 raise ConfigError(f"field lambda_se_values[{i}] repeats an earlier value")
-
-
-def _schema(cls, skip=()) -> dict:
-    """Field name -> type of a dataclass, in declaration order."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
-
-
-_GAME_FIELDS = _schema(GameParams)
-# ``init`` is a nested section; the master seed comes from the top-level seed.
-_LEARNER_FIELDS = _schema(LearnerConfig, skip=("init", "master_seed"))
-_INIT_FIELDS = _schema(InitSpec)
+        if self.n_eval_paths < 2:
+            raise ConfigError("field n_eval_paths must be >= 2")
 
 
 def default_config() -> ExperimentConfig:
@@ -56,7 +54,7 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(
         game=game,
         grid=TimeGrid.from_horizon(game.T, 5),
-        learner=LearnerConfig(master_seed=0),
+        learner=LearnerConfig(),
         lambda_se_values=(0.0, 1.0, 3.0),
         n_eval_paths=4096,
         output_dir=None,
@@ -64,14 +62,26 @@ def default_config() -> ExperimentConfig:
     )
 
 
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> type of a dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _section_dict(obj) -> dict:
+    """The JSON section of a dataclass; a dataclass field is a nested section."""
+    return {
+        name: getattr(obj, name) if kind in _PARSERS else _section_dict(getattr(obj, name))
+        for name, kind in _schema(type(obj)).items()
+    }
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
-        "game": {name: getattr(cfg.game, name) for name in _GAME_FIELDS},
+        "game": _section_dict(cfg.game),
         "grid": {"n_steps": cfg.grid.n_steps},
-        "learner": {
-            **{name: getattr(cfg.learner, name) for name in _LEARNER_FIELDS},
-            "init": {name: getattr(cfg.learner.init, name) for name in _INIT_FIELDS},
-        },
+        "learner": _section_dict(cfg.learner),
         "lambda_se_values": list(cfg.lambda_se_values),
         "n_eval_paths": cfg.n_eval_paths,
         "output_dir": cfg.output_dir,
@@ -89,6 +99,12 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {where} must be a number, got {value!r}")
     return float(value)
+
+
+def _numbers(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"field {where} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _integer(value, where: str) -> int:
@@ -112,66 +128,46 @@ def _string(value, where: str) -> str:
 _PARSERS = {float: _number, int: _integer, bool: _boolean, str: _string}
 
 
-def _parse(section: dict, schema: dict, where: str) -> dict:
-    """Every schema field of the section, type-checked; errors name the key."""
-    return {
-        name: _PARSERS[kind](_need(section, name, where), f"{where}{name}")
-        for name, kind in schema.items()
-    }
-
-
-def _check_unknown(section: dict, allowed, where: str):
+def _check_section(section, allowed, where: str) -> None:
+    """The section is a JSON object of allowed keys; ``where`` ends in a dot."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {where[:-1]} must be an object, got {section!r}")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown field {where}{key}")
 
 
+def _build(cls, section, where: str):
+    """The dataclass ``cls`` from its section, every field type-checked and
+    required; a dataclass field is built from its nested section."""
+    schema = _schema(cls)
+    _check_section(section, schema, where)
+    kwargs = {}
+    for name, kind in schema.items():
+        value, key = _need(section, name, where), f"{where}{name}"
+        parse = _PARSERS.get(kind)
+        kwargs[name] = parse(value, key) if parse else _build(kind, value, f"{key}.")
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{where[:-1]}: {exc}") from exc
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
-    _check_unknown(data, [f.name for f in fields(ExperimentConfig)], "")
-    game_sec = _need(data, "game", "")
-    _check_unknown(game_sec, _GAME_FIELDS, "game.")
-    try:
-        game = GameParams(**_parse(game_sec, _GAME_FIELDS, "game."))
-    except ParameterError as exc:
-        raise ConfigError(f"game: {exc}") from exc
+    _check_section(data, _schema(ExperimentConfig), "")
+    game = _build(GameParams, _need(data, "game", ""), "game.")
 
     grid_sec = _need(data, "grid", "")
-    _check_unknown(grid_sec, ("n_steps",), "grid.")
+    _check_section(grid_sec, ("n_steps",), "grid.")
     n_steps = _integer(_need(grid_sec, "n_steps", "grid."), "grid.n_steps")
     try:
         grid = TimeGrid.from_horizon(game.T, n_steps)
     except ParameterError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    learner_sec = dict(_need(data, "learner", ""))
-    init_sec = learner_sec.pop("init", {})
-    _check_unknown(learner_sec, _LEARNER_FIELDS, "learner.")
-    _check_unknown(init_sec, _INIT_FIELDS, "learner.init.")
-    seed = _integer(_need(data, "seed", ""), "seed")
-    kwargs = _parse(learner_sec, _LEARNER_FIELDS, "learner.")
-    init_kwargs = _parse(init_sec, _INIT_FIELDS, "learner.init.")
-    try:
-        learner = LearnerConfig(
-            init=InitSpec(**init_kwargs), master_seed=seed, **kwargs
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"learner: {exc}") from exc
-
-    lam_values = _need(data, "lambda_se_values", "")
-    if not isinstance(lam_values, list) or not lam_values:
-        raise ConfigError("field lambda_se_values must be a nonempty list")
-    lam_tuple = tuple(
-        _number(v, f"lambda_se_values[{i}]") for i, v in enumerate(lam_values)
-    )
-    for i, v in enumerate(lam_tuple):
-        if v < 0:
-            raise ConfigError(f"field lambda_se_values[{i}] must be nonnegative")
-
-    n_eval = _integer(_need(data, "n_eval_paths", ""), "n_eval_paths")
-    if n_eval < 2:
-        raise ConfigError("field n_eval_paths must be >= 2")
+    learner = _build(LearnerConfig, _need(data, "learner", ""), "learner.")
     out_dir = data.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"field output_dir must be a string or null, got {out_dir!r}")
@@ -179,10 +175,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         game=game,
         grid=grid,
         learner=learner,
-        lambda_se_values=lam_tuple,
-        n_eval_paths=n_eval,
+        lambda_se_values=_numbers(_need(data, "lambda_se_values", ""), "lambda_se_values"),
+        n_eval_paths=_integer(_need(data, "n_eval_paths", ""), "n_eval_paths"),
         output_dir=out_dir,
-        seed=seed,
+        seed=_integer(_need(data, "seed", ""), "seed"),
     )
 
 

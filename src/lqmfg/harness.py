@@ -143,8 +143,8 @@ def run_arms(arms) -> list:
     evaluation draws). Each result is bit-identical to the arm's run alone;
     ``runtime_seconds`` is the shared run's time, scoring included.
     """
-    params, cfgs, evaluators = [], [], []
-    grid = arms[0][0].grid
+    params, evaluators = [], []
+    grid, learner = arms[0][0].grid, arms[0][0].learner
     for config, lambda_se in arms:
         if lambda_se not in config.lambda_se_values:
             raise ParameterError(
@@ -153,8 +153,9 @@ def run_arms(arms) -> list:
             )
         if config.grid != grid:
             raise ParameterError("arms run in lockstep must share the time grid")
+        if config.learner != learner:
+            raise ParameterError("arms run in lockstep must share the learner configuration")
         params.append(_arm_params(config, lambda_se))
-        cfgs.append(dataclasses.replace(config.learner, master_seed=config.seed))
         index = config.lambda_se_values.index(lambda_se)
         eval_seed = rng.derive_seed(config.seed, rng.EVALUATION, index)
         evaluators.append(PayoffEvaluator(
@@ -164,7 +165,7 @@ def run_arms(arms) -> list:
     # a diverging policy overflows the kernel before the step that makes it
     # non-finite raises LearnerDivergence; that error names it, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        results = learner_run(params, grid, cfgs)
+        results = learner_run(params, grid, learner, [config.seed for config, _ in arms])
         # arm by arm, so each evaluator's frozen draws stay in cache across
         # its calls (cycling through 60 arms' draws every step evicts them)
         for result, evaluator in zip(results, evaluators):
@@ -206,14 +207,6 @@ def reproduce(config: ExperimentConfig) -> ExperimentReport:
     if config.output_dir:
         write_report(report, config.output_dir)
     return report
-
-
-def analytic_variance_schedule(params: GameParams, grid: TimeGrid) -> np.ndarray:
-    """Closed-form exploration schedule at the step left endpoints."""
-    if params.lambda_se <= 0.0:
-        return np.full(grid.n_steps, SIGMA_FLOOR)
-    eta = riccati_coefficient(params, grid.step_times(), "se")
-    return params.lambda_se / (params.D**2 * eta)
 
 
 def _continuous_game_value(config: ExperimentConfig, lambda_se: float) -> float:
@@ -288,8 +281,8 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
             w = csv.writer(fh)
             w.writerow(["lambda_se", "s", "learned_sigma2", "analytic_sigma2"])
             for arm in report.arms:
-                params = _arm_params(report.config, arm.lambda_se)
-                analytic = analytic_variance_schedule(params, report.config.grid)
+                # the schedule the arm's errors are measured against
+                analytic = arm.evaluator.reference.sigma2
                 learned = arm.result.policy.sigma2
                 for s in range(report.config.grid.n_steps):
                     w.writerow(

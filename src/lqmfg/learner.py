@@ -82,12 +82,11 @@ class LearnerConfig:
     radius: float = 0.01
     step_size: float = 0.05
     sigma_floor: float = SIGMA_FLOOR
-    init: InitSpec = field(default_factory=InitSpec)
     initial_mean_field: float = 0.0
-    master_seed: int = 0
     shared_rollout_noise: bool = True
     baseline: str = "loo"
     warm_start: bool = True
+    init: InitSpec = field(default_factory=InitSpec)
 
     def __post_init__(self):
         if self.n_outer < 1 or self.n_perturbations < 1:
@@ -131,18 +130,13 @@ def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float, baseline: 
 def estimate_gradient(params, grid: TimeGrid, policies, mean_paths, cfg: LearnerConfig, streams):
     """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
     arms: one GameParams per arm (differing only in lambda_se), an (S, 1 + N)
-    policy matrix, (S, N + 1) mean paths and one generator per arm (a single
-    GameParams, PolicyParams, MeanField and generator are a stack of one).
+    policy matrix, (S, N + 1) mean paths and one generator per arm.
 
     Arms given the same generator share its draws, made once in a fixed
     order (perturbations, then rollout noise); all S * n perturbed policies
     are scored in one kernel call. Perturbed variances are clamped to the
     floor for the evaluation only, leaving the estimator geometry untouched.
     """
-    if isinstance(policies, PolicyParams):
-        params, policies, mean_paths, streams = (
-            [params], policies.to_vector()[None], mean_paths.values[None], [streams]
-        )
     dim = policies.shape[1]
     if dim != grid.n_steps + 1 or mean_paths.shape != (len(policies), dim):
         raise ParameterError(f"policies and mean paths need {dim} entries per arm")
@@ -208,42 +202,40 @@ def inner_loop(
     params: Sequence[GameParams],
     grid: TimeGrid,
     mean_paths: np.ndarray,
-    cfg: Sequence[LearnerConfig],
+    cfg: LearnerConfig,
+    seeds: Sequence[int],
     outer_index: int = 0,
     initial: Optional[np.ndarray] = None,
 ) -> tuple:
     """One best-response round of a stack of arms (arm j: ``params[j]``,
-    ``cfg[j]``, ``mean_paths[j]``) against frozen (S, N + 1) mean paths.
+    ``seeds[j]``, ``mean_paths[j]``) against frozen (S, N + 1) mean paths.
 
     Starts from the (S, 1 + N) matrix ``initial`` or the initializer, then
     takes ``n_inner`` gradient steps for all arms at once; arms with the same
-    master seed share every substream, drawn once. Returns the (S, I + 1,
-    1 + N) block of each arm's policy before every step and after the last,
-    and the divergence of the first diverging arm, or None: it and the arms
-    after it stop, so the block holds the arms before it. Raises it if none
-    is left.
+    seed share every substream, drawn once. Returns the (S, I + 1, 1 + N)
+    block of each arm's policy before every step and after the last, and the
+    divergence of the first diverging arm, or None: it and the arms after it
+    stop, so the block holds the arms before it. Raises it if none is left.
     """
-    shared = cfg[0]
-    seeds = [c.master_seed for c in cfg]
     if initial is None:
-        drawn = {seed: shared.init.sample(
-            grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), shared.sigma_floor
+        drawn = {seed: cfg.init.sample(
+            grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), cfg.sigma_floor
         ).to_vector() for seed in set(seeds)}
         initial = np.array([drawn[seed] for seed in seeds])
-    steps = np.empty((len(cfg), shared.n_inner + 1, grid.n_steps + 1))
+    steps = np.empty((len(seeds), cfg.n_inner + 1, grid.n_steps + 1))
     steps[:, 0] = policies = initial
     failure = None
-    for i in range(shared.n_inner):
+    for i in range(cfg.n_inner):
         streams = {seed: rng.substream(seed, rng.PERTURBATION, outer_index, i) for seed in set(seeds)}
         estimates = estimate_gradient(
-            params, grid, policies, mean_paths, shared, [streams[seed] for seed in seeds]
+            params, grid, policies, mean_paths, cfg, [streams[seed] for seed in seeds]
         )
-        stepped = gradient_step(policies, estimates, shared)
+        stepped = gradient_step(policies, estimates, cfg)
         finite = np.isfinite(stepped).all(axis=1)
         if not finite.all():
             # the first diverging arm, and every arm after it, stop here
             j = int(finite.argmin())
-            last = PolicyParams.from_vector(policies[j], shared.sigma_floor)
+            last = PolicyParams.from_vector(policies[j], cfg.sigma_floor)
             failure = LearnerDivergence(outer_index, i, last, arm=j)
             if j == 0:
                 raise failure
@@ -260,34 +252,32 @@ class RunResult:
     trace: LearningTrace
 
 
-def run(params: Sequence[GameParams], grid: TimeGrid, cfg: Sequence[LearnerConfig]) -> list:
+def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
+        seeds: Sequence[int]) -> list:
     """Fictitious play for a stack of arms in lockstep: arm j plays game
-    ``params[j]`` with learner ``cfg[j]``, and arms may differ only in
-    lambda_se and master_seed. Returns one RunResult per arm, bit-identical
-    to the arm's run alone. If arms diverge, within a round or in the
-    mean-field update after it, raises the divergence of the first in stack
-    order once the arms before it finish.
+    ``params[j]`` on the substreams of ``seeds[j]``, and the games may differ
+    only in lambda_se. Returns one RunResult per arm, bit-identical to the
+    arm's run alone. If arms diverge, within a round or in the mean-field
+    update after it, raises the divergence of the first in stack order once
+    the arms before it finish.
     """
-    shared = cfg[0]
-    games = {dataclasses.replace(p, lambda_se=0.0) for p in params}
-    learners = {dataclasses.replace(c, master_seed=0) for c in cfg}
-    if len(games) > 1 or len(learners) > 1:
-        raise ParameterError("arms run in lockstep may differ only in lambda_se and master_seed")
-    n_outer, n_rows, n = shared.n_outer, shared.n_inner + 1, grid.n_steps
-    steps = np.empty((len(cfg), n_outer, n_rows, n + 1))
-    mean_paths = np.empty((len(cfg), n_outer + 1, n + 1))
-    mean_paths[:, 0] = shared.initial_mean_field
-    active, failure = len(cfg), None
+    if len({dataclasses.replace(p, lambda_se=0.0) for p in params}) > 1:
+        raise ParameterError("games run in lockstep may differ only in lambda_se")
+    n_outer, n_rows, n = cfg.n_outer, cfg.n_inner + 1, grid.n_steps
+    steps = np.empty((len(seeds), n_outer, n_rows, n + 1))
+    mean_paths = np.empty((len(seeds), n_outer + 1, n + 1))
+    mean_paths[:, 0] = cfg.initial_mean_field
+    active, failure = len(seeds), None
     for k in range(n_outer):
-        initial = steps[:active, k - 1, -1] if shared.warm_start and k else None
+        initial = steps[:active, k - 1, -1] if cfg.warm_start and k else None
         block, diverged = inner_loop(
-            params[:active], grid, mean_paths[:active, k], cfg[:active], k, initial
+            params[:active], grid, mean_paths[:active, k], cfg, seeds[:active], k, initial
         )
         failure = diverged or failure
         active = len(block)
         steps[:active, k] = block
         for j in range(active):
-            policy = PolicyParams.from_vector(block[j, -1], shared.sigma_floor)
+            policy = PolicyParams.from_vector(block[j, -1], cfg.sigma_floor)
             try:
                 mean_paths[j, k + 1] = propagate_mean_field(
                     params[j], grid, policy, MeanField(mean_paths[j, k])
@@ -311,7 +301,7 @@ def run(params: Sequence[GameParams], grid: TimeGrid, cfg: Sequence[LearnerConfi
             [outer, inner, np.full(len(rows), np.nan), rows[:, 0], rows[:, 1:]], dtype=dtype
         )
         results.append(RunResult(
-            policy=PolicyParams.from_vector(rows[-1], shared.sigma_floor),
+            policy=PolicyParams.from_vector(rows[-1], cfg.sigma_floor),
             mean_field=MeanField(arm_paths[-1]),
             trace=LearningTrace(records=records, mean_paths=arm_paths),
         ))

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,13 +59,15 @@ class GameParams:
     xi_second_moment: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be finite")
         for name in ("A", "B", "D", "Q", "Q_bar", "T"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be strictly positive")
-        if not self.lambda_se >= 0:
-            raise ParameterError("lambda_se must be nonnegative")
-        if not self.lambda_ce >= 0:
-            raise ParameterError("lambda_ce must be nonnegative")
+        for name in ("lambda_se", "lambda_ce"):
+            if not getattr(self, name) >= 0:
+                raise ParameterError(f"{name} must be nonnegative")
         if self.xi_second_moment < self.xi_mean**2:
             raise ParameterError(
                 "xi_second_moment must be >= xi_mean**2 (nonnegative initial variance)"

@@ -46,7 +46,7 @@ from lqmfg import (
 from lqmfg import rng
 from lqmfg.analytic import decay_rate
 from lqmfg.config import config_from_dict, config_to_dict, default_config
-from lqmfg.harness import analytic_variance_schedule, run_arms
+from lqmfg.harness import reference_policy, run_arms
 from lqmfg.learner import _sample_sphere_batch
 
 from conftest import make_params
@@ -295,7 +295,7 @@ def experiment():
             }
         )
     results["analytic"] = {
-        lam: analytic_variance_schedule(make_params(lambda_se=lam), REFERENCE_GRID)
+        lam: reference_policy(make_params(lambda_se=lam), REFERENCE_GRID).sigma2
         for lam in (1.0, 3.0)
     }
     return results

@@ -52,6 +52,16 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--set", "game.A=-1")
         assert code == EXIT_CONFIG
         assert "A" in err
+        for override, named in (
+            ("game.xi_mean=NaN", "game: xi_mean must be finite"),
+            ("game.T=Infinity", "game: T must be finite"),
+            ("learner=5", "section learner must be an object"),
+            ("game=5", "section game must be an object"),
+            ("learner.init=3", "section learner.init must be an object"),
+        ):
+            code, out, err = run_cli(capsys, "solve", "--set", override)
+            assert code == EXIT_CONFIG, override
+            assert named in err and out == "", override
 
     def test_csv_dump(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -103,6 +113,20 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
         assert "positive" in err
+
+    def test_malformed_policy_fields_are_named(self, capsys, tmp_path):
+        policy = tmp_path / "policy.json"
+        for fields, named in (
+            ({"m_hat": "abc", "sigma2": [0.3] * 5}, "field m_hat must be a number"),
+            ({"m_hat": 0.5, "sigma2": "x"}, "field sigma2 must be a list of numbers"),
+            ({"m_hat": 0.5, "sigma2": [0.3, "x", 0.3, 0.3, 0.3]}, "field sigma2[1] must be"),
+        ):
+            policy.write_text(json.dumps(fields))
+            code, _, err = run_cli(
+                capsys, "simulate", "--policy", str(policy), "--n-paths", "1000"
+            )
+            assert code == EXIT_CONFIG, fields
+            assert named in err, fields
 
     def test_per_path_dump(self, capsys, tmp_path):
         target = tmp_path / "paths.csv"

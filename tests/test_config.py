@@ -50,12 +50,33 @@ def test_type_errors_name_the_field():
     data["learner"]["warm_start"] = "yes"
     with pytest.raises(ConfigError, match="learner.warm_start"):
         config_from_dict(data)
+    data = config_to_dict(default_config())
+    data["learner"]["init"]["sigma2_var"] = "wide"
+    with pytest.raises(ConfigError, match="learner.init.sigma2_var"):
+        config_from_dict(data)
+    # a section that is not an object is named, not iterated
+    for section in ("game", "grid", "learner", "learner.init"):
+        data = config_to_dict(default_config())
+        apply_overrides(data, [f"{section}=5"])
+        with pytest.raises(ConfigError, match=f"section {section} must be an object"):
+            config_from_dict(data)
 
 
 def test_model_invariants_surface_as_config_errors():
     data = config_to_dict(default_config())
     data["game"]["Q"] = -1.0
     with pytest.raises(ConfigError, match="Q"):
+        config_from_dict(data)
+    # every coefficient must be finite, whatever its sign constraint
+    for name in ("A", "lambda_ce", "T", "xi_mean", "xi_second_moment"):
+        for bad in (float("nan"), float("inf")):
+            data = config_to_dict(default_config())
+            data["game"][name] = bad
+            with pytest.raises(ConfigError, match=f"game: {name} must be finite"):
+                config_from_dict(data)
+    data = config_to_dict(default_config())
+    data["learner"]["init"]["m_hat_var"] = -1.0
+    with pytest.raises(ConfigError, match="learner.init: initializer variances"):
         config_from_dict(data)
 
 
@@ -64,13 +85,24 @@ def test_lambda_sweep_validation():
     data["lambda_se_values"] = []
     with pytest.raises(ConfigError, match="lambda_se_values"):
         config_from_dict(data)
-    for bad in ([1.0, -2.0], [1.0, 1.0]):
+    for bad in ([1.0, -2.0], [1.0, 1.0], [1.0, float("nan")], [1.0, float("inf")]):
         data["lambda_se_values"] = bad
         with pytest.raises(ConfigError, match=r"lambda_se_values\[1\]"):
             config_from_dict(data)
-    # a config built in code gets the same duplicate check
-    with pytest.raises(ConfigError, match=r"lambda_se_values\[2\] repeats"):
-        dataclasses.replace(default_config(), lambda_se_values=(1.0, 3.0, 1.0))
+    data = config_to_dict(default_config())
+    data["n_eval_paths"] = 1
+    with pytest.raises(ConfigError, match="n_eval_paths must be >= 2"):
+        config_from_dict(data)
+    # a config built in code gets the same checks
+    for field, bad, message in (
+        ("lambda_se_values", (1.0, 3.0, 1.0), r"lambda_se_values\[2\] repeats"),
+        ("lambda_se_values", (), "lambda_se_values must be a nonempty list"),
+        ("lambda_se_values", (1.0, -2.0), r"lambda_se_values\[1\] must be nonnegative"),
+        ("lambda_se_values", (float("nan"),), r"lambda_se_values\[0\] must be finite"),
+        ("n_eval_paths", 1, "n_eval_paths must be >= 2"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(default_config(), **{field: bad})
 
 
 def test_overrides_apply_and_validate():
@@ -82,8 +114,6 @@ def test_overrides_apply_and_validate():
     assert cfg.learner.baseline == "none"
     assert cfg.seed == 9
     assert cfg.lambda_se_values == (1.0,)
-    # the learner master seed follows the top-level seed
-    assert cfg.learner.master_seed == 9
 
 
 def test_override_errors():

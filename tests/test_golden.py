@@ -118,7 +118,9 @@ def test_gradient_estimates():
     raw = dataclasses.replace(shared, shared_rollout_noise=False, baseline="none")
     for key, cfg in (("estimate_gradient[shared+loo]", shared), ("estimate_gradient[raw]", raw)):
         stream = rng.substream(3, rng.PERTURBATION, 1, 2)
-        estimate = estimate_gradient(params, grid, policy, mean_field, cfg, stream)
+        estimate = estimate_gradient(
+            [params], grid, policy.to_vector()[None], mean_field.values[None], cfg, [stream]
+        )
         assert _sha(estimate.tobytes()) == GOLDEN[key], key
 
 

@@ -19,7 +19,6 @@ from lqmfg import (
 from lqmfg.config import config_from_dict, config_to_dict, default_config
 from lqmfg.harness import (
     DegenerateReferenceError,
-    analytic_variance_schedule,
     check_thresholds,
     run_arm,
     run_arms,
@@ -85,15 +84,42 @@ class TestPayoffEvaluator:
             PayoffEvaluator(params, grid, 1, seed=0)
 
 
-class TestAnalyticSchedule:
-    def test_matches_policy_discretization(self, params, grid):
-        sched = analytic_variance_schedule(params, grid)
-        expected = discretize_policy(equilibrium_policy(params, "se"), grid).sigma2
-        np.testing.assert_allclose(sched, expected, rtol=1e-14)
+def _analytic_column(report, tmp_path) -> dict:
+    """lambda_se -> the analytic_sigma2 column of the report's schedule table."""
+    write_report(report, str(tmp_path))
+    with open(tmp_path / "variance_schedule.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    return {
+        arm.lambda_se: np.array(
+            [float(r["analytic_sigma2"]) for r in rows if float(r["lambda_se"]) == arm.lambda_se]
+        )
+        for arm in report.arms
+    }
 
-    def test_zero_temperature_floor(self, grid):
-        sched = analytic_variance_schedule(make_params(lambda_se=0.0), grid)
-        np.testing.assert_array_equal(sched, np.full(5, SIGMA_FLOOR))
+
+class TestAnalyticSchedule:
+    """The variance_schedule.csv reference column is the evaluator's
+    reference policy: the schedule every error is measured against."""
+
+    def test_matches_policy_discretization(self, tmp_path):
+        config = tiny_config(lambda_se_values=[1.0, 3.0])
+        column = _analytic_column(reproduce(config), tmp_path)
+        for lam in (1.0, 3.0):
+            params = dataclasses.replace(config.game, lambda_se=lam)
+            expected = discretize_policy(equilibrium_policy(params, "se"), config.grid).sigma2
+            np.testing.assert_array_equal(column[lam], expected)
+
+    def test_zero_temperature_floor(self, tmp_path):
+        column = _analytic_column(reproduce(tiny_config(lambda_se_values=[0.0])), tmp_path)
+        np.testing.assert_array_equal(column[0.0], np.full(5, SIGMA_FLOOR))
+
+    def test_zero_temperature_column_uses_the_configured_floor(self, tmp_path):
+        data = config_to_dict(tiny_config(lambda_se_values=[0.0]))
+        data["learner"]["sigma_floor"] = 1e-3
+        report = reproduce(config_from_dict(data))
+        column = _analytic_column(report, tmp_path)
+        np.testing.assert_array_equal(column[0.0], np.full(5, 1e-3))
+        np.testing.assert_array_equal(column[0.0], report.arms[0].evaluator.reference.sigma2)
 
 
 class TestReproduce:
@@ -254,6 +280,12 @@ class TestRunArms:
         data = config_to_dict(tiny_config())
         data["grid"]["n_steps"] = 6
         with pytest.raises(ParameterError, match="time grid"):
+            run_arms([(tiny_config(), 1.0), (config_from_dict(data), 1.0)])
+
+    def test_arms_must_share_the_learner(self):
+        data = config_to_dict(tiny_config())
+        data["learner"]["radius"] = 0.5
+        with pytest.raises(ParameterError, match="lockstep must share the learner"):
             run_arms([(tiny_config(), 1.0), (config_from_dict(data), 1.0)])
 
     def test_divergence_marker_names_the_first_arm_in_sweep_order(self, tmp_path):

@@ -22,28 +22,36 @@ from lqmfg.learner import LearnerDivergence, _sample_sphere_batch, _sphere_avera
 from lqmfg.learner import run as learner_run
 
 
+# the seed of the single-arm helpers below unless a test passes its own
+SEED = 7
+
+
 def small_cfg(**overrides):
-    base = dict(
-        n_outer=2, n_inner=10, n_perturbations=8, radius=0.05,
-        step_size=0.02, master_seed=7,
-    )
+    base = dict(n_outer=2, n_inner=10, n_perturbations=8, radius=0.05, step_size=0.02)
     base.update(overrides)
     return LearnerConfig(**base)
 
 
-def run_one(params, grid, cfg):
+def run_one(params, grid, cfg, seed=SEED):
     """The learner's run of a stack of one arm."""
-    return learner_run([params], grid, [cfg])[0]
+    return learner_run([params], grid, cfg, [seed])[0]
 
 
-def inner_one(params, grid, mean_field, cfg, initial=None, **kwargs):
+def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
     """One best-response round of a stack of one arm: (final policy, the
     (I + 1, 1 + N) policies before every step and after the last)."""
     steps, _ = inner_loop(
-        [params], grid, mean_field.values[None], [cfg],
+        [params], grid, mean_field.values[None], cfg, [seed],
         initial=None if initial is None else initial.to_vector()[None], **kwargs,
     )
     return PolicyParams.from_vector(steps[0, -1], cfg.sigma_floor), steps[0]
+
+
+def estimate_one(params, grid, policy, mean_field, cfg, stream):
+    """The (1, 1 + N) gradient estimate of a stack of one arm."""
+    return estimate_gradient(
+        [params], grid, policy.to_vector()[None], mean_field.values[None], cfg, [stream]
+    )
 
 
 class TestSampleSphere:
@@ -110,8 +118,8 @@ class TestEstimateGradient:
         policy = reference_policy(params, grid)
         mf = MeanField.constant(params.xi_mean, grid)
         cfg = small_cfg()
-        a = estimate_gradient(params, grid, policy, mf, cfg, rng.substream(3, 1))
-        b = estimate_gradient(params, grid, policy, mf, cfg, rng.substream(3, 1))
+        a = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 1))
+        b = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 1))
         np.testing.assert_array_equal(a, b)
         assert a.shape == (1, 1 + grid.n_steps)
 
@@ -119,7 +127,7 @@ class TestEstimateGradient:
         policy = reference_policy(params, grid)
         mf = MeanField.constant(params.xi_mean, grid)
         cfg = small_cfg(shared_rollout_noise=False, baseline="none")
-        out = estimate_gradient(params, grid, policy, mf, cfg, rng.substream(3, 2))
+        out = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 2))
         assert np.all(np.isfinite(out))
 
     def test_floor_applies_to_perturbed_evaluations(self, params, grid):
@@ -127,7 +135,7 @@ class TestEstimateGradient:
         cfg = small_cfg(radius=0.5)
         policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, cfg.sigma_floor))
         mf = MeanField.constant(params.xi_mean, grid)
-        out = estimate_gradient(params, grid, policy, mf, cfg, rng.substream(3, 3))
+        out = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 3))
         assert np.all(np.isfinite(out))
 
 
@@ -179,7 +187,7 @@ class TestInnerLoop:
         mf = MeanField.constant(params.xi_mean, grid)
         cfg = small_cfg(n_inner=0)
         policy, records = inner_one(params, grid, mf, cfg)
-        init_stream = rng.substream(cfg.master_seed, rng.INITIAL_POLICY, 0)
+        init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
         assert policy.m_hat == expected.m_hat
         np.testing.assert_array_equal(policy.sigma2, expected.sigma2)
@@ -199,8 +207,7 @@ class TestInnerLoop:
         wins = 0
         for seed in range(20):
             evaluator = PayoffEvaluator(params, grid, 2048, seed=1000 + seed)
-            cfg = LearnerConfig(master_seed=seed)
-            _, steps = inner_one(params, grid, mf, cfg)
+            _, steps = inner_one(params, grid, mf, LearnerConfig(), seed=seed)
             first, last = (PolicyParams.from_vector(steps[i]) for i in (0, -1))
             if evaluator.rel_error(last, mf) <= evaluator.rel_error(first, mf):
                 wins += 1
@@ -209,17 +216,17 @@ class TestInnerLoop:
 
     def test_divergence_names_the_step_and_the_last_finite_policy(self, params, grid):
         mf = MeanField.constant(params.xi_mean, grid)
-        cfg = LearnerConfig(step_size=50.0, n_inner=200, master_seed=0)
+        cfg = LearnerConfig(step_size=50.0, n_inner=200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
-                inner_one(params, grid, mf, cfg, outer_index=2)
+                inner_one(params, grid, mf, cfg, seed=0, outer_index=2)
             exc = info.value
             assert exc.outer == 2 and 0 < exc.inner < 200
             assert f"k=2, inner step i={exc.inner}" in str(exc)
             # the last finite policy is the one the first exc.inner steps reach
             reached, _ = inner_one(
                 params, grid, mf, LearnerConfig(step_size=50.0, n_inner=exc.inner),
-                outer_index=2,
+                seed=0, outer_index=2,
             )
         assert reached.m_hat == exc.last_policy.m_hat
         np.testing.assert_array_equal(reached.sigma2, exc.last_policy.sigma2)
@@ -230,7 +237,7 @@ class TestRun:
     def test_minimal_loop(self, params, grid):
         cfg = small_cfg(n_outer=1, n_inner=0)
         result = run_one(params, grid, cfg)
-        init_stream = rng.substream(cfg.master_seed, rng.INITIAL_POLICY, 0)
+        init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
         assert result.policy.m_hat == expected.m_hat
         assert len(result.trace.records) == 1
@@ -297,14 +304,13 @@ class TestRun:
         # mass but overwrite through a warm start from the exact policy
         evaluator = PayoffEvaluator(params, grid, 4096, seed=3)
         cfg = LearnerConfig(
-            n_outer=3, init=spec, master_seed=11,
-            initial_mean_field=params.xi_mean,
+            n_outer=3, init=spec, initial_mean_field=params.xi_mean,
         )
         mf = MeanField.constant(params.xi_mean, grid)
         noise_scale = 3 * evaluator.reference_stderr / abs(evaluator.reference_payoff)
         policy = ne
         for k in range(cfg.n_outer):
-            policy, _ = inner_one(params, grid, mf, cfg, outer_index=k, initial=policy)
+            policy, _ = inner_one(params, grid, mf, cfg, initial=policy, seed=11, outer_index=k)
             assert evaluator.rel_error(policy, mf) <= noise_scale
             from lqmfg import propagate_mean_field
 
@@ -318,22 +324,23 @@ class TestLockstepDivergence:
     # step 3 on 2 rounds of 20 steps: run alone, (lambda_se, seed) (1, 0)
     # diverges at k=1, i=11; (0, 1) at k=0, i=18; (1, 1) at k=0, i=12;
     # (0, 5) at k=0, i=11; (1, 2) does not diverge
+    cfg = LearnerConfig(n_outer=2, n_inner=20, step_size=3.0)
+
     def stack(self, params, arms):
-        cfg = LearnerConfig(n_outer=2, n_inner=20, step_size=3.0)
         return (
             [dataclasses.replace(params, lambda_se=lam) for lam, _ in arms],
-            [dataclasses.replace(cfg, master_seed=seed) for _, seed in arms],
+            [seed for _, seed in arms],
         )
 
     def test_a_later_arm_diverging_first_does_not_pre_empt_an_earlier_one(self, params, grid):
         arms = [(1.0, 0), (0.0, 1), (1.0, 1), (1.0, 2)]
         with np.errstate(over="ignore", invalid="ignore"):
-            params_1, cfg_1 = self.stack(params, arms[:1])
+            params_1, seeds_1 = self.stack(params, arms[:1])
             with pytest.raises(LearnerDivergence) as alone:
-                learner_run(params_1, grid, cfg_1)
-            params_s, cfg_s = self.stack(params, arms)
+                learner_run(params_1, grid, self.cfg, seeds_1)
+            params_s, seeds_s = self.stack(params, arms)
             with pytest.raises(LearnerDivergence) as together:
-                learner_run(params_s, grid, cfg_s)
+                learner_run(params_s, grid, self.cfg, seeds_s)
         exc = together.value
         assert (exc.arm, exc.outer, exc.inner) == (0, 1, 11)
         assert (alone.value.outer, alone.value.inner) == (1, 11)
@@ -351,10 +358,10 @@ class TestLockstepDivergence:
             return estimate(params, grid, policies, *args)
 
         monkeypatch.setattr(learner, "estimate_gradient", counted)
-        params_s, cfg_s = self.stack(params, [(1.0, 2), (0.0, 5), (1.0, 2)])
+        params_s, seeds_s = self.stack(params, [(1.0, 2), (0.0, 5), (1.0, 2)])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
-                learner_run(params_s, grid, cfg_s)
+                learner_run(params_s, grid, self.cfg, seeds_s)
         assert (info.value.arm, info.value.outer, info.value.inner) == (1, 0, 11)
         # arm 1 and the arm after it stopped at step 11; arm 0 ran both rounds
         assert sizes == [3] * 12 + [1] * (8 + 20)
@@ -365,13 +372,12 @@ class TestLockstepDivergence:
         # at k=0, i=10, earlier in time but later in stack order
         cfg = LearnerConfig(n_outer=2, n_inner=30, step_size=10.0)
         arms = [(0.0, 0), (1.0, 1)]
-        params_s = [dataclasses.replace(params, lambda_se=lam) for lam, _ in arms]
-        cfg_s = [dataclasses.replace(cfg, master_seed=seed) for _, seed in arms]
+        params_s, seeds_s = self.stack(params, arms)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as alone:
-                learner_run(params_s[:1], grid, cfg_s[:1])
+                learner_run(params_s[:1], grid, cfg, seeds_s[:1])
             with pytest.raises(LearnerDivergence) as together:
-                learner_run(params_s, grid, cfg_s)
+                learner_run(params_s, grid, cfg, seeds_s)
         exc = together.value
         assert (exc.arm, exc.outer, exc.inner) == (0, 0, None)
         assert str(exc) == str(alone.value) == (
@@ -384,11 +390,13 @@ class TestLockstepDivergence:
         np.testing.assert_array_equal(policy.to_vector(), alone.value.last_policy.to_vector())
 
     def test_arms_must_share_all_but_temperature_and_seed(self, params, grid):
-        params_s, cfg_s = self.stack(params, [(1.0, 0), (1.0, 1)])
+        # the learner configuration is one value for the whole stack, so
+        # only the games are checked: they may differ only in lambda_se
+        params_s, seeds_s = self.stack(params, [(1.0, 0), (1.0, 1)])
         with pytest.raises(ParameterError, match="lockstep"):
-            learner_run(params_s, grid, [cfg_s[0], dataclasses.replace(cfg_s[1], radius=0.5)])
-        with pytest.raises(ParameterError, match="lockstep"):
-            learner_run([params_s[0], dataclasses.replace(params_s[1], Q=1.0)], grid, cfg_s)
+            learner_run(
+                [params_s[0], dataclasses.replace(params_s[1], Q=1.0)], grid, self.cfg, seeds_s
+            )
 
 
 class TestRawEstimatorRegime:
@@ -401,15 +409,15 @@ class TestRawEstimatorRegime:
         # gradient scale, two orders of magnitude smaller
         policy = reference_policy(params, grid)
         mf = MeanField.constant(params.xi_mean, grid)
-        raw_cfg = LearnerConfig(shared_rollout_noise=False, baseline="none", master_seed=0)
-        ctl_cfg = LearnerConfig(master_seed=0)
+        raw_cfg = LearnerConfig(shared_rollout_noise=False, baseline="none")
+        ctl_cfg = LearnerConfig()
         raw_norms, ctl_norms = [], []
         for i in range(10):
             raw_norms.append(np.linalg.norm(
-                estimate_gradient(params, grid, policy, mf, raw_cfg, rng.substream(50, i))
+                estimate_one(params, grid, policy, mf, raw_cfg, rng.substream(50, i))
             ))
             ctl_norms.append(np.linalg.norm(
-                estimate_gradient(params, grid, policy, mf, ctl_cfg, rng.substream(50, i))
+                estimate_one(params, grid, policy, mf, ctl_cfg, rng.substream(50, i))
             ))
         assert np.median(raw_norms) > 50 * np.median(ctl_norms)
 
@@ -417,12 +425,10 @@ class TestRawEstimatorRegime:
         # ascent kicks of size step * estimate ~ 0.4 per coordinate random-walk
         # the gain into the explosive region; the run either overflows into a
         # named divergence or ends with a policy far from any optimum
-        cfg = LearnerConfig(
-            n_outer=1, shared_rollout_noise=False, baseline="none", master_seed=1
-        )
+        cfg = LearnerConfig(n_outer=1, shared_rollout_noise=False, baseline="none")
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                result = run_one(params, grid, cfg)
+                result = run_one(params, grid, cfg, seed=1)
                 diverged = abs(result.policy.m_hat - 0.75) > 5.0
             except LearnerDivergence:
                 # overflow made a step's policy non-finite
