@@ -46,6 +46,9 @@ class ExperimentConfig:
                 raise ConfigError(f"field lambda_se_values[{i}] repeats an earlier value")
         if self.n_eval_paths < 2:
             raise ConfigError("field n_eval_paths must be >= 2")
+        # numpy's SeedSequence, which every substream starts from, takes no sign
+        if self.seed < 0:
+            raise ConfigError("field seed must be nonnegative")
 
 
 def default_config() -> ExperimentConfig:

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .params import GameParams, ParameterError, TimeGrid
+from .params import GameParams, ParameterError, TimeGrid, check_finite
 from .simulate import (
     SIGMA_FLOOR,
     MeanField,
@@ -57,6 +57,7 @@ class InitSpec:
     sigma2_var: float = 0.1
 
     def __post_init__(self):
+        check_finite(self)
         if self.m_hat_var < 0 or self.sigma2_var < 0:
             raise ParameterError("initializer variances must be nonnegative")
 
@@ -89,6 +90,7 @@ class LearnerConfig:
     init: InitSpec = field(default_factory=InitSpec)
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_outer < 1 or self.n_perturbations < 1:
             raise ParameterError("n_outer and n_perturbations must be >= 1")
         if self.n_inner < 0:

@@ -16,6 +16,15 @@ class DomainError(ValueError):
     """Raised when a time argument falls outside the game horizon."""
 
 
+def check_finite(obj) -> None:
+    """Raise ParameterError naming the first float field of the dataclass
+    ``obj`` that is NaN or infinite (only a float can be either)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Coefficients of the entropy-regularized LQ mean field game.
@@ -59,9 +68,7 @@ class GameParams:
     xi_second_moment: float
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ParameterError(f"{f.name} must be finite")
+        check_finite(self)
         for name in ("A", "B", "D", "Q", "Q_bar", "T"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be strictly positive")

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lqmfg.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from lqmfg.config import config_to_dict, default_config
 
@@ -219,6 +221,37 @@ class TestHelp:
             assert flag in result.stdout
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--seed", "-1", "--n-paths", "2"),
+        ("reproduce", "--seed", "-1"),
+    ], ids=["simulate", "reproduce"])
+    def test_negative_seed_is_a_config_error(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert "field seed must be nonnegative" in err and out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("override, named", [
+        ("learner.step_size=Infinity", "learner: step_size must be finite"),
+        ("learner.radius=Infinity", "learner: radius must be finite"),
+        ("learner.sigma_floor=Infinity", "learner: sigma_floor must be finite"),
+        ("learner.initial_mean_field=NaN", "learner: initial_mean_field must be finite"),
+        ("learner.init.m_hat_mean=NaN", "learner.init: m_hat_mean must be finite"),
+    ])
+    def test_nonfinite_learner_setting_is_named(self, capsys, tmp_path, override, named):
+        # a tiny run, so that a setting which slips through fails fast
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "learn", "--lambda-se", "1", "--set", override,
+            "--set", "learner.n_outer=1", "--set", "learner.n_inner=1",
+            "--set", "learner.n_perturbations=2", "--set", "n_eval_paths=2",
+            "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_CONFIG
+        assert named in err and out == ""
+        assert not (out_dir / "FAILED").exists()
+
     def test_runtime_error_exit_code(self, capsys, tmp_path):
         from lqmfg.cli import EXIT_RUNTIME
 

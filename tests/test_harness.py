@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -16,6 +17,7 @@ from lqmfg import (
     reference_policy,
     reproduce,
 )
+from lqmfg import harness
 from lqmfg.config import config_from_dict, config_to_dict, default_config
 from lqmfg.harness import (
     DegenerateReferenceError,
@@ -305,3 +307,39 @@ class TestRunArms:
         marker = (tmp_path / "FAILED").read_text()
         assert marker.startswith(f"lambda_se=0: {alone.value}\n")
         assert not (tmp_path / "manifest.json").exists()
+
+
+class TestScoringPool:
+    ARMS = [(tiny_config(), 0.0), (tiny_config(), 1.0)]
+
+    def test_pooled_scores_equal_in_process_scores(self, monkeypatch):
+        alone = run_arms(self.ARMS)
+        built = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(harness, "_POOL_MIN_PATH_STEPS", 0)
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        pooled = run_arms(self.ARMS)
+        assert built == [(2,)]
+        for a, b in zip(pooled, alone, strict=True):
+            assert np.array_equal(
+                a.result.trace.records.rel_error, b.result.trace.records.rel_error
+            )
+            _same_arm(a, b)
+
+    @pytest.mark.parametrize("cpus, threshold", [(1, 0), (2, harness._POOL_MIN_PATH_STEPS)],
+                             ids=["one_cpu", "below_threshold"])
+    def test_no_pool_on_one_cpu_or_for_little_work(self, monkeypatch, cpus, threshold):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scoring built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_POOL_MIN_PATH_STEPS", threshold)
+        for arm in run_arms(self.ARMS):
+            assert np.isfinite(arm.result.trace.records.rel_error).all()
