@@ -14,12 +14,10 @@ from .analytic import (
     GaussianFeedbackPolicy,
     equilibrium_policy,
     equilibrium_state_rates,
-    equilibrium_state_variance,
     feedback_policy_payoff,
     game_value,
     riccati_coefficient,
     solve_equilibrium,
-    value_offset,
 )
 from .config import ConfigError, ExperimentConfig, default_config, load_config, save_config
 from .harness import (
@@ -38,11 +36,9 @@ from .learner import run as learner_run
 from .params import DomainError, GameParams, ParameterError, TimeGrid
 from .simulate import (
     SIGMA_FLOOR,
-    MeanField,
     PolicyParams,
     discretize_policy,
     expected_reward_exact,
-    mc_expected_reward,
     propagate_mean_field,
     sample_rewards,
     simulate_states,
@@ -56,7 +52,6 @@ __all__ = [
     "GaussianFeedbackPolicy",
     "InitSpec",
     "LearnerConfig",
-    "MeanField",
     "ParameterError",
     "PayoffEvaluator",
     "PolicyParams",
@@ -66,7 +61,6 @@ __all__ = [
     "discretize_policy",
     "equilibrium_policy",
     "equilibrium_state_rates",
-    "equilibrium_state_variance",
     "estimate_gradient",
     "expected_reward_exact",
     "feedback_policy_payoff",
@@ -74,7 +68,6 @@ __all__ = [
     "gradient_step",
     "learner_run",
     "load_config",
-    "mc_expected_reward",
     "propagate_mean_field",
     "reference_policy",
     "reproduce",
@@ -83,6 +76,5 @@ __all__ = [
     "simulate_states",
     "save_config",
     "solve_equilibrium",
-    "value_offset",
     "write_report",
 ]

@@ -144,40 +144,6 @@ def _equilibrium_integrals(
     return offsets, variance
 
 
-def value_offset(
-    params: GameParams,
-    t: float,
-    grid: TimeGrid,
-    game: str = "se",
-    refinement: int = DEFAULT_REFINEMENT,
-) -> float:
-    """State-independent part of the value function at time ``t``.
-
-    Vanishes identically at t = T. For "ee" a third term proportional to
-    lambda_ce integrates the value curvature against the equilibrium state
-    variance; it drops out exactly at lambda_ce = 0.
-    """
-    params.check_time(t)
-    zs = _refined_times(t, params.T, grid.dt, refinement)
-    return float(_equilibrium_integrals(params, game, zs)[0][0])
-
-
-def equilibrium_state_variance(
-    params: GameParams,
-    s: float,
-    grid: TimeGrid,
-    game: str = "ee",
-    start_time: float = 0.0,
-    refinement: int = DEFAULT_REFINEMENT,
-) -> float:
-    """Variance of the equilibrium state at time ``s``, started at ``start_time``."""
-    params.check_time(start_time)
-    if not start_time <= s <= params.T:
-        raise DomainError(f"time {s!r} outside [{start_time}, {params.T}]")
-    times = _refined_times(start_time, s, grid.dt, refinement)
-    return float(_equilibrium_integrals(params, game, times)[1][-1])
-
-
 def constant_fn(value: float) -> Callable:
     """Time function that is identically ``value`` (vectorized)."""
 
@@ -252,8 +218,11 @@ def game_value(
     """
     if grid is None:
         grid = TimeGrid.from_horizon(params.T, 1)
+    params.check_time(t)
     eta_t = riccati_coefficient(params, t, game)
-    return -0.5 * eta_t * params.xi_var + value_offset(params, t, grid, game, refinement)
+    times = _refined_times(t, params.T, grid.dt, refinement)
+    offsets, _ = _equilibrium_integrals(params, game, times)
+    return -0.5 * eta_t * params.xi_var + float(offsets[0])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import harness
 from .analytic import solve_equilibrium
 from .config import (
@@ -31,7 +33,7 @@ from .config import (
 )
 from .learner import LearnerDivergence
 from .params import DomainError, ParameterError
-from .simulate import MeanField, PolicyParams, mean_and_stderr, sample_rewards
+from .simulate import PolicyParams, mean_and_stderr, sample_rewards
 from . import rng as _rng
 
 EXIT_OK = 0
@@ -183,7 +185,7 @@ def _cmd_simulate(args) -> int:
     if args.n_paths < 2:
         raise ConfigError("--n-paths must be >= 2")
     policy = _policy_from_arg(args.policy, config)
-    mean_field = MeanField.constant(config.game.xi_mean, config.grid)
+    mean_field = np.full(config.grid.n_steps + 1, config.game.xi_mean)
     rewards = sample_rewards(
         config.game, config.grid, policy, mean_field, args.n_paths,
         _rng.substream(config.seed, _rng.TRAJECTORY),

@@ -31,8 +31,8 @@ from .learner import run as learner_run
 from .params import GameParams, ParameterError, TimeGrid
 from .simulate import (
     SIGMA_FLOOR,
-    MeanField,
     PolicyParams,
+    check_path,
     discretize_policy,
     draw_noise,
     mean_and_stderr,
@@ -60,6 +60,8 @@ class PayoffEvaluator:
     All evaluations reuse one frozen set of initial states and Brownian
     increments, so repeated calls are bit-identical and differences between
     nearby policies are estimated with far less noise than independent runs.
+    A policy is scored by its gain, (N,) variances and (N + 1,) mean path;
+    the reference plays against the constant path ``reference_path``.
     """
 
     def __init__(
@@ -78,28 +80,28 @@ class PayoffEvaluator:
         stream = rng.substream(seed, rng.EVALUATION)
         self._x0, self._dW = draw_noise(stream, params, grid.dt, n_paths, grid.n_steps)
         self.reference = reference_policy(params, grid, sigma_floor)
-        self.reference_mean_field = MeanField.constant(params.xi_mean, grid)
+        self.reference_path = np.full(grid.n_steps + 1, params.xi_mean)
         self.reference_payoff, self.reference_stderr = self.payoff(
-            self.reference, self.reference_mean_field
+            self.reference.m_hat, self.reference.sigma2, self.reference_path
         )
         if abs(self.reference_payoff) < 1e-12:
             raise DegenerateReferenceError(
                 "reference payoff is numerically zero; relative error undefined"
             )
 
-    def _rewards(self, policy: PolicyParams, mean_field: MeanField) -> np.ndarray:
-        policy.check_aligned(self.grid)
-        mean_field.check_aligned(self.grid)
+    def _rewards(self, m_hat: float, sigma2: np.ndarray, path: np.ndarray) -> np.ndarray:
+        if np.shape(sigma2) != (self.grid.n_steps,):
+            raise ParameterError(f"sigma2 of shape {np.shape(sigma2)} does not fit the grid")
         return rollout(
-            self.params, self.grid.dt, mean_field.values, policy.m_hat, policy.sigma2,
+            self.params, self.grid.dt, check_path(path, self.grid), m_hat, sigma2,
             self._x0, self._dW,
         )
 
-    def payoff(self, policy: PolicyParams, mean_field: MeanField) -> tuple[float, float]:
-        return mean_and_stderr(self._rewards(policy, mean_field))
+    def payoff(self, m_hat: float, sigma2: np.ndarray, path: np.ndarray) -> tuple[float, float]:
+        return mean_and_stderr(self._rewards(m_hat, sigma2, path))
 
-    def rel_error(self, policy: PolicyParams, mean_field: MeanField) -> float:
-        value = float(np.add.reduce(self._rewards(policy, mean_field)) / self.n_paths)
+    def rel_error(self, m_hat: float, sigma2: np.ndarray, path: np.ndarray) -> float:
+        value = float(np.add.reduce(self._rewards(m_hat, sigma2, path)) / self.n_paths)
         return abs(value - self.reference_payoff) / abs(self.reference_payoff)
 
 
@@ -142,12 +144,11 @@ def _cpus() -> int:
 def _score_round(job) -> list:
     """Relative errors of one round's rows against the round's mean path."""
     evaluator, path, m_hats, sigma2s = job
-    mean_field = MeanField(path)
     # a worker started by spawn or forkserver does not inherit the caller's
     # floating-point error state
     with np.errstate(over="ignore", invalid="ignore"):
         return [
-            evaluator.rel_error(PolicyParams(m_hat, sigma2), mean_field)
+            evaluator.rel_error(m_hat, sigma2, path)
             for m_hat, sigma2 in zip(m_hats.tolist(), sigma2s)
         ]
 

@@ -39,7 +39,6 @@ from . import rng
 from .params import GameParams, ParameterError, TimeGrid, check_finite
 from .simulate import (
     SIGMA_FLOOR,
-    MeanField,
     PolicyParams,
     draw_noise,
     propagate_mean_field,
@@ -59,7 +58,7 @@ class InitSpec:
     def __post_init__(self):
         check_finite(self)
         if self.m_hat_var < 0 or self.sigma2_var < 0:
-            raise ParameterError("initializer variances must be nonnegative")
+            raise ParameterError("m_hat_var and sigma2_var must be nonnegative")
 
     def sample(self, n_steps: int, stream: np.random.Generator, floor: float) -> PolicyParams:
         m_hat = self.m_hat_mean + math.sqrt(self.m_hat_var) * stream.standard_normal()
@@ -250,7 +249,6 @@ def inner_loop(
 @dataclass(frozen=True)
 class RunResult:
     policy: PolicyParams
-    mean_field: MeanField
     trace: LearningTrace
 
 
@@ -278,17 +276,17 @@ def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
         failure = diverged or failure
         active = len(block)
         steps[:active, k] = block
-        for j in range(active):
-            policy = PolicyParams.from_vector(block[j, -1], cfg.sigma_floor)
-            try:
-                mean_paths[j, k + 1] = propagate_mean_field(
-                    params[j], grid, policy, MeanField(mean_paths[j, k])
-                ).values
-            except ParameterError:
-                # a finite but huge gain overflows the update: this arm and
-                # every arm after it stop here, as for a diverging step
-                failure, active = LearnerDivergence(k, None, policy, arm=j), j
-                break
+        # the update reads only A, B and xi_mean, which all arms share
+        mean_paths[:active, k + 1] = propagate_mean_field(
+            params[0], grid, block[:, -1, 0], mean_paths[:active, k]
+        )
+        finite = np.isfinite(mean_paths[:active, k + 1]).all(axis=1)
+        if not finite.all():
+            # a finite but huge gain overflows the update: the first such arm
+            # and every arm after it stop here, as for a diverging step
+            j = int(finite.argmin())
+            last = PolicyParams.from_vector(block[j, -1], cfg.sigma_floor)
+            failure, active = LearnerDivergence(k, None, last, arm=j), j
         if active == 0:
             raise failure
     if failure is not None:
@@ -304,7 +302,6 @@ def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
         )
         results.append(RunResult(
             policy=PolicyParams.from_vector(rows[-1], cfg.sigma_floor),
-            mean_field=MeanField(arm_paths[-1]),
             trace=LearningTrace(records=records, mean_paths=arm_paths),
         ))
     return results

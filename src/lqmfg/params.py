@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,11 +19,13 @@ class DomainError(ValueError):
 
 def check_finite(obj) -> None:
     """Raise ParameterError naming the first float field of the dataclass
-    ``obj`` that is NaN or infinite (only a float can be either)."""
+    ``obj`` that is NaN, infinite or too large to square, as the closed forms
+    and the learner do, without overflow (only a float can be any of these)."""
+    bound = math.sqrt(sys.float_info.max)  # the largest float with a finite square
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{f.name} must be finite")
+        if isinstance(value, float) and not abs(value) <= bound:
+            raise ParameterError(f"{f.name} must be finite, of magnitude at most {bound:.4g}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, T: float, n_steps: int) -> "TimeGrid":
-        return cls(n_steps=n_steps, dt=T / n_steps)
+        return cls(n_steps=n_steps, dt=T / max(n_steps, 1))  # n_steps < 1 is rejected
 
     @property
     def horizon(self) -> float:

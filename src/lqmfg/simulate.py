@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .analytic import GaussianFeedbackPolicy
 from .params import DomainError, GameParams, ParameterError, TimeGrid
 
@@ -31,28 +30,14 @@ SIGMA_FLOOR = 1e-6
 _CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class MeanField:
-    """Population mean-state path m_0..m_N aligned with a TimeGrid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or len(self.values) < 2:
-            raise ParameterError("mean field must be a 1-d path of at least 2 values")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("mean field values must be finite")
-
-    @classmethod
-    def constant(cls, value: float, grid: TimeGrid) -> "MeanField":
-        return cls(np.full(grid.n_steps + 1, float(value)))
-
-    def check_aligned(self, grid: TimeGrid) -> None:
-        if len(self.values) != grid.n_steps + 1:
-            raise ParameterError(
-                f"mean field has {len(self.values)} values, grid needs {grid.n_steps + 1}"
-            )
+def check_path(path, grid: TimeGrid, stack: bool = False) -> np.ndarray:
+    """``path`` as a float array: one mean path m_0..m_N on the grid, or
+    with ``stack`` also an (S, N + 1) stack of them. Raises ParameterError
+    naming a mismatched shape."""
+    path = np.asarray(path, dtype=float)
+    if path.shape[-1:] != (grid.n_steps + 1,) or path.ndim > 1 + stack:
+        raise ParameterError(f"mean path has shape {path.shape}, grid has {grid.n_steps} steps")
+    return path
 
 
 @dataclass(frozen=True)
@@ -196,13 +181,13 @@ def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
 def _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None):
     """Rewards of n_paths rollouts drawn chunk by chunk (fixed draw layout)."""
     policy.check_aligned(grid)
-    mean_field.check_aligned(grid)
+    path = check_path(mean_field, grid)
     rewards = np.empty(n_paths)
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)
         x0, dW = draw_noise(stream, params, grid.dt, stop - start, grid.n_steps)
         rewards[start:stop] = rollout(
-            params, grid.dt, mean_field.values, policy.m_hat, policy.sigma2, x0, dW,
+            params, grid.dt, path, policy.m_hat, policy.sigma2, x0, dW,
             None if states is None else states[start:stop],
         )
     return rewards
@@ -212,11 +197,11 @@ def sample_rewards(
     params: GameParams,
     grid: TimeGrid,
     policy: PolicyParams,
-    mean_field: MeanField,
+    mean_field: np.ndarray,
     n_paths: int,
     stream: np.random.Generator,
 ) -> np.ndarray:
-    """Realized rewards over n_paths independent paths (fixed draw layout)."""
+    """Realized rewards of n_paths independent paths against a mean path (fixed draw layout)."""
     return _rollout_chunks(params, grid, policy, mean_field, n_paths, stream)
 
 
@@ -224,7 +209,7 @@ def simulate_states(
     params: GameParams,
     grid: TimeGrid,
     policy: PolicyParams,
-    mean_field: MeanField,
+    mean_field: np.ndarray,
     n_paths: int,
     stream: np.random.Generator,
 ) -> np.ndarray:
@@ -239,25 +224,8 @@ def mean_and_stderr(rewards: np.ndarray) -> tuple[float, float]:
     return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(len(rewards)))
 
 
-def mc_expected_reward(
-    params: GameParams,
-    grid: TimeGrid,
-    policy: PolicyParams,
-    mean_field: MeanField,
-    n_paths: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, stderr) of the expected reward."""
-    if n_paths < 2:
-        raise ParameterError("n_paths must be >= 2")
-    stream = rng.substream(seed, rng.TRAJECTORY)
-    return mean_and_stderr(
-        sample_rewards(params, grid, policy, mean_field, n_paths, stream)
-    )
-
-
 def expected_reward_exact(
-    params: GameParams, grid: TimeGrid, policy: PolicyParams, mean_field: MeanField
+    params: GameParams, grid: TimeGrid, policy: PolicyParams, mean_field: np.ndarray
 ) -> float:
     """Exact expectation of the realized reward under the discrete dynamics.
 
@@ -268,9 +236,8 @@ def expected_reward_exact(
     Monte Carlo estimate of the same quantity.
     """
     policy.check_aligned(grid)
-    mean_field.check_aligned(grid)
+    m = check_path(mean_field, grid)
     dt = grid.dt
-    m = mean_field.values
     a = params.A + params.B * policy.m_hat
     mhat = params.xi_mean
     phi2 = params.xi_second_moment
@@ -296,21 +263,19 @@ def expected_reward_exact(
     return float(total)
 
 
-def propagate_mean_field(
-    params: GameParams, grid: TimeGrid, policy: PolicyParams, prev: MeanField
-) -> MeanField:
-    """Exact mean path when every agent plays the policy against ``prev``.
+def propagate_mean_field(params: GameParams, grid: TimeGrid, m_hat, prev) -> np.ndarray:
+    """Exact mean path when every agent plays gain ``m_hat`` against ``prev``.
 
     This is the expectation of the discrete dynamics (the fictitious-play
     update): the new path starts at the initial mean and reverts toward the
-    previous iteration's path at rate A + B*m_hat. Deterministic.
+    previous iteration's path at rate A + B*m_hat. Deterministic. A gain or
+    an (S,) vector of them, against a path or an (S, N + 1) stack; a huge
+    gain overflows to a non-finite path, which is returned as it is.
     """
-    policy.check_aligned(grid)
-    prev.check_aligned(grid)
-    a = params.A + params.B * policy.m_hat
-    out = np.empty(grid.n_steps + 1)
-    out[0] = params.xi_mean
+    prev = check_path(prev, grid, stack=True)
+    a = params.A + params.B * np.asarray(m_hat, dtype=float)
+    out = np.empty(np.broadcast_shapes(prev.shape, a.shape + (1,)))
+    out[..., 0] = params.xi_mean
     for s in range(grid.n_steps):
-        out[s + 1] = out[s] + a * (prev.values[s] - out[s]) * grid.dt
-    return MeanField(out)
-
+        out[..., s + 1] = out[..., s] + a * (prev[..., s] - out[..., s]) * grid.dt
+    return out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lqmfg import GameParams, TimeGrid
+from lqmfg import GameParams, TimeGrid, rng, sample_rewards
+from lqmfg.simulate import mean_and_stderr
 
 
 @pytest.fixture
@@ -45,3 +46,10 @@ def random_params(rng_: np.random.Generator, **overrides):
     base["xi_second_moment"] = base["xi_mean"] ** 2 + rng_.uniform(0.0, 2.0)
     base.update(overrides)
     return GameParams(**base)
+
+
+def mc_reward(params, grid, policy, path, n_paths, seed):
+    """Monte Carlo (mean, stderr) of the reward against the mean path
+    ``path`` over n_paths paths of the seed's trajectory substream."""
+    stream = rng.substream(seed, rng.TRAJECTORY)
+    return mean_and_stderr(sample_rewards(params, grid, policy, path, n_paths, stream))

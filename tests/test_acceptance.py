@@ -30,18 +30,15 @@ import pytest
 
 from lqmfg import (
     GaussianFeedbackPolicy,
-    MeanField,
     TimeGrid,
     discretize_policy,
     equilibrium_policy,
-    equilibrium_state_variance,
     expected_reward_exact,
     feedback_policy_payoff,
     game_value,
-    mc_expected_reward,
     riccati_coefficient,
     simulate_states,
-    value_offset,
+    solve_equilibrium,
 )
 from lqmfg import rng
 from lqmfg.analytic import decay_rate
@@ -49,7 +46,7 @@ from lqmfg.config import config_from_dict, config_to_dict, default_config
 from lqmfg.harness import reference_policy, run_arms
 from lqmfg.learner import _sample_sphere_batch
 
-from conftest import make_params
+from conftest import make_params, mc_reward
 
 REFERENCE_GRID = TimeGrid.from_horizon(0.1, 5)
 SEEDS = list(range(20))
@@ -79,8 +76,8 @@ def test_criterion_1_closed_form_correctness():
         ok &= bool(np.all(residual <= 1e-4 * np.maximum(1.0, np.abs(eta[1:-1]))))
     ok &= riccati_coefficient(p_se, 0.1, "se") == p_se.Q_bar
     ok &= riccati_coefficient(p_ee, 0.1, "ee") == p_ee.Q_bar
-    ok &= value_offset(p_se, 0.1, REFERENCE_GRID, "se") == 0.0
-    ok &= value_offset(p_ee, 0.1, REFERENCE_GRID, "ee") == 0.0
+    ok &= solve_equilibrium(p_se, "se", REFERENCE_GRID).value_offset[-1] == 0.0
+    ok &= solve_equilibrium(p_ee, "ee", REFERENCE_GRID).value_offset[-1] == 0.0
     sample = np.linspace(0.0, 0.1, 101)
     ok &= bool(
         np.all(
@@ -91,9 +88,10 @@ def test_criterion_1_closed_form_correctness():
             <= 1e-12
         )
     )
+    # the value offsets' gap: the Riccati terms of the two values are equal
     for t in (0.0, 0.03, 0.07, 0.1):
         gap = abs(
-            value_offset(p_se, t, REFERENCE_GRID, "ee") - value_offset(p_se, t, REFERENCE_GRID, "se")
+            game_value(p_se, "ee", t, REFERENCE_GRID) - game_value(p_se, "se", t, REFERENCE_GRID)
         )
         ok &= gap <= 1e-9
     assert _report(
@@ -109,7 +107,7 @@ def test_criterion_1_closed_form_correctness():
 def test_criterion_2_mean_invariance():
     params = make_params()
     policy = discretize_policy(equilibrium_policy(params, "se"), REFERENCE_GRID)
-    mean_field = MeanField.constant(params.xi_mean, REFERENCE_GRID)
+    mean_field = np.full(REFERENCE_GRID.n_steps + 1, params.xi_mean)
     states = simulate_states(
         params, REFERENCE_GRID, policy, mean_field, 100_000, rng.substream(202, rng.TRAJECTORY)
     )
@@ -137,7 +135,7 @@ def test_criterion_3_state_variance_formula():
         for lam_ce in (0.0, 1.0):
             params = make_params(lambda_se=lam_se, lambda_ce=lam_ce)
             policy = discretize_policy(equilibrium_policy(params, "ee"), fine)
-            mean_field = MeanField.constant(params.xi_mean, fine)
+            mean_field = np.full(fine.n_steps + 1, params.xi_mean)
             states = simulate_states(
                 params, fine, policy, mean_field, 100_000,
                 rng.substream(303, rng.TRAJECTORY, int(lam_se), int(lam_ce)),
@@ -146,7 +144,7 @@ def test_criterion_3_state_variance_formula():
             sample_var = x_T.var(ddof=1)
             centered = (x_T - x_T.mean()) ** 2
             se = centered.std(ddof=1) / math.sqrt(len(x_T))
-            analytic = equilibrium_state_variance(params, 0.1, fine, "ee")
+            analytic = solve_equilibrium(params, "ee", fine).state_variance[-1]
             gap = abs(analytic - sample_var)
             ok &= gap <= 3 * se
             details.append(f"({lam_se},{lam_ce}): {gap:.1e}<={3 * se:.1e}")
@@ -192,8 +190,8 @@ def test_criterion_4_feedback_policy_payoff():
         for n_steps in (5, 50):
             g = TimeGrid.from_horizon(0.1, n_steps)
             step_policy = discretize_policy(policy, g)
-            mf = MeanField(np.asarray(mean_fn(g.times())))
-            mc, stderr = mc_expected_reward(
+            mf = np.asarray(mean_fn(g.times()))
+            mc, stderr = mc_reward(
                 params, g, step_policy, mf, 100_000, seed=4000 + idx * 10 + n_steps
             )
             exact = expected_reward_exact(params, g, step_policy, mf)
@@ -227,8 +225,8 @@ def test_criterion_5_value_consistency():
     for n_steps in (5, 50, 500):
         g = TimeGrid.from_horizon(0.1, n_steps)
         policy = discretize_policy(equilibrium_policy(params, "se"), g)
-        mf = MeanField.constant(params.xi_mean, g)
-        mc, stderr = mc_expected_reward(params, g, policy, mf, 200_000, seed=505)
+        mf = np.full(g.n_steps + 1, params.xi_mean)
+        mc, stderr = mc_reward(params, g, policy, mf, 200_000, seed=505)
         exact = expected_reward_exact(params, g, policy, mf)
         ok &= abs(mc - gv) <= 3 * stderr + budget_rate * g.dt
         ok &= abs(mc - exact) <= 3 * stderr

@@ -14,24 +14,21 @@ import pytest
 from lqmfg import (
     DomainError,
     GaussianFeedbackPolicy,
-    MeanField,
     ParameterError,
     TimeGrid,
     discretize_policy,
     equilibrium_policy,
     equilibrium_state_rates,
-    equilibrium_state_variance,
     feedback_policy_payoff,
     game_value,
     riccati_coefficient,
     simulate_states,
     solve_equilibrium,
-    value_offset,
 )
 from lqmfg import rng
 from lqmfg.analytic import _moment_paths, constant_fn, decay_rate, step_fn
 
-from conftest import make_params, random_params
+from conftest import make_params, mc_reward, random_params
 
 # Backward-ODE oracle at t=0 (RK4, step 1e-6), reference coefficients.
 ETA_SE_0_ORACLE = 1.2935973713488516
@@ -149,33 +146,38 @@ class TestRiccatiCoefficient:
         assert riccati_coefficient(p, 0.0, "se") == pytest.approx(0.48, abs=1e-6)
 
 
+def value_offsets(params, grid, game):
+    """The value offset at every grid time (the ``solve_equilibrium`` column)."""
+    return solve_equilibrium(params, game, grid).value_offset
+
+
 class TestValueOffset:
     def test_zero_at_terminal_time(self, params, grid):
-        assert value_offset(params, params.T, grid, "se") == 0.0
-        assert value_offset(params, params.T, grid, "ee") == 0.0
+        assert value_offsets(params, grid, "se")[-1] == 0.0
+        assert value_offsets(params, grid, "ee")[-1] == 0.0
 
     def test_matches_fine_quadrature_oracle(self, params, grid):
         oracle = fine_trapezoid_offset_oracle(params, "se")
         assert oracle == pytest.approx(GAMMA_SE_0_ORACLE, abs=1e-12)
-        assert value_offset(params, 0.0, grid, "se") == pytest.approx(oracle, abs=1e-6)
+        assert value_offsets(params, grid, "se")[0] == pytest.approx(oracle, abs=1e-6)
 
     def test_null_case_vanishes(self, grid):
         # log weight 1 and a constant unit curvature kill both terms
         lam = 4.0 / (2.0 * math.pi)  # 2*pi*lam / D^2 = 1 for D = 2
         p = make_params(Q_bar=1.0, Q=6.25, lambda_se=lam)
-        assert abs(value_offset(p, 0.0, grid, "se")) < 1e-12
+        assert abs(value_offsets(p, grid, "se")[0]) < 1e-12
 
     def test_enhanced_reduces_to_shannon(self, params, grid):
-        for t in (0.0, 0.04, 0.1):
-            se = value_offset(params, t, grid, "se")
-            ee = value_offset(params, t, grid, "ee")
-            assert abs(ee - se) <= 1e-9
+        # every grid time, 0.04 and 0.1 among them
+        se = value_offsets(params, grid, "se")
+        ee = value_offsets(params, grid, "ee")
+        assert np.all(np.abs(ee - se) <= 1e-9)
 
     def test_enhanced_matches_nested_quadrature_oracle(self, grid):
         p = make_params(lambda_ce=1.0)
         oracle = fine_trapezoid_offset_oracle(p, "ee")
         assert oracle == pytest.approx(GAMMA_EE_0_ORACLE, abs=1e-11)
-        assert value_offset(p, 0.0, grid, "ee") == pytest.approx(oracle, abs=1e-5)
+        assert value_offsets(p, grid, "ee")[0] == pytest.approx(oracle, abs=1e-5)
 
 
 class TestEquilibriumPolicy:
@@ -233,27 +235,30 @@ class TestEquilibriumStateRates:
 
 
 class TestEquilibriumStateVariance:
+    """The ``solve_equilibrium`` state-variance column, started at t = 0."""
+
     def test_no_time_elapsed(self, params, grid):
-        assert equilibrium_state_variance(params, 0.0, grid, "ee") == pytest.approx(
+        assert solve_equilibrium(params, "ee", grid).state_variance[0] == pytest.approx(
             params.xi_var, rel=1e-12
         )
 
     def test_exploration_injects_variance(self, grid):
         p = make_params(xi_second_moment=0.1**2)  # deterministic start
         assert p.xi_var == 0.0
-        assert equilibrium_state_variance(p, 0.05, grid, "ee") > 0.0
+        assert np.all(solve_equilibrium(p, "ee", grid).state_variance[1:] > 0.0)
 
     def test_domain(self, params, grid):
+        # a grid running past the horizon, and a value time past it
         with pytest.raises(DomainError):
-            equilibrium_state_variance(params, 0.2, grid, "ee")
+            solve_equilibrium(params, "ee", TimeGrid(n_steps=5, dt=0.04))
         with pytest.raises(DomainError):
-            equilibrium_state_variance(params, 0.03, grid, "ee", start_time=0.05)
+            game_value(params, "ee", 0.2, grid)
 
     def test_monte_carlo_oracle(self, params):
         # sample variance of the equilibrium dynamics on a fine grid
         fine = TimeGrid.from_horizon(params.T, 50)
         policy = discretize_policy(equilibrium_policy(params, "se"), fine)
-        mean_field = MeanField.constant(params.xi_mean, fine)
+        mean_field = np.full(fine.n_steps + 1, params.xi_mean)
         states = simulate_states(
             params, fine, policy, mean_field, 100_000, rng.substream(11, rng.TRAJECTORY)
         )
@@ -261,7 +266,7 @@ class TestEquilibriumStateVariance:
         sample_var = x_T.var(ddof=1)
         centered = (x_T - x_T.mean()) ** 2
         se_var = centered.std(ddof=1) / np.sqrt(len(x_T))
-        analytic = equilibrium_state_variance(params, params.T, fine, "ee")
+        analytic = solve_equilibrium(params, "ee", fine).state_variance[-1]
         assert abs(analytic - sample_var) <= 3 * se_var
 
 
@@ -286,7 +291,7 @@ class TestGameValue:
         p = make_params(lambda_ce=1.0)
         fine = TimeGrid.from_horizon(p.T, 50)
         pol = discretize_policy(equilibrium_policy(p, "ee"), fine)
-        mf = MeanField.constant(p.xi_mean, fine)
+        mf = np.full(fine.n_steps + 1, p.xi_mean)
 
         lam_total = p.lambda_se + p.lambda_ce
         slope2 = (lam_total / p.lambda_se * p.B / p.D**2) ** 2
@@ -363,11 +368,9 @@ class TestFeedbackPolicyPayoff:
     def test_monte_carlo_oracle_at_equilibrium(self, params):
         fine = TimeGrid.from_horizon(params.T, 50)
         pol = equilibrium_policy(params, "se")
-        from lqmfg import mc_expected_reward
-
-        mean, stderr = mc_expected_reward(
+        mean, stderr = mc_reward(
             params, fine, discretize_policy(pol, fine),
-            MeanField.constant(params.xi_mean, fine), 100_000, seed=23,
+            np.full(fine.n_steps + 1, params.xi_mean), 100_000, seed=23,
         )
         out = feedback_policy_payoff(params, pol, constant_fn(params.xi_mean), fine)
         assert abs(out.total - mean) <= 3 * stderr

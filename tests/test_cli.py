@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lqmfg.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
+from lqmfg.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lqmfg.config import config_to_dict, default_config
 
 
@@ -25,6 +31,13 @@ def write_tiny_config(path, lambda_values=(1.0,), **learner_overrides):
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
+
+
+# overrides that cut a learner run to one round of one step on tiny batches
+TINY_LEARN = (
+    "--set", "learner.n_outer=1", "--set", "learner.n_inner=1",
+    "--set", "learner.n_perturbations=2", "--set", "n_eval_paths=2",
+)
 
 
 def numeric_block(out: str) -> str:
@@ -243,18 +256,29 @@ class TestExitCodes:
         # a tiny run, so that a setting which slips through fails fast
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
-            capsys, "learn", "--lambda-se", "1", "--set", override,
-            "--set", "learner.n_outer=1", "--set", "learner.n_inner=1",
-            "--set", "learner.n_perturbations=2", "--set", "n_eval_paths=2",
+            capsys, "learn", "--lambda-se", "1", "--set", override, *TINY_LEARN,
             "--out-dir", str(out_dir),
         )
         assert code == EXIT_CONFIG
         assert named in err and out == ""
         assert not (out_dir / "FAILED").exists()
 
-    def test_runtime_error_exit_code(self, capsys, tmp_path):
-        from lqmfg.cli import EXIT_RUNTIME
+    @pytest.mark.parametrize("argv, named", [
+        (("solve", "--set", "game.B=1e200"), "game: B must be finite"),
+        (("simulate", "--n-paths", "2", "--set", "game.D=1e308"), "game: D must be finite"),
+        (("solve", "--set", "game.xi_mean=1e200", "--set", "game.xi_second_moment=1e300"),
+         "game: xi_mean must be finite"),
+        (("learn", "--lambda-se", "1", "--set", "learner.radius=1e308", *TINY_LEARN),
+         "learner: radius must be finite"),
+    ], ids=["decay_rate", "equilibrium_policy", "initial_moments", "sphere_average"])
+    def test_a_value_whose_square_overflows_is_named(self, capsys, tmp_path, argv, named):
+        # each would overflow squaring a Python float in the closed forms or
+        # the gradient estimator
+        code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert named in err and out == ""
 
+    def test_runtime_error_exit_code(self, capsys, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.json", n_outer=1, n_inner=1)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where a directory must go")
@@ -267,8 +291,6 @@ class TestExitCodes:
 
     def test_learner_divergence_exit_code_and_marker(self, capsys, tmp_path):
         import warnings
-
-        from lqmfg.cli import EXIT_RUNTIME
 
         out = tmp_path / "out"
         out.mkdir()
@@ -291,8 +313,6 @@ class TestExitCodes:
         # a finite but huge gain after round 0 overflows the mean-field update
         import warnings
 
-        from lqmfg.cli import EXIT_RUNTIME
-
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warnings
@@ -307,3 +327,51 @@ class TestExitCodes:
         assert marker.startswith("lambda_se=0: learner diverged at outer round k=0: ")
         assert "last finite policy: m_hat=" in marker
         assert not (out / "manifest.json").exists()
+
+
+def _schema_keys(section, prefix=""):
+    for key, value in section.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _schema_keys(value, f"{prefix}{key}.")
+
+
+SCHEMA_KEYS = list(_schema_keys(config_to_dict(default_config())))
+BAD_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "1e308", "x", "[]", "{}"]
+
+
+def _main_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(SCHEMA_KEYS), st.sampled_from(BAD_VALUES)),
+                min_size=1, max_size=3))
+def test_exit_code_contract(overrides):
+    """Any overrides of schema keys with bad values end in a documented exit
+    code, never an uncaught exception: a configuration error names one of
+    the overridden fields, and a learner divergence leaves its marker."""
+    sets = [arg for key, value in overrides for arg in ("--set", f"{key}={value}")]
+    names = {key.rsplit(".", 1)[-1] for key, _ in overrides}
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir, blocker = os.path.join(tmp, "out"), os.path.join(tmp, "file")
+        with open(blocker, "w") as fh:
+            fh.write("a file where a directory must go")
+        runs = [
+            ("solve", *sets),
+            ("simulate", "--n-paths", "2", *sets),
+            ("learn", *TINY_LEARN, *sets, "--out-dir", out_dir),
+        ]
+        for argv in runs:
+            code, err = _main_quietly(*argv)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_CHECK), argv
+            if code == EXIT_CONFIG:
+                assert any(name in err for name in names), (argv, err)
+            if code == EXIT_RUNTIME:
+                assert "learner diverged" in err, (argv, err)
+                assert os.path.exists(os.path.join(out_dir, "FAILED")), argv
+        code, err = _main_quietly("learn", *TINY_LEARN, *sets, "--out-dir", blocker)
+        assert code in (EXIT_CONFIG, EXIT_RUNTIME), err

@@ -76,7 +76,7 @@ def test_model_invariants_surface_as_config_errors():
                 config_from_dict(data)
     data = config_to_dict(default_config())
     data["learner"]["init"]["m_hat_var"] = -1.0
-    with pytest.raises(ConfigError, match="learner.init: initializer variances"):
+    with pytest.raises(ConfigError, match="learner.init: m_hat_var and sigma2_var must be"):
         config_from_dict(data)
 
 

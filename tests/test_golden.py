@@ -22,7 +22,6 @@ import numpy as np
 from lqmfg import (
     GaussianFeedbackPolicy,
     LearnerConfig,
-    MeanField,
     TimeGrid,
     equilibrium_policy,
     estimate_gradient,
@@ -92,7 +91,7 @@ def _rollout_inputs():
     params = make_params()
     grid = TimeGrid.from_horizon(params.T, 50)
     policy = reference_policy(params, grid)
-    mean_field = MeanField(np.linspace(0.1, 0.3, grid.n_steps + 1))
+    mean_field = np.linspace(0.1, 0.3, grid.n_steps + 1)
     return params, grid, policy, mean_field
 
 
@@ -113,13 +112,13 @@ def test_gradient_estimates():
     params = make_params()
     grid = TimeGrid.from_horizon(params.T, 5)
     policy = reference_policy(params, grid)
-    mean_field = MeanField.constant(0.05, grid)
+    mean_field = np.full(grid.n_steps + 1, 0.05)
     shared = LearnerConfig()
     raw = dataclasses.replace(shared, shared_rollout_noise=False, baseline="none")
     for key, cfg in (("estimate_gradient[shared+loo]", shared), ("estimate_gradient[raw]", raw)):
         stream = rng.substream(3, rng.PERTURBATION, 1, 2)
         estimate = estimate_gradient(
-            [params], grid, policy.to_vector()[None], mean_field.values[None], cfg, [stream]
+            [params], grid, policy.to_vector()[None], mean_field[None], cfg, [stream]
         )
         assert _sha(estimate.tobytes()) == GOLDEN[key], key
 

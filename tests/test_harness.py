@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from lqmfg import (
-    MeanField,
     ParameterError,
     PayoffEvaluator,
-    PolicyParams,
     equilibrium_policy,
     discretize_policy,
     reference_policy,
@@ -59,25 +57,22 @@ class TestReferencePolicy:
 class TestPayoffEvaluator:
     def test_self_error_is_zero(self, params, grid):
         ev = PayoffEvaluator(params, grid, 1024, seed=3)
-        assert ev.rel_error(ev.reference, ev.reference_mean_field) == 0.0
+        assert ev.rel_error(ev.reference.m_hat, ev.reference.sigma2, ev.reference_path) == 0.0
 
     def test_bitwise_repeatability(self, params, grid):
-        policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, 0.3))
-        mf = MeanField.constant(0.05, grid)
-        a = PayoffEvaluator(params, grid, 1024, seed=9).payoff(policy, mf)
-        b = PayoffEvaluator(params, grid, 1024, seed=9).payoff(policy, mf)
+        sigma2, path = np.full(5, 0.3), np.full(6, 0.05)
+        a = PayoffEvaluator(params, grid, 1024, seed=9).payoff(0.5, sigma2, path)
+        b = PayoffEvaluator(params, grid, 1024, seed=9).payoff(0.5, sigma2, path)
         assert a == b
 
     def test_inflated_exploration_increases_the_error(self, params, grid):
         ev = PayoffEvaluator(params, grid, 8192, seed=5)
-        ref = ev.reference
-        scaled = PolicyParams(m_hat=ref.m_hat, sigma2=10.0 * ref.sigma2)
-        assert ev.rel_error(scaled, ev.reference_mean_field) > ev.rel_error(
-            ref, ev.reference_mean_field
-        )
+        ref, path = ev.reference, ev.reference_path
+        scaled = ev.rel_error(ref.m_hat, 10.0 * ref.sigma2, path)
+        assert scaled > ev.rel_error(ref.m_hat, ref.sigma2, path)
 
     def test_degenerate_reference_guard(self, params, grid, monkeypatch):
-        monkeypatch.setattr(PayoffEvaluator, "payoff", lambda self, p, m: (0.0, 0.0))
+        monkeypatch.setattr(PayoffEvaluator, "payoff", lambda self, *args: (0.0, 0.0))
         with pytest.raises(DegenerateReferenceError):
             PayoffEvaluator(params, grid, 64, seed=0)
 

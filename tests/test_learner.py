@@ -7,7 +7,6 @@ import pytest
 from lqmfg import (
     InitSpec,
     LearnerConfig,
-    MeanField,
     ParameterError,
     PayoffEvaluator,
     PolicyParams,
@@ -15,6 +14,7 @@ from lqmfg import (
     equilibrium_policy,
     estimate_gradient,
     gradient_step,
+    propagate_mean_field,
     reference_policy,
 )
 from lqmfg import learner, rng
@@ -41,7 +41,7 @@ def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
     """One best-response round of a stack of one arm: (final policy, the
     (I + 1, 1 + N) policies before every step and after the last)."""
     steps, _ = inner_loop(
-        [params], grid, mean_field.values[None], cfg, [seed],
+        [params], grid, mean_field[None], cfg, [seed],
         initial=None if initial is None else initial.to_vector()[None], **kwargs,
     )
     return PolicyParams.from_vector(steps[0, -1], cfg.sigma_floor), steps[0]
@@ -50,7 +50,7 @@ def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
 def estimate_one(params, grid, policy, mean_field, cfg, stream):
     """The (1, 1 + N) gradient estimate of a stack of one arm."""
     return estimate_gradient(
-        [params], grid, policy.to_vector()[None], mean_field.values[None], cfg, [stream]
+        [params], grid, policy.to_vector()[None], mean_field[None], cfg, [stream]
     )
 
 
@@ -116,7 +116,7 @@ class TestSphereGradientEstimate:
 class TestEstimateGradient:
     def test_same_substream_identical(self, params, grid):
         policy = reference_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         cfg = small_cfg()
         a = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 1))
         b = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 1))
@@ -125,7 +125,7 @@ class TestEstimateGradient:
 
     def test_raw_estimator_mode_runs(self, params, grid):
         policy = reference_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         cfg = small_cfg(shared_rollout_noise=False, baseline="none")
         out = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 2))
         assert np.all(np.isfinite(out))
@@ -134,7 +134,7 @@ class TestEstimateGradient:
         # variances sitting at the floor stay evaluable under perturbation
         cfg = small_cfg(radius=0.5)
         policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, cfg.sigma_floor))
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         out = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 3))
         assert np.all(np.isfinite(out))
 
@@ -156,7 +156,7 @@ class TestGradientStep:
         # oracle direction: central differences of a common-random-number
         # Monte Carlo payoff; ten steps must increase the payoff
         evaluator = PayoffEvaluator(params, grid, 8192, seed=5)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         cfg = small_cfg(step_size=0.05)
 
         def oracle_gradient(policy):
@@ -167,24 +167,24 @@ class TestGradientStep:
                 up, dn = vec.copy(), vec.copy()
                 up[i] += h
                 dn[i] -= h
-                j_up, _ = evaluator.payoff(PolicyParams.from_vector(up), mf)
-                j_dn, _ = evaluator.payoff(PolicyParams.from_vector(dn), mf)
+                j_up, _ = evaluator.payoff(up[0], up[1:], mf)
+                j_dn, _ = evaluator.payoff(dn[0], dn[1:], mf)
                 out[i] = (j_up - j_dn) / (2 * h)
             return out
 
         policy = PolicyParams(m_hat=0.4, sigma2=np.full(5, 0.45))
-        start, _ = evaluator.payoff(policy, mf)
+        start, _ = evaluator.payoff(policy.m_hat, policy.sigma2, mf)
         for _ in range(10):
             policy = PolicyParams.from_vector(
                 gradient_step(policy.to_vector(), oracle_gradient(policy), cfg)
             )
-        end, _ = evaluator.payoff(policy, mf)
+        end, _ = evaluator.payoff(policy.m_hat, policy.sigma2, mf)
         assert end > start
 
 
 class TestInnerLoop:
     def test_no_steps_returns_the_initializer(self, params, grid):
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         cfg = small_cfg(n_inner=0)
         policy, records = inner_one(params, grid, mf, cfg)
         init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
@@ -196,26 +196,26 @@ class TestInnerLoop:
     def test_point_mass_initializer(self, params, grid):
         spec = InitSpec(m_hat_mean=0.75, m_hat_var=0.0, sigma2_mean=0.3, sigma2_var=0.0)
         cfg = small_cfg(n_inner=0, init=spec)
-        policy, _ = inner_one(params, grid, MeanField.constant(0.1, grid), cfg)
+        policy, _ = inner_one(params, grid, np.full(grid.n_steps + 1, 0.1), cfg)
         assert policy.m_hat == 0.75
         np.testing.assert_array_equal(policy.sigma2, np.full(5, 0.3))
 
     def test_improves_on_the_initializer(self, params, grid):
         # against the frozen equilibrium mean path, one best-response round
         # should beat its own random initializer almost always
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         wins = 0
         for seed in range(20):
             evaluator = PayoffEvaluator(params, grid, 2048, seed=1000 + seed)
             _, steps = inner_one(params, grid, mf, LearnerConfig(), seed=seed)
-            first, last = (PolicyParams.from_vector(steps[i]) for i in (0, -1))
-            if evaluator.rel_error(last, mf) <= evaluator.rel_error(first, mf):
+            first, last = (evaluator.rel_error(row[0], row[1:], mf) for row in steps[[0, -1]])
+            if last <= first:
                 wins += 1
         assert wins >= 18
 
 
     def test_divergence_names_the_step_and_the_last_finite_policy(self, params, grid):
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         cfg = LearnerConfig(step_size=50.0, n_inner=200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
@@ -241,12 +241,10 @@ class TestRun:
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
         assert result.policy.m_hat == expected.m_hat
         assert len(result.trace.records) == 1
-        from lqmfg import propagate_mean_field
-
-        mf0 = MeanField.constant(cfg.initial_mean_field, grid)
+        mf0 = np.full(grid.n_steps + 1, cfg.initial_mean_field)
         np.testing.assert_array_equal(
-            result.mean_field.values,
-            propagate_mean_field(params, grid, result.policy, mf0).values,
+            result.trace.mean_paths[-1],
+            propagate_mean_field(params, grid, result.policy.m_hat, mf0),
         )
 
     def test_trace_shape(self, params, grid):
@@ -261,7 +259,6 @@ class TestRun:
         assert records.sigma2.shape == (3 * 8, grid.n_steps)
         assert paths.shape == (3 + 1, grid.n_steps + 1)
         np.testing.assert_array_equal(paths[0], np.full(grid.n_steps + 1, 0.25))
-        np.testing.assert_array_equal(paths[-1], result.mean_field.values)
         assert records[-1].m_hat == result.policy.m_hat
         np.testing.assert_array_equal(records[-1].sigma2, result.policy.sigma2)
         # the learner does not score its trace
@@ -273,7 +270,7 @@ class TestRun:
         r2 = run_one(params, grid, cfg)
         assert r1.policy.m_hat == r2.policy.m_hat
         np.testing.assert_array_equal(r1.policy.sigma2, r2.policy.sigma2)
-        np.testing.assert_array_equal(r1.mean_field.values, r2.mean_field.values)
+        np.testing.assert_array_equal(r1.trace.mean_paths, r2.trace.mean_paths)
 
     def test_raw_estimator_run_is_deterministic(self, params, grid):
         cfg = small_cfg(
@@ -306,15 +303,13 @@ class TestRun:
         cfg = LearnerConfig(
             n_outer=3, init=spec, initial_mean_field=params.xi_mean,
         )
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         noise_scale = 3 * evaluator.reference_stderr / abs(evaluator.reference_payoff)
         policy = ne
         for k in range(cfg.n_outer):
             policy, _ = inner_one(params, grid, mf, cfg, initial=policy, seed=11, outer_index=k)
-            assert evaluator.rel_error(policy, mf) <= noise_scale
-            from lqmfg import propagate_mean_field
-
-            mf = propagate_mean_field(params, grid, policy, mf)
+            assert evaluator.rel_error(policy.m_hat, policy.sigma2, mf) <= noise_scale
+            mf = propagate_mean_field(params, grid, policy.m_hat, mf)
 
 
 class TestLockstepDivergence:
@@ -366,20 +361,39 @@ class TestLockstepDivergence:
         # arm 1 and the arm after it stopped at step 11; arm 0 ran both rounds
         assert sizes == [3] * 12 + [1] * (8 + 20)
 
-    def test_a_blown_up_mean_field_update_is_a_divergence_in_stack_order(self, params, grid):
+    @pytest.mark.parametrize("n_inner, step, arms, j, sizes", [
         # step 10 on 30 steps: run alone, (lambda_se, seed) (0, 0) ends round
         # 0 with a gain whose mean-field update overflows; (1, 1) diverges
         # at k=0, i=10, earlier in time but later in stack order
-        cfg = LearnerConfig(n_outer=2, n_inner=30, step_size=10.0)
-        arms = [(0.0, 0), (1.0, 1)]
+        (30, 10.0, [(0.0, 0), (1.0, 1)], 0, [2] * 11 + [1] * 19),
+        # the class's step 3 on 20 steps: (0, 8) overflows the update after
+        # round 0 between two arms that never diverge; the arm before it
+        # runs both rounds, the arm after it stops with it
+        (20, 3.0, [(1.0, 2), (0.0, 8), (0.0, 4)], 1, [3] * 20 + [1] * 20),
+    ], ids=["first_arm", "middle_arm"])
+    def test_a_blown_up_mean_field_update_is_a_divergence_in_stack_order(
+        self, params, grid, monkeypatch, n_inner, step, arms, j, sizes
+    ):
+        cfg = LearnerConfig(n_outer=2, n_inner=n_inner, step_size=step)
         params_s, seeds_s = self.stack(params, arms)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as alone:
-                learner_run(params_s[:1], grid, cfg, seeds_s[:1])
+                learner_run(params_s[j:j + 1], grid, cfg, seeds_s[j:j + 1])
+        seen = []
+        estimate = learner.estimate_gradient
+
+        def counted(params, grid, policies, *args):
+            seen.append(len(policies))
+            return estimate(params, grid, policies, *args)
+
+        monkeypatch.setattr(learner, "estimate_gradient", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as together:
                 learner_run(params_s, grid, cfg, seeds_s)
+        # the arms before the failing one ran both rounds; it and those after it stopped
+        assert seen == sizes
         exc = together.value
-        assert (exc.arm, exc.outer, exc.inner) == (0, 0, None)
+        assert (exc.arm, exc.outer, exc.inner) == (j, 0, None)
         assert str(exc) == str(alone.value) == (
             "learner diverged at outer round k=0: the mean-field update after the round "
             "made the mean path non-finite"
@@ -408,7 +422,7 @@ class TestRawEstimatorRegime:
         # 1/radius^2; the controlled estimator stays near the actual
         # gradient scale, two orders of magnitude smaller
         policy = reference_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         raw_cfg = LearnerConfig(shared_rollout_noise=False, baseline="none")
         ctl_cfg = LearnerConfig()
         raw_norms, ctl_norms = [], []

@@ -5,27 +5,26 @@ import numpy as np
 import pytest
 
 from lqmfg import (
-    MeanField,
     ParameterError,
+    PayoffEvaluator,
     PolicyParams,
     TimeGrid,
     DomainError,
     discretize_policy,
     equilibrium_policy,
-    equilibrium_state_variance,
     expected_reward_exact,
     feedback_policy_payoff,
     game_value,
-    mc_expected_reward,
     propagate_mean_field,
     sample_rewards,
     simulate_states,
+    solve_equilibrium,
 )
 from lqmfg import rng
 from lqmfg.analytic import constant_fn
 from lqmfg.simulate import SIGMA_FLOOR, draw_noise, rollout
 
-from conftest import make_params
+from conftest import make_params, mc_reward
 
 
 def ne_policy(params, grid):
@@ -74,21 +73,21 @@ class TestSimulateTrajectory:
     def test_floor_variance_pins_the_state(self, grid):
         p = make_params(xi_mean=0.3, xi_second_moment=0.09)  # deterministic start
         policy = PolicyParams(m_hat=0.75, sigma2=np.full(5, SIGMA_FLOOR))
-        mf = MeanField.constant(0.3, grid)
+        mf = np.full(grid.n_steps + 1, 0.3)
         states = simulate_states(p, grid, policy, mf, 1, rng.substream(0, 1))[0]
         # noise scale is D * sqrt(floor * T) ~ 6e-4; allow a generous margin
         assert np.max(np.abs(states - 0.3)) < 5e-3
 
     def test_same_substream_identical(self, params, grid):
         policy = ne_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         s1 = simulate_states(params, grid, policy, mf, 3, rng.substream(7, 1, 3))
         s2 = simulate_states(params, grid, policy, mf, 3, rng.substream(7, 1, 3))
         np.testing.assert_array_equal(s1, s2)
 
     def test_mean_invariance_monte_carlo(self, params, grid):
         policy = ne_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         states = simulate_states(
             params, grid, policy, mf, 100_000, rng.substream(5, rng.TRAJECTORY)
         )
@@ -98,13 +97,13 @@ class TestSimulateTrajectory:
 
     def test_misaligned_inputs_rejected(self, params, grid):
         policy = PolicyParams(m_hat=0.5, sigma2=np.full(4, 0.3))
-        mf = MeanField.constant(0.1, grid)
+        mf = np.full(grid.n_steps + 1, 0.1)
         with pytest.raises(ParameterError):
             simulate_states(params, grid, policy, mf, 1, rng.substream(0, 1))
 
 
 def kernel_rewards(params, grid, policy, mf, x0, dW, states=None):
-    return rollout(params, grid.dt, mf.values, policy.m_hat, policy.sigma2, x0, dW, states)
+    return rollout(params, grid.dt, mf, policy.m_hat, policy.sigma2, x0, dW, states)
 
 
 class TestRealizedReward:
@@ -113,7 +112,7 @@ class TestRealizedReward:
     def test_pinned_null_case(self, params, grid):
         sigma2 = 1.0 / (2.0 * math.pi * math.e)
         policy = PolicyParams(m_hat=0.4, sigma2=np.full(5, sigma2))
-        mf = MeanField.constant(0.2, grid)
+        mf = np.full(grid.n_steps + 1, 0.2)
         reward = kernel_rewards(params, grid, policy, mf, np.array([0.2]), np.zeros((1, 5)))
         assert reward[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -121,7 +120,7 @@ class TestRealizedReward:
         p1 = make_params(lambda_se=0.0)
         p3 = make_params(lambda_se=0.0, Q=3 * 3.0, Q_bar=3 * 2.0)
         policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, 0.3))
-        mf = MeanField.constant(0.1, grid)
+        mf = np.full(grid.n_steps + 1, 0.1)
         x0, dW = draw_noise(rng.substream(3, 1), p1, grid.dt, 4, grid.n_steps)
         r1 = kernel_rewards(p1, grid, policy, mf, x0, dW)
         r3 = kernel_rewards(p3, grid, policy, mf, x0, dW)
@@ -130,7 +129,7 @@ class TestRealizedReward:
     def test_entropy_additivity(self, params, grid):
         p0 = make_params(lambda_se=0.0)
         policy = PolicyParams(m_hat=0.5, sigma2=np.linspace(0.4, 0.2, 5))
-        mf = MeanField.constant(0.1, grid)
+        mf = np.full(grid.n_steps + 1, 0.1)
         x0, dW = draw_noise(rng.substream(4, 1), params, grid.dt, 4, grid.n_steps)
         states = np.empty((4, grid.n_steps + 1))
         full = kernel_rewards(params, grid, policy, mf, x0, dW, states)
@@ -141,7 +140,7 @@ class TestRealizedReward:
         )
         np.testing.assert_allclose(full, quad + bonus, rtol=1e-12)
         # the quadratic part read off the returned state paths
-        gaps = states - mf.values
+        gaps = states - mf
         expected = (
             -0.5 * params.Q * np.sum(gaps[:, :-1] ** 2, axis=1) * grid.dt
             - 0.5 * params.Q_bar * gaps[:, -1] ** 2
@@ -150,8 +149,8 @@ class TestRealizedReward:
 
     def test_average_matches_game_value(self, params, grid):
         policy = ne_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
-        mean, stderr = mc_expected_reward(params, grid, policy, mf, 100_000, seed=9)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
+        mean, stderr = mc_reward(params, grid, policy, mf, 100_000, seed=9)
         gv = game_value(params, "se", 0.0, grid)
         # 3 sigma plus a first-order time-step budget (measured sensitivity
         # is about 0.38 * dt; see the acceptance suite)
@@ -235,42 +234,38 @@ class TestRolloutInputs:
 
 
 class TestMcExpectedReward:
-    def test_path_count_validated(self, params, grid):
-        policy = ne_policy(params, grid)
-        mf = MeanField.constant(0.1, grid)
-        with pytest.raises(ParameterError):
-            mc_expected_reward(params, grid, policy, mf, 1, seed=0)
+    """``mean_and_stderr`` of ``sample_rewards`` on a trajectory substream."""
 
     def test_degenerate_dynamics_zero_stderr(self, grid):
         p = make_params(xi_mean=0.3, xi_second_moment=0.09)
         policy = PolicyParams(m_hat=0.75, sigma2=np.full(5, SIGMA_FLOOR))
-        mf = MeanField.constant(0.3, grid)
-        _, stderr = mc_expected_reward(p, grid, policy, mf, 2, seed=0)
+        mf = np.full(grid.n_steps + 1, 0.3)
+        _, stderr = mc_reward(p, grid, policy, mf, 2, seed=0)
         assert stderr < 1e-5
 
     def test_clt_scaling(self, params, grid):
         policy = ne_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         ratios = []
         for seed in range(5):
-            _, se1 = mc_expected_reward(params, grid, policy, mf, 2048, seed=seed)
-            _, se2 = mc_expected_reward(params, grid, policy, mf, 4096, seed=seed + 100)
+            _, se1 = mc_reward(params, grid, policy, mf, 2048, seed=seed)
+            _, se2 = mc_reward(params, grid, policy, mf, 4096, seed=seed + 100)
             ratios.append(se2 / se1)
         assert np.mean(ratios) == pytest.approx(1 / math.sqrt(2), abs=0.08)
 
     def test_seed_determinism(self, params, grid):
         policy = ne_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
-        a = mc_expected_reward(params, grid, policy, mf, 4096, seed=77)
-        b = mc_expected_reward(params, grid, policy, mf, 4096, seed=77)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
+        a = mc_reward(params, grid, policy, mf, 4096, seed=77)
+        b = mc_reward(params, grid, policy, mf, 4096, seed=77)
         assert a == b
 
 
 class TestExpectedRewardExact:
     def test_matches_monte_carlo(self, params, grid):
         policy = PolicyParams(m_hat=0.6, sigma2=np.linspace(0.4, 0.2, 5))
-        mf = MeanField(np.linspace(0.0, 0.2, 6))
-        mean, stderr = mc_expected_reward(params, grid, policy, mf, 200_000, seed=13)
+        mf = np.linspace(0.0, 0.2, 6)
+        mean, stderr = mc_reward(params, grid, policy, mf, 200_000, seed=13)
         exact = expected_reward_exact(params, grid, policy, mf)
         assert abs(exact - mean) <= 3 * stderr
 
@@ -282,7 +277,7 @@ class TestExpectedRewardExact:
         for n in (5, 50, 500):
             g = TimeGrid.from_horizon(params.T, n)
             exact = expected_reward_exact(
-                params, g, discretize_policy(pol, g), MeanField.constant(params.xi_mean, g)
+                params, g, discretize_policy(pol, g), np.full(g.n_steps + 1, params.xi_mean)
             )
             gaps.append(abs(exact - cont))
         assert gaps[0] > gaps[1] > gaps[2]
@@ -291,23 +286,23 @@ class TestExpectedRewardExact:
 class TestPropagateMeanField:
     def test_equilibrium_fixed_point(self, params, grid):
         policy = ne_policy(params, grid)
-        prev = MeanField.constant(params.xi_mean, grid)
-        out = propagate_mean_field(params, grid, policy, prev)
-        np.testing.assert_allclose(out.values, params.xi_mean, rtol=1e-15)
+        prev = np.full(grid.n_steps + 1, params.xi_mean)
+        out = propagate_mean_field(params, grid, policy.m_hat, prev)
+        np.testing.assert_allclose(out, params.xi_mean, rtol=1e-15)
 
     def test_zero_coupling_gain(self, params, grid):
         policy = PolicyParams(m_hat=-params.A / params.B, sigma2=np.full(5, 0.3))
-        prev = MeanField(np.linspace(-3.0, 7.0, 6))
-        out = propagate_mean_field(params, grid, policy, prev)
-        np.testing.assert_allclose(out.values, params.xi_mean, rtol=1e-15)
+        prev = np.linspace(-3.0, 7.0, 6)
+        out = propagate_mean_field(params, grid, policy.m_hat, prev)
+        np.testing.assert_allclose(out, params.xi_mean, rtol=1e-15)
 
     def test_iterates_contract_to_the_initial_mean(self, params, grid):
         policy = ne_policy(params, grid)
-        mf = MeanField.constant(0.0, grid)
+        mf = np.full(grid.n_steps + 1, 0.0)
         gaps = []
         for _ in range(10):
-            mf = propagate_mean_field(params, grid, policy, mf)
-            gaps.append(np.max(np.abs(mf.values - params.xi_mean)))
+            mf = propagate_mean_field(params, grid, policy.m_hat, mf)
+            gaps.append(np.max(np.abs(mf - params.xi_mean)))
         # strict contraction until the update reaches the fixed point exactly:
         # the pinned initial mean propagates one grid step per round, so the
         # path is at the fixed point after n_steps rounds
@@ -318,20 +313,29 @@ class TestPropagateMeanField:
 
     def test_monte_carlo_variant_agrees(self, params, grid):
         policy = ne_policy(params, grid)
-        prev = MeanField(np.linspace(0.0, 0.2, 6))
-        exact = propagate_mean_field(params, grid, policy, prev)
+        prev = np.linspace(0.0, 0.2, 6)
+        exact = propagate_mean_field(params, grid, policy.m_hat, prev)
         mc = simulate_states(
             params, grid, policy, prev, 200_000, rng.substream(3, rng.TRAJECTORY)
         ).mean(axis=0)
-        assert np.max(np.abs(mc - exact.values)) < 0.01
+        assert np.max(np.abs(mc - exact)) < 0.01
+
+    def test_a_stack_updates_each_path_as_alone(self, params, grid):
+        gen = np.random.default_rng(8)
+        m_hats = gen.uniform(-1.0, 3.0, 7)
+        prev = gen.uniform(-1.0, 1.0, (7, grid.n_steps + 1))
+        stacked = propagate_mean_field(params, grid, m_hats, prev)
+        alone = [propagate_mean_field(params, grid, m, path) for m, path in zip(m_hats, prev)]
+        assert stacked.shape == prev.shape
+        assert np.array_equal(stacked, alone)
 
 
 class TestWeakConvergence:
     def test_variance_bias_shrinks_linearly_with_the_step(self, params):
         # exact discrete second-moment recursion vs the continuous-time value
-        target = equilibrium_state_variance(
-            params, params.T, TimeGrid.from_horizon(params.T, 5), "ee"
-        )
+        target = solve_equilibrium(
+            params, "ee", TimeGrid.from_horizon(params.T, 5)
+        ).state_variance[-1]
         biases = []
         for n in (5, 50, 500):
             g = TimeGrid.from_horizon(params.T, n)
@@ -352,7 +356,7 @@ class TestWeakConvergence:
 class TestDeterminismAndAlignment:
     def test_sample_rewards_bitwise_reproducible(self, params, grid):
         policy = ne_policy(params, grid)
-        mf = MeanField.constant(params.xi_mean, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
         a = sample_rewards(params, grid, policy, mf, 50_000, rng.substream(1, 2))
         b = sample_rewards(params, grid, policy, mf, 50_000, rng.substream(1, 2))
         np.testing.assert_array_equal(a, b)
@@ -361,7 +365,7 @@ class TestDeterminismAndAlignment:
         # one path past a full chunk starts a new chunk; the first 2^14
         # rewards keep their bits
         policy = ne_policy(params, grid)
-        mf = MeanField(np.linspace(0.1, 0.3, grid.n_steps + 1))
+        mf = np.linspace(0.1, 0.3, grid.n_steps + 1)
         n = 1 << 14
         exact = sample_rewards(params, grid, policy, mf, n, rng.substream(12, rng.TRAJECTORY))
         over = sample_rewards(params, grid, policy, mf, n + 1, rng.substream(12, rng.TRAJECTORY))
@@ -373,12 +377,14 @@ class TestDeterminismAndAlignment:
         with pytest.raises(DomainError):
             PolicyParams(m_hat=0.5, sigma2=np.array([0.3, -0.1, 0.3, 0.3, 0.3]))
 
-    def test_mean_field_validation(self, grid):
-        with pytest.raises(ParameterError):
-            MeanField(np.array([0.1, np.nan, 0.1, 0.1, 0.1, 0.1]))
-        mf = MeanField(np.zeros(4))
-        with pytest.raises(ParameterError):
-            mf.check_aligned(grid)
+    def test_mean_field_validation(self, params, grid):
+        policy = ne_policy(params, grid)
+        evaluator = PayoffEvaluator(params, grid, 16, seed=0)
+        for path in (np.zeros(4), np.zeros((1, grid.n_steps + 1))):
+            with pytest.raises(ParameterError, match="mean path has shape"):
+                sample_rewards(params, grid, policy, path, 2, rng.substream(0, 1))
+            with pytest.raises(ParameterError, match="mean path has shape"):
+                evaluator.rel_error(policy.m_hat, policy.sigma2, path)
 
     def test_policy_vector_round_trip(self):
         policy = PolicyParams(m_hat=0.5, sigma2=np.linspace(0.4, 0.2, 5))
