@@ -50,7 +50,7 @@ def reference_policy(
     return PolicyParams(m_hat=gain, sigma2=np.full(grid.n_steps, sigma_floor))
 
 
-class DegenerateReferenceError(ValueError):
+class DegenerateReferenceError(ParameterError):
     """Reference payoff too close to zero for a relative error."""
 
 
@@ -86,7 +86,7 @@ class PayoffEvaluator:
         )
         if abs(self.reference_payoff) < 1e-12:
             raise DegenerateReferenceError(
-                "reference payoff is numerically zero; relative error undefined"
+                f"reference payoff is numerically zero for {params}; relative error undefined"
             )
 
     def _rewards(self, m_hat: float, sigma2: np.ndarray, path: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+_SQUARE_BOUND = math.sqrt(sys.float_info.max)  # the largest float with a finite square
+
 
 class ParameterError(ValueError):
     """Raised when a model parameter violates its admissible range."""
@@ -21,11 +23,12 @@ def check_finite(obj) -> None:
     """Raise ParameterError naming the first float field of the dataclass
     ``obj`` that is NaN, infinite or too large to square, as the closed forms
     and the learner do, without overflow (only a float can be any of these)."""
-    bound = math.sqrt(sys.float_info.max)  # the largest float with a finite square
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not abs(value) <= bound:
-            raise ParameterError(f"{f.name} must be finite, of magnitude at most {bound:.4g}")
+        if isinstance(value, float) and not abs(value) <= _SQUARE_BOUND:
+            raise ParameterError(
+                f"{f.name} must be finite, of magnitude at most {_SQUARE_BOUND:.4g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,17 @@ class GameParams:
         for name in ("lambda_se", "lambda_ce"):
             if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be nonnegative")
+        # the closed forms divide by the squares of D and lambda_se, and square
+        # B/D times the temperature ratio
+        low = 1.0 / _SQUARE_BOUND  # its square is still nonzero
+        if self.D < low or 0.0 < self.lambda_se < low:
+            raise ParameterError(f"D and a positive lambda_se must be at least {low:.4g}")
+        ratio = 1.0 + (self.lambda_ce / self.lambda_se if self.lambda_se > 0 else 0.0)
+        if not self.B / self.D * ratio <= _SQUARE_BOUND:
+            raise ParameterError(
+                "B/D times the temperature ratio (lambda_se + lambda_ce)/lambda_se "
+                f"must be at most {_SQUARE_BOUND:.4g}"
+            )
         if self.xi_second_moment < self.xi_mean**2:
             raise ParameterError(
                 "xi_second_moment must be >= xi_mean**2 (nonnegative initial variance)"

@@ -33,10 +33,12 @@ _CHUNK = 1 << 14
 def check_path(path, grid: TimeGrid, stack: bool = False) -> np.ndarray:
     """``path`` as a float array: one mean path m_0..m_N on the grid, or
     with ``stack`` also an (S, N + 1) stack of them. Raises ParameterError
-    naming a mismatched shape."""
+    naming a mismatched shape or a NaN or infinite value."""
     path = np.asarray(path, dtype=float)
     if path.shape[-1:] != (grid.n_steps + 1,) or path.ndim > 1 + stack:
         raise ParameterError(f"mean path has shape {path.shape}, grid has {grid.n_steps} steps")
+    if not np.isfinite(path).all():
+        raise ParameterError("mean path values must be finite")
     return path
 
 

@@ -270,13 +270,29 @@ class TestExitCodes:
          "game: xi_mean must be finite"),
         (("learn", "--lambda-se", "1", "--set", "learner.radius=1e308", *TINY_LEARN),
          "learner: radius must be finite"),
-    ], ids=["decay_rate", "equilibrium_policy", "initial_moments", "sphere_average"])
+        (("solve", "--set", "game.D=1e-200"), "game: D and a positive lambda_se must be at least"),
+        (("solve", "--set", "game.B=1e150", "--set", "game.D=1e-10"),
+         "game: B/D times the temperature ratio"),
+    ], ids=["decay_rate", "equilibrium_policy", "initial_moments", "sphere_average",
+            "square_underflow", "state_rates"])
     def test_a_value_whose_square_overflows_is_named(self, capsys, tmp_path, argv, named):
         # each would overflow squaring a Python float in the closed forms or
-        # the gradient estimator
+        # the gradient estimator, or divide by a square that underflows to 0
         code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert named in err and out == ""
+
+    def test_a_degenerate_reference_is_a_config_error(self, capsys, tmp_path):
+        # a horizon and terminal weight this small leave a reference payoff of 0
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "learn", *TINY_LEARN, "--set", "game.Q_bar=1e-150",
+            "--set", "game.T=1e-150", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_CONFIG
+        assert "reference payoff is numerically zero for GameParams(" in err
+        assert "Q_bar=1e-150" in err and out == ""
+        assert not (out_dir / "FAILED").exists()
 
     def test_runtime_error_exit_code(self, capsys, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.json", n_outer=1, n_inner=1)
@@ -337,7 +353,7 @@ def _schema_keys(section, prefix=""):
 
 
 SCHEMA_KEYS = list(_schema_keys(config_to_dict(default_config())))
-BAD_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "1e308", "x", "[]", "{}"]
+BAD_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "1e-200", "1e308", "x", "[]", "{}"]
 
 
 def _main_quietly(*argv):

@@ -385,6 +385,13 @@ class TestDeterminismAndAlignment:
                 sample_rewards(params, grid, policy, path, 2, rng.substream(0, 1))
             with pytest.raises(ParameterError, match="mean path has shape"):
                 evaluator.rel_error(policy.m_hat, policy.sigma2, path)
+        path = np.zeros(grid.n_steps + 1)
+        for value in (np.nan, np.inf):
+            path[2] = value
+            with pytest.raises(ParameterError, match="mean path values must be finite"):
+                sample_rewards(params, grid, policy, path, 2, rng.substream(0, 1))
+            with pytest.raises(ParameterError, match="mean path values must be finite"):
+                evaluator.rel_error(policy.m_hat, policy.sigma2, path)
 
     def test_policy_vector_round_trip(self):
         policy = PolicyParams(m_hat=0.5, sigma2=np.linspace(0.4, 0.2, 5))
