@@ -368,17 +368,27 @@ def solve_equilibrium(
     # the grid times are every refinement-th node only if the grid spans [0, T]
     if len(fine) != grid.n_steps * refinement + 1:
         raise ParameterError(f"grid of {grid.n_steps} steps does not span [0, {params.T}]")
-    offsets, variance = _equilibrium_integrals(params, game, fine)
-    policy = equilibrium_policy(params, game)
-    return EquilibriumSolution(
-        game=game,
-        times=times,
-        riccati=riccati_coefficient(params, times, game),
-        value_offset=offsets[::refinement],
-        policy=policy,
-        policy_variance=policy.variance_on(times),
-        game_value=-0.5 * riccati_coefficient(params, 0.0, game) * params.xi_var
-        + float(offsets[0]),
-        m_star=params.xi_mean,
-        state_variance=variance[::refinement],
-    )
+    # coefficients far from the reference scale can overflow; the columns
+    # are checked below, so the error names the first one that is lost
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        offsets, variance = _equilibrium_integrals(params, game, fine)
+        policy = equilibrium_policy(params, game)
+        solution = EquilibriumSolution(
+            game=game,
+            times=times,
+            riccati=riccati_coefficient(params, times, game),
+            value_offset=offsets[::refinement],
+            policy=policy,
+            policy_variance=policy.variance_on(times),
+            game_value=-0.5 * riccati_coefficient(params, 0.0, game) * params.xi_var
+            + float(offsets[0]),
+            m_star=params.xi_mean,
+            state_variance=variance[::refinement],
+        )
+    for name in ("riccati", "value_offset", "policy_variance", "state_variance", "game_value"):
+        if not np.isfinite(getattr(solution, name)).all():
+            raise ParameterError(
+                f"the {game} equilibrium's {name} is not finite for {params}: "
+                "the game coefficients are outside the closed forms' range"
+            )
+    return solution

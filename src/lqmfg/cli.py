@@ -186,11 +186,19 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--n-paths must be >= 2")
     policy = _policy_from_arg(args.policy, config)
     mean_field = np.full(config.grid.n_steps + 1, config.game.xi_mean)
-    rewards = sample_rewards(
-        config.game, config.grid, policy, mean_field, args.n_paths,
-        _rng.substream(config.seed, _rng.TRAJECTORY),
-    )
-    mean, stderr = mean_and_stderr(rewards)
+    # a game far from the reference scale can overflow the rollout; the
+    # check below names it instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        rewards = sample_rewards(
+            config.game, config.grid, policy, mean_field, args.n_paths,
+            _rng.substream(config.seed, _rng.TRAJECTORY),
+        )
+        mean, stderr = mean_and_stderr(rewards)
+    if not (np.isfinite(mean) and np.isfinite(stderr)):
+        raise ParameterError(
+            "game: the sampled rewards are not finite; the game's coefficients "
+            "(or the policy's) are too large for the simulation"
+        )
     print(f"mean {_fmt(mean)}")
     print(f"stderr {_fmt(stderr)}")
     print(f"n_paths {args.n_paths}")

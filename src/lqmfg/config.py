@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, get_type_hints
 
 from .learner import LearnerConfig
@@ -37,10 +36,13 @@ class ExperimentConfig:
         if not self.lambda_se_values:
             raise ConfigError("field lambda_se_values must be a nonempty list")
         for i, v in enumerate(self.lambda_se_values):
-            if not math.isfinite(v):
-                raise ConfigError(f"field lambda_se_values[{i}] must be finite")
-            if v < 0:
-                raise ConfigError(f"field lambda_se_values[{i}] must be nonnegative")
+            # each value must make a valid game, as the harness builds one per arm
+            try:
+                replace(self.game, lambda_se=v)
+            except ParameterError as exc:
+                raise ConfigError(
+                    "field " + str(exc).replace("lambda_se", f"lambda_se_values[{i}]")
+                ) from None
             # each arm's evaluation seed and report lookup are keyed by its value
             if v in self.lambda_se_values[:i]:
                 raise ConfigError(f"field lambda_se_values[{i}] repeats an earlier value")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -142,7 +143,7 @@ def _cpus() -> int:
 
 
 def _score_round(job) -> list:
-    """Relative errors of one round's rows against the round's mean path."""
+    """Relative errors of rows of one round against the round's mean path."""
     evaluator, path, m_hats, sigma2s = job
     # a worker started by spawn or forkserver does not inherit the caller's
     # floating-point error state
@@ -153,43 +154,21 @@ def _score_round(job) -> list:
         ]
 
 
-def _score_all(results, evaluators) -> None:
-    """Fill every trace's rel_error column, one job per (arm, round) block.
-
-    Rows are independent given the evaluators' frozen draws, so enough of
-    them are spread over a process pool, one contiguous slice of blocks per
-    worker (each worker then receives an evaluator about once and keeps its
-    draws in cache). Every row goes through the same kernel with the same
-    inputs either way, so the column is bit-identical.
-    """
-    blocks, jobs, path_steps = [], [], 0
-    for result, evaluator in zip(results, evaluators):
-        trace = result.trace
-        # rows are in (k, i) order, and round k plays against mean_paths[k]
-        rounds = trace.records.reshape(len(trace.mean_paths) - 1, -1)
-        for rows, path in zip(rounds, trace.mean_paths):
-            blocks.append(rows)
-            jobs.append((evaluator, path, rows.m_hat, rows.sigma2))
-        path_steps += trace.records.size * evaluator.n_paths * evaluator.grid.n_steps
-    workers = min(_cpus(), len(jobs))
-    if workers < 2 or path_steps < _POOL_MIN_PATH_STEPS:
-        errors = map(_score_round, jobs)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers) as pool:
-            errors = list(pool.map(_score_round, jobs, chunksize=-(-len(jobs) // workers)))
-    for rows, rel_error in zip(blocks, errors):
-        rows.rel_error = rel_error
-
-
 def run_arms(arms) -> list:
-    """Run (config, lambda_se) arms in lockstep, then score their traces.
+    """Run (config, lambda_se) arms in lockstep and score their traces.
 
     Configurations may differ only in ``seed`` and ``lambda_se_values``,
     which must hold the arm's temperature (its position picks the
     evaluation draws). Each result is bit-identical to the arm's run alone;
     ``runtime_seconds`` is the shared run's time, scoring included.
+
+    Rows are independent given the evaluators' frozen draws, and a round's
+    rows are final once the round ends, so each round is scored while the
+    learner plays the next: every arm's round is cut into one contiguous
+    slice of rows per worker, each slice a job. With one CPU, or below
+    ``_POOL_MIN_PATH_STEPS`` path-steps in all, the same jobs run
+    in-process as the rounds end. Every row goes through the same kernel
+    with the same inputs either way, so the column is bit-identical.
     """
     params, evaluators = [], []
     grid, learner = arms[0][0].grid, arms[0][0].learner
@@ -209,12 +188,43 @@ def run_arms(arms) -> list:
         evaluators.append(PayoffEvaluator(
             params[-1], grid, config.n_eval_paths, eval_seed, config.learner.sigma_floor
         ))
+    n_rows = learner.n_inner + 1
+    workers = min(_cpus(), n_rows)
+    path_steps = sum(ev.n_paths for ev in evaluators) * learner.n_outer * n_rows * grid.n_steps
+    edges = [n_rows * w // workers for w in range(workers + 1)]
+    slices = []  # (arm, first row, last row + 1, future or errors)
+
     start = time.perf_counter()
-    # a diverging policy overflows the kernel before the step that makes it
-    # non-finite raises LearnerDivergence; that error names it, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = learner_run(params, grid, learner, [config.seed for config, _ in arms])
-    _score_all(results, evaluators)
+    if workers < 2 or path_steps < _POOL_MIN_PATH_STEPS:
+        pool, score = None, _score_round
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers)
+        score = functools.partial(pool.submit, _score_round)
+
+    def on_round(k, block, paths):
+        # the learner never writes block or paths again, so a pending job's
+        # views stay valid until the pool pickles them
+        for j, (rows, path) in enumerate(zip(block, paths)):
+            for lo, hi in zip(edges, edges[1:]):
+                job = (evaluators[j], path, rows[lo:hi, 0], rows[lo:hi, 1:])
+                slices.append((j, k * n_rows + lo, k * n_rows + hi, score(job)))
+
+    try:
+        # a diverging policy overflows the kernel before the step that makes
+        # it non-finite raises LearnerDivergence; that error names it, not
+        # warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = learner_run(
+                params, grid, learner, [config.seed for config, _ in arms], on_round
+            )
+        for j, lo, hi, errors in slices:
+            results[j].trace.records.rel_error[lo:hi] = errors.result() if pool else errors
+    finally:
+        if pool is not None:
+            # after a divergence, drop the jobs no worker has started
+            pool.shutdown(cancel_futures=True)
     runtime = time.perf_counter() - start
     return [
         ArmResult(lambda_se=lam, result=result, evaluator=evaluator, runtime_seconds=runtime)

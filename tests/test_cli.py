@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,34 @@ class TestExitCodes:
         assert "reference payoff is numerically zero for GameParams(" in err
         assert "Q_bar=1e-150" in err and out == ""
         assert not (out_dir / "FAILED").exists()
+
+    @pytest.mark.parametrize("value, named", [
+        ("1e308", "field lambda_se_values[0] must be finite"),
+        ("1e-200", "field D and a positive lambda_se_values[0] must be at least"),
+    ], ids=["huge", "tiny"])
+    def test_a_temperature_the_game_rejects_is_named(self, capsys, tmp_path, value, named):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "reproduce", "--set", f"lambda_se_values=[{value}]",
+            "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_CONFIG
+        assert named in err and out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (("simulate", "--n-paths", "2", "--set", "game.A=1e150"),
+         "game: the sampled rewards are not finite"),
+        (("solve", "--set", "game.D=1e-150"), "the se equilibrium's value_offset is not finite"),
+    ], ids=["simulate", "solve"])
+    def test_a_non_finite_result_is_a_config_error(self, capsys, tmp_path, argv, named):
+        # both printed NaN columns and exited 0; the error comes without
+        # numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert named in err and out == ""
 
     def test_runtime_error_exit_code(self, capsys, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.json", n_outer=1, n_inner=1)

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -305,27 +306,67 @@ class TestRunArms:
 
 
 class TestScoringPool:
+    # tiny_config plays 6 rows per round
     ARMS = [(tiny_config(), 0.0), (tiny_config(), 1.0)]
 
-    def test_pooled_scores_equal_in_process_scores(self, monkeypatch):
-        alone = run_arms(self.ARMS)
+    @staticmethod
+    def _force_pool(monkeypatch, cpus, start_method=None) -> list:
+        """Pool every run_arms call with ``cpus`` workers; returns the list of
+        the positional arguments each pool is built with."""
         built = []
 
         class Counted(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(args)
+                if start_method:
+                    kwargs["mp_context"] = multiprocessing.get_context(start_method)
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         monkeypatch.setattr(harness, "_POOL_MIN_PATH_STEPS", 0)
-        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        return built
+
+    def test_pooled_scores_equal_in_process_scores(self, monkeypatch):
+        # 4 workers cut each round's 6 rows into slices of 1, 2, 1 and 2
+        alone = run_arms(self.ARMS)
+        built = self._force_pool(monkeypatch, 4)
         pooled = run_arms(self.ARMS)
-        assert built == [(2,)]
+        assert built == [(4,)]
         for a, b in zip(pooled, alone, strict=True):
             assert np.array_equal(
                 a.result.trace.records.rel_error, b.result.trace.records.rel_error
             )
             _same_arm(a, b)
+
+    def test_jobs_pickle_under_spawn(self, monkeypatch):
+        # spawn, like forkserver (Python 3.14's default on Linux), hands each
+        # job to a fresh interpreter, so every part of it must pickle
+        alone = run_arms(self.ARMS)
+        built = self._force_pool(monkeypatch, 2, "spawn")
+        pooled = run_arms(self.ARMS)
+        assert built == [(2,)]
+        for a, b in zip(pooled, alone, strict=True):
+            _same_arm(a, b)
+
+    def test_a_divergence_in_a_later_round_stops_the_pool(self, monkeypatch):
+        # at seed 1 and step 3, lambda 0 diverges at k=1, i=3, after round
+        # 0's rows went to the pool
+        data = config_to_dict(tiny_config(seed=1))
+        data["learner"].update(n_outer=3, n_inner=8, n_perturbations=50, step_size=3.0)
+        config = config_from_dict(data)
+        arms = [(config, 0.0), (config, 1.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LearnerDivergence) as alone:
+                run_arms(arms)
+            built = self._force_pool(monkeypatch, 2)
+            with pytest.raises(LearnerDivergence) as pooled:
+                run_arms(arms)
+        assert built == [(2,)]
+        assert (pooled.value.arm, pooled.value.outer, pooled.value.inner) == (0, 1, 3)
+        assert (alone.value.arm, alone.value.outer, alone.value.inner) == (0, 1, 3)
+        assert str(pooled.value) == str(alone.value)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus, threshold", [(1, 0), (2, harness._POOL_MIN_PATH_STEPS)],
                              ids=["one_cpu", "below_threshold"])

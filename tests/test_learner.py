@@ -264,6 +264,23 @@ class TestRun:
         # the learner does not score its trace
         assert np.isnan(records.rel_error).all()
 
+    def test_on_round_sees_each_round_as_played(self, params, grid):
+        # two arms; the arrays are kept, not copied, so a later write by the
+        # learner would show as a mismatch
+        cfg = small_cfg(n_outer=3, n_inner=4, initial_mean_field=0.25)
+        stack = [params, dataclasses.replace(params, lambda_se=3.0)]
+        calls = []
+        results = learner_run(stack, grid, cfg, [SEED, SEED + 1],
+                              on_round=lambda *args: calls.append(args))
+        assert [k for k, _, _ in calls] == [0, 1, 2]
+        for k, block, paths in calls:
+            assert block.shape == (2, 4 + 1, 1 + grid.n_steps)
+            assert paths.shape == (2, grid.n_steps + 1)
+            for j, result in enumerate(results):
+                rows = result.trace.records.reshape(3, -1)[k]
+                assert np.array_equal(block[j], np.column_stack([rows.m_hat, rows.sigma2]))
+                assert np.array_equal(paths[j], result.trace.mean_paths[k])
+
     def test_run_is_deterministic(self, params, grid):
         cfg = small_cfg()
         r1 = run_one(params, grid, cfg)
