@@ -3,8 +3,7 @@
 The schema mirrors the dataclasses it builds: a ``game`` section
 (GameParams), ``grid`` (n_steps; the step is T / n_steps), ``learner``
 (LearnerConfig, with its ``init`` section), the temperature sweep,
-evaluation path count, output directory and seed. Validation errors name the
-offending dotted key.
+output directory and seed. Validation errors name the offending dotted key.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class ExperimentConfig:
     grid: TimeGrid
     learner: LearnerConfig
     lambda_se_values: tuple
-    n_eval_paths: int
     output_dir: Optional[str]
     seed: int
 
@@ -43,11 +41,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     "field " + str(exc).replace("lambda_se", f"lambda_se_values[{i}]")
                 ) from None
-            # each arm's evaluation seed and report lookup are keyed by its value
+            # each arm's report lookup is keyed by its value
             if v in self.lambda_se_values[:i]:
                 raise ConfigError(f"field lambda_se_values[{i}] repeats an earlier value")
-        if self.n_eval_paths < 2:
-            raise ConfigError("field n_eval_paths must be >= 2")
         # numpy's SeedSequence, which every substream starts from, takes no sign
         if self.seed < 0:
             raise ConfigError("field seed must be nonnegative")
@@ -61,7 +57,6 @@ def default_config() -> ExperimentConfig:
         grid=TimeGrid.from_horizon(game.T, 5),
         learner=LearnerConfig(),
         lambda_se_values=(0.0, 1.0, 3.0),
-        n_eval_paths=4096,
         output_dir=None,
         seed=0,
     )
@@ -88,7 +83,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "grid": {"n_steps": cfg.grid.n_steps},
         "learner": _section_dict(cfg.learner),
         "lambda_se_values": list(cfg.lambda_se_values),
-        "n_eval_paths": cfg.n_eval_paths,
         "output_dir": cfg.output_dir,
         "seed": cfg.seed,
     }
@@ -181,7 +175,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         grid=grid,
         learner=learner,
         lambda_se_values=_numbers(_need(data, "lambda_se_values", ""), "lambda_se_values"),
-        n_eval_paths=_integer(_need(data, "n_eval_paths", ""), "n_eval_paths"),
         output_dir=out_dir,
         seed=_integer(_need(data, "seed", ""), "seed"),
     )

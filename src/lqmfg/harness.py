@@ -1,10 +1,11 @@
 """Experiment orchestration: relative error, the reference sweep, and reports.
 
 The convergence metric is |J(candidate) - J(reference)| / |J(reference)|,
-with both payoffs estimated by the same Monte Carlo estimator on a common
-frozen set of draws (same paths, same count). Estimating both sides the same
-way removes the time-discretization bias from the ratio and lets the error
-vanish exactly when the candidate equals the reference.
+with both payoffs the exact expectation of the same discrete-time game
+(``simulate.expected_reward_exact``). Scoring both sides the same way
+removes the time-discretization bias from the ratio and lets the error
+vanish exactly when the candidate equals the reference; being exact, the
+score carries no sampling noise either.
 
 The reference is the discretized closed-form equilibrium policy of the
 Shannon game: gain B/D^2 and per-step variances lambda_se/(D^2 * eta(s*dt)).
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import os
 import time
@@ -24,21 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, rng
+from . import __version__
 from .analytic import equilibrium_policy, game_value, riccati_coefficient
 from .config import ExperimentConfig, config_to_dict
 from .learner import LearnerDivergence, RunResult
 from .learner import run as learner_run
 from .params import GameParams, ParameterError, TimeGrid
-from .simulate import (
-    SIGMA_FLOOR,
-    PolicyParams,
-    check_path,
-    discretize_policy,
-    draw_noise,
-    mean_and_stderr,
-    rollout,
-)
+from .simulate import SIGMA_FLOOR, PolicyParams, discretize_policy, expected_reward_exact
 
 
 def reference_policy(
@@ -56,54 +48,31 @@ class DegenerateReferenceError(ParameterError):
 
 
 class PayoffEvaluator:
-    """Common-random-number payoff estimator with a cached reference value.
+    """Exact relative-error scorer of one game, with its reference payoff cached.
 
-    All evaluations reuse one frozen set of initial states and Brownian
-    increments, so repeated calls are bit-identical and differences between
-    nearby policies are estimated with far less noise than independent runs.
-    A policy is scored by its gain, (N,) variances and (N + 1,) mean path;
-    the reference plays against the constant path ``reference_path``.
+    A policy is scored by its gain, variances and mean path, batched as
+    ``expected_reward_exact`` takes them; the reference plays against the
+    constant path ``reference_path``.
     """
 
-    def __init__(
-        self,
-        params: GameParams,
-        grid: TimeGrid,
-        n_paths: int,
-        seed: int,
-        sigma_floor: float = SIGMA_FLOOR,
-    ):
-        if n_paths < 2:
-            raise ParameterError("n_paths must be >= 2")
+    def __init__(self, params: GameParams, grid: TimeGrid, sigma_floor: float = SIGMA_FLOOR):
         self.params = params
         self.grid = grid
-        self.n_paths = n_paths
-        stream = rng.substream(seed, rng.EVALUATION)
-        self._x0, self._dW = draw_noise(stream, params, grid.dt, n_paths, grid.n_steps)
         self.reference = reference_policy(params, grid, sigma_floor)
         self.reference_path = np.full(grid.n_steps + 1, params.xi_mean)
-        self.reference_payoff, self.reference_stderr = self.payoff(
-            self.reference.m_hat, self.reference.sigma2, self.reference_path
-        )
+        self.reference_payoff = float(expected_reward_exact(
+            params, grid, self.reference.m_hat, self.reference.sigma2, self.reference_path
+        ))
         if abs(self.reference_payoff) < 1e-12:
             raise DegenerateReferenceError(
                 f"reference payoff is numerically zero for {params}; relative error undefined"
             )
 
-    def _rewards(self, m_hat: float, sigma2: np.ndarray, path: np.ndarray) -> np.ndarray:
-        if np.shape(sigma2) != (self.grid.n_steps,):
-            raise ParameterError(f"sigma2 of shape {np.shape(sigma2)} does not fit the grid")
-        return rollout(
-            self.params, self.grid.dt, check_path(path, self.grid), m_hat, sigma2,
-            self._x0, self._dW,
-        )
-
-    def payoff(self, m_hat: float, sigma2: np.ndarray, path: np.ndarray) -> tuple[float, float]:
-        return mean_and_stderr(self._rewards(m_hat, sigma2, path))
-
-    def rel_error(self, m_hat: float, sigma2: np.ndarray, path: np.ndarray) -> float:
-        value = float(np.add.reduce(self._rewards(m_hat, sigma2, path)) / self.n_paths)
-        return abs(value - self.reference_payoff) / abs(self.reference_payoff)
+    def rel_error(self, m_hat, sigma2, path):
+        """Relative errors of gains (...), variances (..., N) and mean paths
+        (..., N + 1), broadcast against each other."""
+        value = expected_reward_exact(self.params, self.grid, m_hat, sigma2, path)
+        return np.abs(value - self.reference_payoff) / abs(self.reference_payoff)
 
 
 @dataclass
@@ -128,47 +97,15 @@ def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
     return dataclasses.replace(config.game, lambda_se=lambda_se)
 
 
-# Path-steps of scoring (rows x evaluation paths x steps) below which the
-# rows are scored in-process: 2**24 path-steps take about 0.17 s at about
-# 10 ns each, against 10-13 ms to start, use and stop a two-worker pool.
-_POOL_MIN_PATH_STEPS = 2**24
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _score_round(job) -> list:
-    """Relative errors of rows of one round against the round's mean path."""
-    evaluator, path, m_hats, sigma2s = job
-    # a worker started by spawn or forkserver does not inherit the caller's
-    # floating-point error state
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            evaluator.rel_error(m_hat, sigma2, path)
-            for m_hat, sigma2 in zip(m_hats.tolist(), sigma2s)
-        ]
-
-
 def run_arms(arms) -> list:
     """Run (config, lambda_se) arms in lockstep and score their traces.
 
     Configurations may differ only in ``seed`` and ``lambda_se_values``,
-    which must hold the arm's temperature (its position picks the
-    evaluation draws). Each result is bit-identical to the arm's run alone;
-    ``runtime_seconds`` is the shared run's time, scoring included.
-
-    Rows are independent given the evaluators' frozen draws, and a round's
-    rows are final once the round ends, so each round is scored while the
-    learner plays the next: every arm's round is cut into one contiguous
-    slice of rows per worker, each slice a job. With one CPU, or below
-    ``_POOL_MIN_PATH_STEPS`` path-steps in all, the same jobs run
-    in-process as the rounds end. Every row goes through the same kernel
-    with the same inputs either way, so the column is bit-identical.
+    which must hold the arm's temperature. Each result is bit-identical to
+    the arm's run alone. After the learner returns, each arm's whole trace
+    is scored in one ``rel_error`` call: its (K, I + 1) rows against the
+    mean path each round played. ``runtime_seconds`` is the shared run's
+    time, scoring included.
     """
     params, evaluators = [], []
     grid, learner = arms[0][0].grid, arms[0][0].learner
@@ -183,48 +120,21 @@ def run_arms(arms) -> list:
         if config.learner != learner:
             raise ParameterError("arms run in lockstep must share the learner configuration")
         params.append(_arm_params(config, lambda_se))
-        index = config.lambda_se_values.index(lambda_se)
-        eval_seed = rng.derive_seed(config.seed, rng.EVALUATION, index)
-        evaluators.append(PayoffEvaluator(
-            params[-1], grid, config.n_eval_paths, eval_seed, config.learner.sigma_floor
-        ))
-    n_rows = learner.n_inner + 1
-    workers = min(_cpus(), n_rows)
-    path_steps = sum(ev.n_paths for ev in evaluators) * learner.n_outer * n_rows * grid.n_steps
-    edges = [n_rows * w // workers for w in range(workers + 1)]
-    slices = []  # (arm, first row, last row + 1, future or errors)
+        evaluators.append(PayoffEvaluator(params[-1], grid, learner.sigma_floor))
+    rows = (learner.n_outer, learner.n_inner + 1)
 
     start = time.perf_counter()
-    if workers < 2 or path_steps < _POOL_MIN_PATH_STEPS:
-        pool, score = None, _score_round
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers)
-        score = functools.partial(pool.submit, _score_round)
-
-    def on_round(k, block, paths):
-        # the learner never writes block or paths again, so a pending job's
-        # views stay valid until the pool pickles them
-        for j, (rows, path) in enumerate(zip(block, paths)):
-            for lo, hi in zip(edges, edges[1:]):
-                job = (evaluators[j], path, rows[lo:hi, 0], rows[lo:hi, 1:])
-                slices.append((j, k * n_rows + lo, k * n_rows + hi, score(job)))
-
-    try:
-        # a diverging policy overflows the kernel before the step that makes
-        # it non-finite raises LearnerDivergence; that error names it, not
-        # warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = learner_run(
-                params, grid, learner, [config.seed for config, _ in arms], on_round
-            )
-        for j, lo, hi, errors in slices:
-            results[j].trace.records.rel_error[lo:hi] = errors.result() if pool else errors
-    finally:
-        if pool is not None:
-            # after a divergence, drop the jobs no worker has started
-            pool.shutdown(cancel_futures=True)
+    # a diverging policy overflows the kernel before the step that makes it
+    # non-finite raises LearnerDivergence, and a huge but finite gain can
+    # overflow its score; the error and the score name them, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = learner_run(params, grid, learner, [config.seed for config, _ in arms])
+        for result, evaluator in zip(results, evaluators):
+            records, paths = result.trace.records, result.trace.mean_paths
+            records["rel_error"] = evaluator.rel_error(
+                records.m_hat.reshape(rows), records.sigma2.reshape(rows + (-1,)),
+                paths[:-1, None],
+            ).ravel()
     runtime = time.perf_counter() - start
     return [
         ArmResult(lambda_se=lam, result=result, evaluator=evaluator, runtime_seconds=runtime)
@@ -265,7 +175,7 @@ def reproduce(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _continuous_game_value(config: ExperimentConfig, lambda_se: float) -> float:
-    """Closed-form value reported alongside the sampled reference payoff.
+    """Closed-form value reported alongside the exact discrete reference payoff.
 
     In the zero-temperature limit the offset vanishes and only the quadratic
     term survives.
@@ -358,10 +268,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
         path = os.path.join(out_dir, "summary.json")
         summary = {
             "true_m_hat": report.config.game.B / report.config.game.D**2,
-            "seeds": {
-                "master_seed": report.config.seed,
-                "n_eval_paths": report.config.n_eval_paths,
-            },
+            "seeds": {"master_seed": report.config.seed},
             "arms": [
                 {
                     "lambda_se": arm.lambda_se,

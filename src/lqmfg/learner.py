@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -253,19 +253,13 @@ class RunResult:
 
 
 def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
-        seeds: Sequence[int], on_round: Optional[Callable] = None) -> list:
+        seeds: Sequence[int]) -> list:
     """Fictitious play for a stack of arms in lockstep: arm j plays game
     ``params[j]`` on the substreams of ``seeds[j]``, and the games may differ
     only in lambda_se. Returns one RunResult per arm, bit-identical to the
     arm's run alone. If arms diverge, within a round or in the mean-field
     update after it, raises the divergence of the first in stack order once
     the arms before it finish.
-
-    ``on_round(k, block, paths)`` is called after each round's best
-    response, before the mean-field update: ``block`` holds the active
-    arms' (active, I + 1, 1 + N) policies of round k and ``paths`` the
-    (active, N + 1) mean paths they played against. Neither array is
-    written again, so the caller may keep views of them.
     """
     if len({dataclasses.replace(p, lambda_se=0.0) for p in params}) > 1:
         raise ParameterError("games run in lockstep may differ only in lambda_se")
@@ -282,8 +276,6 @@ def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
         failure = diverged or failure
         active = len(block)
         steps[:active, k] = block
-        if on_round is not None:
-            on_round(k, block, mean_paths[:active, k])
         # the update reads only A, B and xi_mean, which all arms share
         mean_paths[:active, k + 1] = propagate_mean_field(
             params[0], grid, block[:, -1, 0], mean_paths[:active, k]

@@ -15,7 +15,6 @@ import numpy as np
 TRAJECTORY = 1
 INITIAL_POLICY = 2
 PERTURBATION = 3
-EVALUATION = 5
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -28,9 +27,3 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(seed=seq))
 
-
-def derive_seed(master_seed: int, *path: int) -> int:
-    """Deterministic child seed for the given address (for sub-components
-    that take a plain integer seed)."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])

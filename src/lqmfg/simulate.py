@@ -32,10 +32,10 @@ _CHUNK = 1 << 14
 
 def check_path(path, grid: TimeGrid, stack: bool = False) -> np.ndarray:
     """``path`` as a float array: one mean path m_0..m_N on the grid, or
-    with ``stack`` also an (S, N + 1) stack of them. Raises ParameterError
+    with ``stack`` also a (..., N + 1) stack of them. Raises ParameterError
     naming a mismatched shape or a NaN or infinite value."""
     path = np.asarray(path, dtype=float)
-    if path.shape[-1:] != (grid.n_steps + 1,) or path.ndim > 1 + stack:
+    if path.shape[-1:] != (grid.n_steps + 1,) or (path.ndim > 1 and not stack):
         raise ParameterError(f"mean path has shape {path.shape}, grid has {grid.n_steps} steps")
     if not np.isfinite(path).all():
         raise ParameterError("mean path values must be finite")
@@ -79,10 +79,21 @@ class PolicyParams:
 
 
 def discretize_policy(policy: GaussianFeedbackPolicy, grid: TimeGrid) -> PolicyParams:
-    """Per-step parameters of a continuous-time policy (left-endpoint variances)."""
-    return PolicyParams(
-        m_hat=policy.mean_coeff, sigma2=policy.variance_on(grid.step_times())
-    )
+    """Per-step parameters of a continuous-time policy (left-endpoint variances).
+
+    An equilibrium's variances lambda / (D^2 * riccati) underflow or
+    overflow for coefficients far from the reference scale; the error names
+    the keys instead of numpy warnings.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sigma2 = policy.variance_on(grid.step_times())
+    if not (np.isfinite(sigma2).all() and (sigma2 > 0.0).all()):
+        raise ParameterError(
+            "game: the policy variances lambda_se / (D^2 * riccati) on the grid are not "
+            "finite and positive: game.D, game.lambda_se and their product are outside "
+            "the closed forms' range"
+        )
+    return PolicyParams(m_hat=policy.mean_coeff, sigma2=sigma2)
 
 
 def rollout(
@@ -226,43 +237,40 @@ def mean_and_stderr(rewards: np.ndarray) -> tuple[float, float]:
     return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(len(rewards)))
 
 
-def expected_reward_exact(
-    params: GameParams, grid: TimeGrid, policy: PolicyParams, mean_field: np.ndarray
-) -> float:
+def expected_reward_exact(params: GameParams, grid: TimeGrid, m_hat, sigma2, path):
     """Exact expectation of the realized reward under the discrete dynamics.
 
-    The state's first and second moments close into linear recursions because
-    drift is affine and squared diffusion quadratic in the state, so the
-    expected reward needs no sampling. This is the discrete-time counterpart
-    of the moment-ODE payoff evaluator and the systematic (bias) part of any
-    Monte Carlo estimate of the same quantity.
+    Gains (...), variances (..., N) and mean paths (..., N + 1) broadcast
+    against each other; returns the expected rewards (...). The state's mean
+    and variance close into linear recursions because drift is affine and
+    squared diffusion quadratic in the state, so no sampling is needed: this
+    is the systematic part of any Monte Carlo estimate of the same quantity.
+    Every operation is elementwise, so a row's value does not depend on the
+    batch it is computed in.
     """
-    policy.check_aligned(grid)
-    m = check_path(mean_field, grid)
+    m = check_path(path, grid, stack=True)
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if sigma2.shape[-1:] != (grid.n_steps,):
+        raise ParameterError(f"sigma2 of shape {sigma2.shape} does not fit the grid")
     dt = grid.dt
-    a = params.A + params.B * policy.m_hat
-    mhat = params.xi_mean
-    phi2 = params.xi_second_moment
-    total = 0.0
+    k = np.asarray(m_hat, dtype=float)
+    a_dt = (params.A + params.B * k) * dt
+    shrink, k2 = 1.0 - a_dt, k * k
+    noise, quad = dt * params.D**2, 0.5 * params.Q * dt
+    if params.lambda_se > 0.0:
+        bonus = (0.5 * params.lambda_se * dt) * np.log(2.0 * np.pi * np.e * sigma2)
+    mean, var, total = params.xi_mean, params.xi_var, 0.0
+    # step by step, so a row's sum has the same order in any batch
     for s in range(grid.n_steps):
-        gap2 = phi2 - 2.0 * m[s] * mhat + m[s] ** 2
-        total += -0.5 * params.Q * gap2 * dt
+        gap = m[..., s] - mean
+        gap2 = var + gap * gap
+        total = total - quad * gap2
         if params.lambda_se > 0.0:
-            total += (
-                0.5 * params.lambda_se
-                * math.log(2.0 * math.pi * math.e * policy.sigma2[s]) * dt
-            )
-        shrink = 1.0 - a * dt
-        mhat_next = shrink * mhat + a * dt * m[s]
-        phi2 = (
-            shrink**2 * phi2
-            + 2.0 * shrink * a * dt * m[s] * mhat
-            + (a * dt * m[s]) ** 2
-            + dt * params.D**2 * (policy.m_hat**2 * gap2 + policy.sigma2[s])
-        )
-        mhat = mhat_next
-    total += -0.5 * params.Q_bar * (phi2 - 2.0 * m[-1] * mhat + m[-1] ** 2)
-    return float(total)
+            total = total + bonus[..., s]
+        mean = mean + a_dt * gap
+        var = shrink * shrink * var + noise * (k2 * gap2 + sigma2[..., s])
+    gap = m[..., -1] - mean
+    return total - 0.5 * params.Q_bar * (var + gap * gap)
 
 
 def propagate_mean_field(params: GameParams, grid: TimeGrid, m_hat, prev) -> np.ndarray:

@@ -194,7 +194,7 @@ def test_criterion_4_feedback_policy_payoff():
             mc, stderr = mc_reward(
                 params, g, step_policy, mf, 100_000, seed=4000 + idx * 10 + n_steps
             )
-            exact = expected_reward_exact(params, g, step_policy, mf)
+            exact = expected_reward_exact(params, g, step_policy.m_hat, step_policy.sigma2, mf)
             # the Monte Carlo estimate must sit on the exact discrete value
             ok &= abs(mc - exact) <= 3 * stderr
             gaps[n_steps] = abs(exact - ode_value)
@@ -227,7 +227,7 @@ def test_criterion_5_value_consistency():
         policy = discretize_policy(equilibrium_policy(params, "se"), g)
         mf = np.full(g.n_steps + 1, params.xi_mean)
         mc, stderr = mc_reward(params, g, policy, mf, 200_000, seed=505)
-        exact = expected_reward_exact(params, g, policy, mf)
+        exact = expected_reward_exact(params, g, policy.m_hat, policy.sigma2, mf)
         ok &= abs(mc - gv) <= 3 * stderr + budget_rate * g.dt
         ok &= abs(mc - exact) <= 3 * stderr
         systematic.append(abs(exact - gv))
@@ -414,7 +414,6 @@ def test_criterion_10_instability_without_entropy(experiment):
 def test_criterion_11_determinism(tmp_path):
     data = config_to_dict(default_config())
     data["learner"].update({"n_outer": 2, "n_inner": 10, "n_perturbations": 8})
-    data["n_eval_paths"] = 512
     data["lambda_se_values"] = [0.0, 1.0]
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(data))

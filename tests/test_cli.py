@@ -27,7 +27,6 @@ def write_tiny_config(path, lambda_values=(1.0,), **learner_overrides):
     data["learner"].update(
         {"n_outer": 2, "n_inner": 5, "n_perturbations": 6, **learner_overrides}
     )
-    data["n_eval_paths"] = 256
     data["lambda_se_values"] = list(lambda_values)
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -37,7 +36,7 @@ def write_tiny_config(path, lambda_values=(1.0,), **learner_overrides):
 # overrides that cut a learner run to one round of one step on tiny batches
 TINY_LEARN = (
     "--set", "learner.n_outer=1", "--set", "learner.n_inner=1",
-    "--set", "learner.n_perturbations=2", "--set", "n_eval_paths=2",
+    "--set", "learner.n_perturbations=2",
 )
 
 
@@ -322,6 +321,35 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert named in err and out == ""
+
+    @pytest.mark.parametrize("command", [("simulate", "--n-paths", "2"), ("learn", *TINY_LEARN)],
+                             ids=["simulate", "learn"])
+    def test_an_equilibrium_schedule_out_of_range_is_named(self, capsys, tmp_path, command):
+        # lambda_se / (D^2 * riccati) divides by a product that underflows to
+        # 0; this exited 2 with a message naming no key, after a numpy warning
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, *command, "--set", "game.D=1e-150", "--out-dir", str(out_dir)
+            )
+        assert code == EXIT_CONFIG
+        assert "game.D, game.lambda_se and their product" in err and out == ""
+        assert not out_dir.exists()
+
+    def test_a_config_setting_n_eval_paths_is_rejected(self, capsys, tmp_path):
+        # the evaluation path count left the schema when scoring became exact
+        path = tmp_path / "old.json"
+        data = config_to_dict(default_config())
+        data["n_eval_paths"] = 4096
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "reproduce", "--config", str(path),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert "unknown field n_eval_paths" in err and out == ""
+        code, _, err = run_cli(capsys, "learn", *TINY_LEARN, "--set", "n_eval_paths=2")
+        assert code == EXIT_CONFIG
+        assert "unknown config field 'n_eval_paths'" in err
 
     def test_runtime_error_exit_code(self, capsys, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.json", n_outer=1, n_inner=1)

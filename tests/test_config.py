@@ -89,17 +89,12 @@ def test_lambda_sweep_validation():
         data["lambda_se_values"] = bad
         with pytest.raises(ConfigError, match=r"lambda_se_values\[1\]"):
             config_from_dict(data)
-    data = config_to_dict(default_config())
-    data["n_eval_paths"] = 1
-    with pytest.raises(ConfigError, match="n_eval_paths must be >= 2"):
-        config_from_dict(data)
     # a config built in code gets the same checks
     for field, bad, message in (
         ("lambda_se_values", (1.0, 3.0, 1.0), r"lambda_se_values\[2\] repeats"),
         ("lambda_se_values", (), "lambda_se_values must be a nonempty list"),
         ("lambda_se_values", (1.0, -2.0), r"lambda_se_values\[1\] must be nonnegative"),
         ("lambda_se_values", (float("nan"),), r"lambda_se_values\[0\] must be finite"),
-        ("n_eval_paths", 1, "n_eval_paths must be >= 2"),
     ):
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(default_config(), **{field: bad})

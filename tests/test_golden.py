@@ -39,8 +39,10 @@ from lqmfg.config import config_from_dict, config_to_dict, default_config
 from conftest import make_params
 
 GOLDEN = {
+    # regenerated once when trace rows came to be scored by the exact
+    # expected reward instead of a Monte Carlo estimate on frozen draws
     "learning_curve.csv":
-        "d8f7cfc2941dde07dc1bc5b9f6a506c677b3cac649e87c81a7eb6b1f1b7f09e0",
+        "60b0e3182e41f7009bea4acb6d3a82c8826782fb5e372b54a396398047b5c620",
     "variance_schedule.csv":
         "e1202247d9af97e9328d9fb67943ce75eb380e6a1c0a0b957811ffb7a9da256f",
     "mean_field.csv":

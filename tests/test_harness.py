@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -16,8 +15,8 @@ from lqmfg import (
     reference_policy,
     reproduce,
 )
-from lqmfg import harness
 from lqmfg.config import config_from_dict, config_to_dict, default_config
+from lqmfg import harness
 from lqmfg.harness import (
     DegenerateReferenceError,
     check_thresholds,
@@ -35,7 +34,6 @@ def tiny_config(**top_overrides):
     """A seconds-scale configuration exercising every code path."""
     data = config_to_dict(default_config())
     data["learner"].update({"n_outer": 2, "n_inner": 5, "n_perturbations": 6})
-    data["n_eval_paths"] = 256
     data["lambda_se_values"] = [0.0, 1.0]
     data.update(top_overrides)
     return config_from_dict(data)
@@ -57,29 +55,25 @@ class TestReferencePolicy:
 
 class TestPayoffEvaluator:
     def test_self_error_is_zero(self, params, grid):
-        ev = PayoffEvaluator(params, grid, 1024, seed=3)
+        ev = PayoffEvaluator(params, grid)
         assert ev.rel_error(ev.reference.m_hat, ev.reference.sigma2, ev.reference_path) == 0.0
 
     def test_bitwise_repeatability(self, params, grid):
         sigma2, path = np.full(5, 0.3), np.full(6, 0.05)
-        a = PayoffEvaluator(params, grid, 1024, seed=9).payoff(0.5, sigma2, path)
-        b = PayoffEvaluator(params, grid, 1024, seed=9).payoff(0.5, sigma2, path)
-        assert a == b
+        a = PayoffEvaluator(params, grid).rel_error(0.5, sigma2, path)
+        b = PayoffEvaluator(params, grid).rel_error(0.5, sigma2, path)
+        assert a.tobytes() == b.tobytes()
 
     def test_inflated_exploration_increases_the_error(self, params, grid):
-        ev = PayoffEvaluator(params, grid, 8192, seed=5)
+        ev = PayoffEvaluator(params, grid)
         ref, path = ev.reference, ev.reference_path
         scaled = ev.rel_error(ref.m_hat, 10.0 * ref.sigma2, path)
         assert scaled > ev.rel_error(ref.m_hat, ref.sigma2, path)
 
     def test_degenerate_reference_guard(self, params, grid, monkeypatch):
-        monkeypatch.setattr(PayoffEvaluator, "payoff", lambda self, *args: (0.0, 0.0))
+        monkeypatch.setattr(harness, "expected_reward_exact", lambda *args: 0.0)
         with pytest.raises(DegenerateReferenceError):
-            PayoffEvaluator(params, grid, 64, seed=0)
-
-    def test_path_count_validated(self, params, grid):
-        with pytest.raises(ParameterError):
-            PayoffEvaluator(params, grid, 1, seed=0)
+            PayoffEvaluator(params, grid)
 
 
 def _analytic_column(report, tmp_path) -> dict:
@@ -304,78 +298,21 @@ class TestRunArms:
         assert marker.startswith(f"lambda_se=0: {alone.value}\n")
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_trace_scores_equal_row_by_row_scores(self):
+        # one batched call per arm gives every row the bits of its own call
+        for arm in run_arms([(tiny_config(), 0.0), (tiny_config(), 1.0)]):
+            records, paths = arm.result.trace.records, arm.result.trace.mean_paths
+            alone = [arm.evaluator.rel_error(r.m_hat, r.sigma2, paths[r.outer]) for r in records]
+            assert np.array(alone).tobytes() == records.rel_error.tobytes()
 
-class TestScoringPool:
-    # tiny_config plays 6 rows per round
-    ARMS = [(tiny_config(), 0.0), (tiny_config(), 1.0)]
-
-    @staticmethod
-    def _force_pool(monkeypatch, cpus, start_method=None) -> list:
-        """Pool every run_arms call with ``cpus`` workers; returns the list of
-        the positional arguments each pool is built with."""
-        built = []
-
-        class Counted(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                if start_method:
-                    kwargs["mp_context"] = multiprocessing.get_context(start_method)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        monkeypatch.setattr(harness, "_POOL_MIN_PATH_STEPS", 0)
-        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
-        return built
-
-    def test_pooled_scores_equal_in_process_scores(self, monkeypatch):
-        # 4 workers cut each round's 6 rows into slices of 1, 2, 1 and 2
-        alone = run_arms(self.ARMS)
-        built = self._force_pool(monkeypatch, 4)
-        pooled = run_arms(self.ARMS)
-        assert built == [(4,)]
-        for a, b in zip(pooled, alone, strict=True):
-            assert np.array_equal(
-                a.result.trace.records.rel_error, b.result.trace.records.rel_error
-            )
-            _same_arm(a, b)
-
-    def test_jobs_pickle_under_spawn(self, monkeypatch):
-        # spawn, like forkserver (Python 3.14's default on Linux), hands each
-        # job to a fresh interpreter, so every part of it must pickle
-        alone = run_arms(self.ARMS)
-        built = self._force_pool(monkeypatch, 2, "spawn")
-        pooled = run_arms(self.ARMS)
-        assert built == [(2,)]
-        for a, b in zip(pooled, alone, strict=True):
-            _same_arm(a, b)
-
-    def test_a_divergence_in_a_later_round_stops_the_pool(self, monkeypatch):
-        # at seed 1 and step 3, lambda 0 diverges at k=1, i=3, after round
-        # 0's rows went to the pool
+    def test_a_divergence_in_a_later_round_leaves_no_process(self):
+        # at seed 1 and step 3, lambda 0 diverges at k=1, i=3, after round 0
+        # was played; nothing is left running behind the error
         data = config_to_dict(tiny_config(seed=1))
         data["learner"].update(n_outer=3, n_inner=8, n_perturbations=50, step_size=3.0)
         config = config_from_dict(data)
-        arms = [(config, 0.0), (config, 1.0)]
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(LearnerDivergence) as alone:
-                run_arms(arms)
-            built = self._force_pool(monkeypatch, 2)
-            with pytest.raises(LearnerDivergence) as pooled:
-                run_arms(arms)
-        assert built == [(2,)]
-        assert (pooled.value.arm, pooled.value.outer, pooled.value.inner) == (0, 1, 3)
-        assert (alone.value.arm, alone.value.outer, alone.value.inner) == (0, 1, 3)
-        assert str(pooled.value) == str(alone.value)
+            with pytest.raises(LearnerDivergence) as info:
+                run_arms([(config, 0.0), (config, 1.0)])
+        assert (info.value.arm, info.value.outer, info.value.inner) == (0, 1, 3)
         assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus, threshold", [(1, 0), (2, harness._POOL_MIN_PATH_STEPS)],
-                             ids=["one_cpu", "below_threshold"])
-    def test_no_pool_on_one_cpu_or_for_little_work(self, monkeypatch, cpus, threshold):
-        def refuse(*args, **kwargs):
-            raise AssertionError("scoring built a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
-        monkeypatch.setattr(harness, "_POOL_MIN_PATH_STEPS", threshold)
-        for arm in run_arms(self.ARMS):
-            assert np.isfinite(arm.result.trace.records.rel_error).all()

@@ -18,10 +18,3 @@ def test_distinct_addresses_distinct_streams():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
 
-
-def test_derived_seeds_are_stable_and_distinct():
-    s1 = rng.derive_seed(7, rng.EVALUATION, 0)
-    s2 = rng.derive_seed(7, rng.EVALUATION, 0)
-    s3 = rng.derive_seed(7, rng.EVALUATION, 1)
-    assert s1 == s2
-    assert s1 != s3

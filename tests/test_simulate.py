@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmfg import (
     ParameterError,
@@ -24,7 +28,10 @@ from lqmfg import rng
 from lqmfg.analytic import constant_fn
 from lqmfg.simulate import SIGMA_FLOOR, draw_noise, rollout
 
-from conftest import make_params, mc_reward
+from conftest import make_params, mc_reward, random_params
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import oracle  # noqa: E402
 
 
 def ne_policy(params, grid):
@@ -266,7 +273,7 @@ class TestExpectedRewardExact:
         policy = PolicyParams(m_hat=0.6, sigma2=np.linspace(0.4, 0.2, 5))
         mf = np.linspace(0.0, 0.2, 6)
         mean, stderr = mc_reward(params, grid, policy, mf, 200_000, seed=13)
-        exact = expected_reward_exact(params, grid, policy, mf)
+        exact = expected_reward_exact(params, grid, policy.m_hat, policy.sigma2, mf)
         assert abs(exact - mean) <= 3 * stderr
 
     def test_approaches_continuous_payoff(self, params):
@@ -276,11 +283,41 @@ class TestExpectedRewardExact:
         gaps = []
         for n in (5, 50, 500):
             g = TimeGrid.from_horizon(params.T, n)
+            policy = discretize_policy(pol, g)
             exact = expected_reward_exact(
-                params, g, discretize_policy(pol, g), np.full(g.n_steps + 1, params.xi_mean)
+                params, g, policy.m_hat, policy.sigma2, np.full(g.n_steps + 1, params.xi_mean)
             )
             gaps.append(abs(exact - cont))
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 12))
+    def test_batched_rows_match_the_oracle_and_sampling(self, seed, n_steps):
+        # a (3, 4) batch of gains, schedules and paths on a random game
+        gen = np.random.default_rng(seed)
+        params = random_params(gen)
+        grid = TimeGrid.from_horizon(params.T, n_steps)
+        m_hat = gen.uniform(-0.5, 2.0, (3, 4))
+        sigma2 = gen.uniform(1e-3, 1.0, (3, 4, n_steps))
+        paths = gen.uniform(-1.0, 1.0, (3, 4, n_steps + 1))
+        rewards = expected_reward_exact(params, grid, m_hat, sigma2, paths)
+        assert rewards.shape == (3, 4)
+        game = {name: getattr(params, name) for name in oracle.REFERENCE_GAME}
+        for j in np.ndindex(3, 4):
+            expected = oracle.discrete_expected_reward(
+                game, n_steps, m_hat[j], sigma2[j], paths[j]
+            )
+            # relative to the magnitude of the reward's terms: the quadratic
+            # penalties and the entropy bonus can nearly cancel
+            bonus = 0.5 * params.lambda_se * grid.dt * np.abs(
+                np.log(2 * math.pi * math.e * sigma2[j])
+            ).sum()
+            assert abs(rewards[j] - expected) <= 1e-12 * (abs(expected) + bonus)
+            alone = expected_reward_exact(params, grid, m_hat[j], sigma2[j], paths[j])
+            assert alone.tobytes() == rewards[j].tobytes()
+        policy = PolicyParams(m_hat=float(m_hat[0, 0]), sigma2=sigma2[0, 0])
+        mean, stderr = mc_reward(params, grid, policy, paths[0, 0], 1 << 16, seed)
+        assert abs(mean - rewards[0, 0]) <= 4 * stderr
 
 
 class TestPropagateMeanField:
@@ -379,10 +416,12 @@ class TestDeterminismAndAlignment:
 
     def test_mean_field_validation(self, params, grid):
         policy = ne_policy(params, grid)
-        evaluator = PayoffEvaluator(params, grid, 16, seed=0)
+        evaluator = PayoffEvaluator(params, grid)
         for path in (np.zeros(4), np.zeros((1, grid.n_steps + 1))):
             with pytest.raises(ParameterError, match="mean path has shape"):
                 sample_rewards(params, grid, policy, path, 2, rng.substream(0, 1))
+        # the evaluator scores stacks of paths, so only the length is wrong
+        for path in (np.zeros(4), np.zeros((1, 4))):
             with pytest.raises(ParameterError, match="mean path has shape"):
                 evaluator.rel_error(policy.m_hat, policy.sigma2, path)
         path = np.zeros(grid.n_steps + 1)
