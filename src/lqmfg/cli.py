@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import harness
+from .harness import _fmt
 from .analytic import solve_equilibrium
 from .config import (
     ConfigError,
@@ -45,10 +46,6 @@ OUT_DIR_ENV = "LQMFG_OUT_DIR"
 
 # Rows of the --dump-paths CSV formatted and written per write call.
 _DUMP_BLOCK = 1 << 14
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -149,12 +146,7 @@ def _cmd_solve(args) -> int:
     for row in rows:
         print(" ".join(_fmt(v) for v in row))
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(header)
-            w.writerows([[_fmt(v) for v in row] for row in rows])
+        harness.write_table(args.csv, header, ([_fmt(v) for v in row] for row in rows))
         if args.verbose:
             print(f"wrote {args.csv}", file=sys.stderr)
     return EXIT_OK

@@ -112,19 +112,7 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _boolean(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"field {where} must be a boolean, got {value!r}")
-    return value
-
-
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"field {where} must be a string, got {value!r}")
-    return value
-
-
-_PARSERS = {float: _number, int: _integer, bool: _boolean, str: _string}
+_PARSERS = {float: _number, int: _integer}
 
 
 def _check_section(section, allowed, where: str) -> None:

@@ -164,8 +164,8 @@ def reproduce(config: ExperimentConfig) -> ExperimentReport:
             policy = exc.last_policy
             _write_failed(config.output_dir, (
                 f"lambda_se={_fmt(config.lambda_se_values[exc.arm])}: {exc}\n"
-                f"last finite policy: m_hat={_fmt(policy.m_hat)} "
-                f"sigma2={' '.join(_fmt(v) for v in policy.sigma2)}\n"
+                f"last finite policy: m_hat={_fmt(policy[0])} "
+                f"sigma2={' '.join(_fmt(v) for v in policy[1:])}\n"
             ))
         raise
     report = ExperimentReport(config=config, arms=arms)
@@ -206,6 +206,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def write_table(path: str, header, rows) -> None:
+    """A CSV table: the header, then ``rows``, each a list of cells."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _clear_markers(out_dir: str) -> None:
     # a manifest must always describe the tables next to it: clear leftovers
     # from any previous run before writing anything new
@@ -230,40 +238,34 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
     _clear_markers(out_dir)
     written = []
     try:
-        path = os.path.join(out_dir, "learning_curve.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda_se", "k", "i", "total_iter", "rel_error"])
-            for arm in report.arms:
-                rows = arm.result.trace.records[["outer", "inner", "rel_error"]].tolist()
+        tables = {
+            "learning_curve.csv": (["lambda_se", "k", "i", "total_iter", "rel_error"], (
+                [_fmt(arm.lambda_se), k, i, total, _fmt(err)]
+                for arm in report.arms
                 # rows are in (k, i) order, so a row's index is k * (I + 1) + i
-                for total, (k, i, err) in enumerate(rows):
-                    w.writerow([_fmt(arm.lambda_se), k, i, total, _fmt(err)])
-        written.append(path)
-
-        path = os.path.join(out_dir, "variance_schedule.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda_se", "s", "learned_sigma2", "analytic_sigma2"])
-            for arm in report.arms:
-                # the schedule the arm's errors are measured against
-                analytic = arm.evaluator.reference.sigma2
-                learned = arm.result.policy.sigma2
-                for s in range(report.config.grid.n_steps):
-                    w.writerow(
-                        [_fmt(arm.lambda_se), s, _fmt(learned[s]), _fmt(analytic[s])]
-                    )
-        written.append(path)
-
-        path = os.path.join(out_dir, "mean_field.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda_se", "k", "s", "m"])
-            for arm in report.arms:
-                for k, values in enumerate(arm.result.trace.mean_paths):
-                    for s, m in enumerate(values):
-                        w.writerow([_fmt(arm.lambda_se), k, s, _fmt(m)])
-        written.append(path)
+                for total, (k, i, err) in enumerate(
+                    arm.result.trace.records[["outer", "inner", "rel_error"]].tolist()
+                )
+            )),
+            # each arm's learned schedule next to the one its errors are measured against
+            "variance_schedule.csv": (["lambda_se", "s", "learned_sigma2", "analytic_sigma2"], (
+                [_fmt(arm.lambda_se), s, _fmt(learned), _fmt(analytic)]
+                for arm in report.arms
+                for s, (learned, analytic) in enumerate(
+                    zip(arm.result.policy.sigma2, arm.evaluator.reference.sigma2)
+                )
+            )),
+            "mean_field.csv": (["lambda_se", "k", "s", "m"], (
+                [_fmt(arm.lambda_se), k, s, _fmt(m)]
+                for arm in report.arms
+                for k, values in enumerate(arm.result.trace.mean_paths)
+                for s, m in enumerate(values)
+            )),
+        }
+        for name, (header, rows) in tables.items():
+            path = os.path.join(out_dir, name)
+            write_table(path, header, rows)
+            written.append(path)
 
         path = os.path.join(out_dir, "summary.json")
         summary = {

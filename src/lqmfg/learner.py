@@ -10,20 +10,13 @@ with gradients estimated from sphere-smoothed single-rollout evaluations:
 On the sphere, E[U U^T] = (r^2/dim) * I, so the estimate averages to
 grad / dim on smooth objectives (see the gradient tests).
 
-Two variance-control switches ship enabled by default because the raw
-estimator (independent rollout noise per perturbation, no baseline) has a
-per-step noise magnitude far above the attainable drift at the reference
-hyperparameters and diverges (see README):
-
-* ``shared_rollout_noise``: the n perturbed policies within one estimate are
-  evaluated on a common initial state and Brownian path, isolating the
-  perturbation effect;
-* ``baseline="loo"``: each reward is centered by the leave-one-out batch
-  mean, which cancels the common reward level without biasing the estimate
-  (the baseline is independent of the perturbation it multiplies).
-
-Setting ``shared_rollout_noise=False, baseline="none"`` recovers the raw
-estimator exactly.
+The n perturbed policies of one estimate are evaluated on a common initial
+state and Brownian path, which isolates the perturbation effect, and each
+reward is centered by the leave-one-out batch mean, which cancels the
+common reward level without biasing the estimate (the baseline is
+independent of the perturbation it multiplies). Without this variance
+control the per-step noise at the reference hyperparameters is far above
+the attainable drift and the learner diverges (see README).
 """
 
 from __future__ import annotations
@@ -48,7 +41,8 @@ from .simulate import (
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Gaussian initializer for the policy vector (variances clamped to the floor)."""
+    """Gaussian initializer for the (1 + N) policy vector: gain first, then
+    the variance schedule, clamped to the floor."""
 
     m_hat_mean: float = 0.5
     m_hat_var: float = 1.0
@@ -60,10 +54,10 @@ class InitSpec:
         if self.m_hat_var < 0 or self.sigma2_var < 0:
             raise ParameterError("m_hat_var and sigma2_var must be nonnegative")
 
-    def sample(self, n_steps: int, stream: np.random.Generator, floor: float) -> PolicyParams:
+    def sample(self, n_steps: int, stream: np.random.Generator, floor: float) -> np.ndarray:
         m_hat = self.m_hat_mean + math.sqrt(self.m_hat_var) * stream.standard_normal()
         sigma2 = self.sigma2_mean + math.sqrt(self.sigma2_var) * stream.standard_normal(n_steps)
-        return PolicyParams(m_hat=float(m_hat), sigma2=np.maximum(sigma2, floor))
+        return np.concatenate(([m_hat], np.maximum(sigma2, floor)))
 
 
 @dataclass(frozen=True)
@@ -72,8 +66,9 @@ class LearnerConfig:
 
     ``n_outer`` fictitious-play rounds of ``n_inner`` gradient steps, each
     estimated from ``n_perturbations`` sphere-perturbed rollouts of radius
-    ``radius``, ascending with ``step_size``. ``warm_start`` keeps the policy
-    across outer rounds (a fresh draw per round is the alternative).
+    ``radius``, ascending with ``step_size``. The first round starts from
+    an ``init`` draw, and each later round from the policy the previous one
+    ended at.
     """
 
     n_outer: int = 10
@@ -83,23 +78,18 @@ class LearnerConfig:
     step_size: float = 0.05
     sigma_floor: float = SIGMA_FLOOR
     initial_mean_field: float = 0.0
-    shared_rollout_noise: bool = True
-    baseline: str = "loo"
-    warm_start: bool = True
     init: InitSpec = field(default_factory=InitSpec)
 
     def __post_init__(self):
         check_finite(self)
-        if self.n_outer < 1 or self.n_perturbations < 1:
-            raise ParameterError("n_outer and n_perturbations must be >= 1")
+        if self.n_outer < 1:
+            raise ParameterError("n_outer must be >= 1")
+        if self.n_perturbations < 2:
+            raise ParameterError("leave-one-out baseline needs n_perturbations >= 2")
         if self.n_inner < 0:
             raise ParameterError("n_inner must be >= 0")
         if not (self.radius > 0 and self.step_size > 0 and self.sigma_floor > 0):
             raise ParameterError("radius, step_size and sigma_floor must be positive")
-        if self.baseline not in ("loo", "none"):
-            raise ParameterError("baseline must be 'loo' or 'none'")
-        if self.baseline == "loo" and self.n_perturbations < 2:
-            raise ParameterError("leave-one-out baseline needs n_perturbations >= 2")
 
 
 def _sample_sphere_batch(n: int, dim: int, radius: float, stream) -> np.ndarray:
@@ -117,13 +107,13 @@ def _sample_sphere_batch(n: int, dim: int, radius: float, stream) -> np.ndarray:
     return radius * u / norms
 
 
-def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float, baseline: str) -> np.ndarray:
-    """(1/n) * sum_j (value_j / radius^2) * U_j for U (..., n, dim), values (..., n)."""
+def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float) -> np.ndarray:
+    """(1/n) * sum_j (value_j / radius^2) * U_j for U (..., n, dim), values
+    (..., n), each value centered by the mean of the other n - 1."""
     n = values.shape[-1]
-    if baseline == "loo":
-        if n < 2:
-            raise ParameterError("leave-one-out baseline needs n >= 2")
-        values = values - (values.sum(axis=-1, keepdims=True) - values) / (n - 1)
+    if n < 2:
+        raise ParameterError("leave-one-out baseline needs n >= 2")
+    values = values - (values.sum(axis=-1, keepdims=True) - values) / (n - 1)
     # the bits of .mean(axis=-2), without its overhead
     return np.add.reduce(U * (values / radius**2)[..., None], axis=-2) / n
 
@@ -134,17 +124,16 @@ def estimate_gradient(params, grid: TimeGrid, policies, mean_paths, cfg: Learner
     policy matrix, (S, N + 1) mean paths and one generator per arm.
 
     Arms given the same generator share its draws, made once in a fixed
-    order (perturbations, then rollout noise); all S * n perturbed policies
-    are scored in one kernel call. Perturbed variances are clamped to the
-    floor for the evaluation only, leaving the estimator geometry untouched.
+    order (perturbations, then one initial state and Brownian path); all
+    S * n perturbed policies are scored on that path in one kernel call.
+    Perturbed variances are clamped to the floor for the evaluation only,
+    leaving the estimator geometry untouched.
     """
     dim = policies.shape[1]
     if dim != grid.n_steps + 1 or mean_paths.shape != (len(policies), dim):
         raise ParameterError(f"policies and mean paths need {dim} entries per arm")
-    n = cfg.n_perturbations
-    n_paths = 1 if cfg.shared_rollout_noise else n
-    draws = {id(s): (_sample_sphere_batch(n, dim, cfg.radius, s),
-                     *draw_noise(s, params[0], grid.dt, n_paths, grid.n_steps))
+    draws = {id(s): (_sample_sphere_batch(cfg.n_perturbations, dim, cfg.radius, s),
+                     *draw_noise(s, params[0], grid.dt, 1, grid.n_steps))
              for s in {id(s): s for s in streams}.values()}
     U, x0, dW = (np.array(parts) for parts in zip(*(draws[id(s)] for s in streams)))
     points = policies[:, None, :] + U
@@ -153,7 +142,7 @@ def estimate_gradient(params, grid: TimeGrid, policies, mean_paths, cfg: Learner
         np.maximum(points[..., 1:], cfg.sigma_floor), x0, dW,
         lambda_se=np.array([p.lambda_se for p in params])[:, None, None],
     )
-    return _sphere_average(U, values, cfg.radius, cfg.baseline)
+    return _sphere_average(U, values, cfg.radius)
 
 
 def gradient_step(policies: np.ndarray, estimates: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
@@ -170,11 +159,12 @@ class LearnerDivergence(RuntimeError):
 
     ``outer`` and ``inner`` index the failing step (outer round k, inner step
     i, both from 0; ``inner`` is None for the mean-field update after round
-    k); ``last_policy`` is the last finite policy, the one the step started
-    from or the round ended at; ``arm`` indexes the arm in its stack.
+    k); ``last_policy`` is the last finite (1 + N) policy vector, the one the
+    step started from or the round ended at; ``arm`` indexes the arm in its
+    stack.
     """
 
-    def __init__(self, outer: int, inner: Optional[int], last_policy: PolicyParams, arm: int = 0):
+    def __init__(self, outer: int, inner: Optional[int], last_policy: np.ndarray, arm: int = 0):
         where = (f", inner step i={inner}: the gradient step made the policy" if inner is not None
                  else ": the mean-field update after the round made the mean path")
         super().__init__(f"learner diverged at outer round k={outer}{where} non-finite")
@@ -221,7 +211,7 @@ def inner_loop(
     if initial is None:
         drawn = {seed: cfg.init.sample(
             grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), cfg.sigma_floor
-        ).to_vector() for seed in set(seeds)}
+        ) for seed in set(seeds)}
         initial = np.array([drawn[seed] for seed in seeds])
     steps = np.empty((len(seeds), cfg.n_inner + 1, grid.n_steps + 1))
     steps[:, 0] = policies = initial
@@ -236,8 +226,7 @@ def inner_loop(
         if not finite.all():
             # the first diverging arm, and every arm after it, stop here
             j = int(finite.argmin())
-            last = PolicyParams.from_vector(policies[j], cfg.sigma_floor)
-            failure = LearnerDivergence(outer_index, i, last, arm=j)
+            failure = LearnerDivergence(outer_index, i, policies[j], arm=j)
             if j == 0:
                 raise failure
             stepped, params, mean_paths, seeds = stepped[:j], params[:j], mean_paths[:j], seeds[:j]
@@ -269,9 +258,9 @@ def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
     mean_paths[:, 0] = cfg.initial_mean_field
     active, failure = len(seeds), None
     for k in range(n_outer):
-        initial = steps[:active, k - 1, -1] if cfg.warm_start and k else None
         block, diverged = inner_loop(
-            params[:active], grid, mean_paths[:active, k], cfg, seeds[:active], k, initial
+            params[:active], grid, mean_paths[:active, k], cfg, seeds[:active], k,
+            steps[:active, k - 1, -1] if k else None,
         )
         failure = diverged or failure
         active = len(block)
@@ -285,8 +274,7 @@ def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
             # a finite but huge gain overflows the update: the first such arm
             # and every arm after it stop here, as for a diverging step
             j = int(finite.argmin())
-            last = PolicyParams.from_vector(block[j, -1], cfg.sigma_floor)
-            failure, active = LearnerDivergence(k, None, last, arm=j), j
+            failure, active = LearnerDivergence(k, None, block[j, -1], arm=j), j
         if active == 0:
             raise failure
     if failure is not None:
@@ -301,7 +289,7 @@ def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
             [outer, inner, np.full(len(rows), np.nan), rows[:, 0], rows[:, 1:]], dtype=dtype
         )
         results.append(RunResult(
-            policy=PolicyParams.from_vector(rows[-1], cfg.sigma_floor),
+            policy=PolicyParams(m_hat=float(rows[-1, 0]), sigma2=rows[-1, 1:].copy()),
             trace=LearningTrace(records=records, mean_paths=arm_paths),
         ))
     return results

@@ -44,7 +44,8 @@ def check_path(path, grid: TimeGrid, stack: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Learnable policy vector: scalar gain plus per-step exploration variances."""
+    """Gaussian feedback policy on a grid: scalar gain plus per-step
+    exploration variances."""
 
     m_hat: float
     sigma2: np.ndarray
@@ -57,25 +58,6 @@ class PolicyParams:
             raise DomainError("per-step variances must be finite and strictly positive")
         if not math.isfinite(self.m_hat):
             raise ParameterError("m_hat must be finite")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.sigma2)
-
-    def check_aligned(self, grid: TimeGrid) -> None:
-        if self.n_steps != grid.n_steps:
-            raise ParameterError(
-                f"policy has {self.n_steps} variance entries, grid needs {grid.n_steps}"
-            )
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten to (1 + N,): gain first, then the variance schedule."""
-        return np.concatenate(([self.m_hat], self.sigma2))
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, floor: float = SIGMA_FLOOR) -> "PolicyParams":
-        vec = np.asarray(vec, dtype=float)
-        return cls(m_hat=float(vec[0]), sigma2=np.maximum(vec[1:], floor))
 
 
 def discretize_policy(policy: GaussianFeedbackPolicy, grid: TimeGrid) -> PolicyParams:
@@ -193,7 +175,10 @@ def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
 
 def _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None):
     """Rewards of n_paths rollouts drawn chunk by chunk (fixed draw layout)."""
-    policy.check_aligned(grid)
+    if len(policy.sigma2) != grid.n_steps:
+        raise ParameterError(
+            f"policy has {len(policy.sigma2)} variance entries, grid needs {grid.n_steps}"
+        )
     path = check_path(mean_field, grid)
     rewards = np.empty(n_paths)
     for start in range(0, n_paths, _CHUNK):

@@ -351,6 +351,29 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown config field 'n_eval_paths'" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("shared_rollout_noise", True), ("baseline", "loo"), ("warm_start", True),
+    ])
+    def test_a_config_setting_a_removed_learner_switch_is_rejected(
+        self, capsys, tmp_path, key, value
+    ):
+        # the raw estimator's and the cold start's switches left the schema
+        # with the code they selected; a config saved before still names them
+        path = tmp_path / "old.json"
+        data = config_to_dict(default_config())
+        data["learner"][key] = value
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "reproduce", "--config", str(path),
+                                 "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert f"unknown field learner.{key}" in err and out == ""
+        code, out, err = run_cli(capsys, "learn", *TINY_LEARN, "--set",
+                                 f"learner.{key}={json.dumps(value)}", "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert f"unknown config field 'learner.{key}'" in err and out == ""
+        assert not out_dir.exists()
+
     def test_runtime_error_exit_code(self, capsys, tmp_path):
         cfg = write_tiny_config(tmp_path / "c.json", n_outer=1, n_inner=1)
         blocker = tmp_path / "blocked"

@@ -47,8 +47,8 @@ def test_type_errors_name_the_field():
     with pytest.raises(ConfigError, match="grid.n_steps"):
         config_from_dict(data)
     data = config_to_dict(default_config())
-    data["learner"]["warm_start"] = "yes"
-    with pytest.raises(ConfigError, match="learner.warm_start"):
+    data["learner"]["n_perturbations"] = 8.0
+    with pytest.raises(ConfigError, match="learner.n_perturbations"):
         config_from_dict(data)
     data = config_to_dict(default_config())
     data["learner"]["init"]["sigma2_var"] = "wide"
@@ -102,11 +102,11 @@ def test_lambda_sweep_validation():
 
 def test_overrides_apply_and_validate():
     data = config_to_dict(default_config())
-    apply_overrides(data, ["game.A=2.5", "learner.baseline=none", "seed=9",
+    apply_overrides(data, ["game.A=2.5", "learner.radius=0.02", "seed=9",
                            "lambda_se_values=[1.0]"])
     cfg = config_from_dict(data)
     assert cfg.game.A == 2.5
-    assert cfg.learner.baseline == "none"
+    assert cfg.learner.radius == 0.02
     assert cfg.seed == 9
     assert cfg.lambda_se_values == (1.0,)
 

@@ -40,21 +40,25 @@ def run_one(params, grid, cfg, seed=SEED):
     return learner_run([params], grid, cfg, [seed])[0]
 
 
+def vector(policy):
+    """The (1 + N) policy row the learner works on: gain, then variances."""
+    return np.concatenate(([policy.m_hat], policy.sigma2))
+
+
 def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
-    """One best-response round of a stack of one arm: (final policy, the
-    (I + 1, 1 + N) policies before every step and after the last)."""
+    """One best-response round of a stack of one arm from the (1 + N) row
+    ``initial``: (final policy row, the (I + 1, 1 + N) policies before every
+    step and after the last)."""
     steps, _ = inner_loop(
         [params], grid, mean_field[None], cfg, [seed],
-        initial=None if initial is None else initial.to_vector()[None], **kwargs,
+        initial=None if initial is None else initial[None], **kwargs,
     )
-    return PolicyParams.from_vector(steps[0, -1], cfg.sigma_floor), steps[0]
+    return steps[0, -1], steps[0]
 
 
 def estimate_one(params, grid, policy, mean_field, cfg, stream):
     """The (1, 1 + N) gradient estimate of a stack of one arm."""
-    return estimate_gradient(
-        [params], grid, policy.to_vector()[None], mean_field[None], cfg, [stream]
-    )
+    return estimate_gradient([params], grid, vector(policy)[None], mean_field[None], cfg, [stream])
 
 
 class TestSampleSphere:
@@ -89,31 +93,29 @@ class TestSphereGradientEstimate:
     20 000 estimates of known functions."""
 
     def test_constant_function_averages_to_zero(self):
-        # the odd moment of the sphere kills a constant integrand
+        # the leave-one-out baseline cancels a constant integrand exactly,
+        # in every estimate and not only on average
         stream = rng.substream(1, 1)
-        U = _sample_sphere_batch(20_000, 3, 0.1, stream)[:, None, :]
-        est = _sphere_average(U, np.full((20_000, 1), 5.0), 0.1, "none")
-        stderr = est.std(axis=0, ddof=1) / math.sqrt(len(est))
-        assert np.all(np.abs(est.mean(axis=0)) <= 5 * stderr)
+        U = _sample_sphere_batch(20_000 * 4, 3, 0.1, stream).reshape(20_000, 4, 3)
+        est = _sphere_average(U, np.full((20_000, 4), 5.0), 0.1)
+        np.testing.assert_array_equal(est, 0.0)
 
-    @pytest.mark.parametrize("baseline", ["none", "loo"])
-    def test_linear_function_mean_is_gradient_over_dim(self, baseline):
+    def test_linear_function_mean_is_gradient_over_dim(self):
         # E[U U^T] = (r^2 / dim) I on the sphere, so the estimate averages
         # to c / dim on f(x) = <c, x>; the leave-one-out baseline leaves the
         # mean untouched because each baseline is independent of its U
         c = np.array([2.0, -1.0, 0.5, 3.0])
         center = np.zeros(4)
         stream = rng.substream(1, 2)
-        n = 4 if baseline == "loo" else 1
-        U = _sample_sphere_batch(20_000 * n, 4, 0.2, stream).reshape(20_000, n, 4)
-        est = _sphere_average(U, (center + U) @ c, 0.2, baseline)
+        U = _sample_sphere_batch(20_000 * 4, 4, 0.2, stream).reshape(20_000, 4, 4)
+        est = _sphere_average(U, (center + U) @ c, 0.2)
         stderr = est.std(axis=0, ddof=1) / math.sqrt(len(est))
         np.testing.assert_array_less(np.abs(est.mean(axis=0) - c / 4), 5 * stderr)
 
     def test_loo_needs_two_points(self):
         U = _sample_sphere_batch(1, 3, 0.1, rng.substream(1, 3))
         with pytest.raises(ParameterError):
-            _sphere_average(U, np.zeros(1), 0.1, "loo")
+            _sphere_average(U, np.zeros(1), 0.1)
 
 
 class TestEstimateGradient:
@@ -126,13 +128,6 @@ class TestEstimateGradient:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (1, 1 + grid.n_steps)
 
-    def test_raw_estimator_mode_runs(self, params, grid):
-        policy = reference_policy(params, grid)
-        mf = np.full(grid.n_steps + 1, params.xi_mean)
-        cfg = small_cfg(shared_rollout_noise=False, baseline="none")
-        out = estimate_one(params, grid, policy, mf, cfg, rng.substream(3, 2))
-        assert np.all(np.isfinite(out))
-
     def test_floor_applies_to_perturbed_evaluations(self, params, grid):
         # variances sitting at the floor stay evaluable under perturbation
         cfg = small_cfg(radius=0.5)
@@ -144,15 +139,15 @@ class TestEstimateGradient:
 
 class TestGradientStep:
     def test_zero_estimate_is_identity(self, grid):
-        policy = PolicyParams(m_hat=0.5, sigma2=np.linspace(0.4, 0.2, 5))
-        out = gradient_step(policy.to_vector(), np.zeros(6), small_cfg())
-        np.testing.assert_array_equal(out, policy.to_vector())
+        policy = np.concatenate(([0.5], np.linspace(0.4, 0.2, 5)))
+        out = gradient_step(policy, np.zeros(6), small_cfg())
+        np.testing.assert_array_equal(out, policy)
 
     def test_projection_to_the_floor(self):
         cfg = small_cfg()
-        policy = PolicyParams(m_hat=0.5, sigma2=np.full(5, 0.01))
+        policy = np.concatenate(([0.5], np.full(5, 0.01)))
         estimate = np.concatenate(([0.0], np.full(5, -10.0)))
-        out = gradient_step(policy.to_vector(), estimate, cfg)
+        out = gradient_step(policy, estimate, cfg)
         np.testing.assert_array_equal(out[1:], np.full(5, cfg.sigma_floor))
 
     def test_oracle_gradient_ascends_the_expected_reward(self, params, grid):
@@ -164,8 +159,7 @@ class TestGradientStep:
         def payoff(vec):
             return expected_reward_exact(params, grid, vec[0], vec[1:], mf)
 
-        def oracle_gradient(policy):
-            vec = policy.to_vector()
+        def oracle_gradient(vec):
             out = np.empty_like(vec)
             h = 1e-4
             for i in range(len(vec)):
@@ -175,13 +169,11 @@ class TestGradientStep:
                 out[i] = (payoff(up) - payoff(dn)) / (2 * h)
             return out
 
-        policy = PolicyParams(m_hat=0.4, sigma2=np.full(5, 0.45))
-        start = payoff(policy.to_vector())
+        policy = np.concatenate(([0.4], np.full(5, 0.45)))
+        start = payoff(policy)
         for _ in range(10):
-            policy = PolicyParams.from_vector(
-                gradient_step(policy.to_vector(), oracle_gradient(policy), cfg)
-            )
-        assert payoff(policy.to_vector()) > start
+            policy = gradient_step(policy, oracle_gradient(policy), cfg)
+        assert payoff(policy) > start
 
 
 class TestInnerLoop:
@@ -191,16 +183,14 @@ class TestInnerLoop:
         policy, records = inner_one(params, grid, mf, cfg)
         init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
-        assert policy.m_hat == expected.m_hat
-        np.testing.assert_array_equal(policy.sigma2, expected.sigma2)
+        np.testing.assert_array_equal(policy, expected)
         assert len(records) == 1
 
     def test_point_mass_initializer(self, params, grid):
         spec = InitSpec(m_hat_mean=0.75, m_hat_var=0.0, sigma2_mean=0.3, sigma2_var=0.0)
         cfg = small_cfg(n_inner=0, init=spec)
         policy, _ = inner_one(params, grid, np.full(grid.n_steps + 1, 0.1), cfg)
-        assert policy.m_hat == 0.75
-        np.testing.assert_array_equal(policy.sigma2, np.full(5, 0.3))
+        np.testing.assert_array_equal(policy, [0.75] + [0.3] * 5)
 
     def test_improves_on_the_initializer(self, params, grid):
         # against the frozen equilibrium mean path, one best-response round
@@ -230,9 +220,8 @@ class TestInnerLoop:
                 params, grid, mf, LearnerConfig(step_size=50.0, n_inner=exc.inner),
                 seed=0, outer_index=2,
             )
-        assert reached.m_hat == exc.last_policy.m_hat
-        np.testing.assert_array_equal(reached.sigma2, exc.last_policy.sigma2)
-        assert np.isfinite(exc.last_policy.to_vector()).all()
+        np.testing.assert_array_equal(reached, exc.last_policy)
+        assert np.isfinite(exc.last_policy).all()
 
 
 class TestRun:
@@ -241,7 +230,7 @@ class TestRun:
         result = run_one(params, grid, cfg)
         init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
-        assert result.policy.m_hat == expected.m_hat
+        np.testing.assert_array_equal(vector(result.policy), expected)
         assert len(result.trace.records) == 1
         mf0 = np.full(grid.n_steps + 1, cfg.initial_mean_field)
         np.testing.assert_array_equal(
@@ -274,15 +263,6 @@ class TestRun:
         np.testing.assert_array_equal(r1.policy.sigma2, r2.policy.sigma2)
         np.testing.assert_array_equal(r1.trace.mean_paths, r2.trace.mean_paths)
 
-    def test_raw_estimator_run_is_deterministic(self, params, grid):
-        cfg = small_cfg(
-            shared_rollout_noise=False, baseline="none",
-            n_inner=3, step_size=1e-4, radius=0.5,
-        )
-        r1 = run_one(params, grid, cfg)
-        r2 = run_one(params, grid, cfg)
-        assert r1.policy.m_hat == r2.policy.m_hat
-
     def test_variances_respect_the_floor_throughout(self, params, grid):
         cfg = small_cfg(n_outer=2, n_inner=50, step_size=0.5, radius=0.05)
         result = run_one(params, grid, cfg)
@@ -308,11 +288,11 @@ class TestRun:
         mf = np.full(grid.n_steps + 1, params.xi_mean)
         _, stderr = mc_reward(params, grid, ne, mf, 4096, seed=3)
         noise_scale = 3 * stderr / abs(evaluator.reference_payoff)
-        policy = ne
+        policy = vector(ne)
         for k in range(cfg.n_outer):
             policy, _ = inner_one(params, grid, mf, cfg, initial=policy, seed=11, outer_index=k)
-            assert evaluator.rel_error(policy.m_hat, policy.sigma2, mf) <= noise_scale
-            mf = propagate_mean_field(params, grid, policy.m_hat, mf)
+            assert evaluator.rel_error(policy[0], policy[1:], mf) <= noise_scale
+            mf = propagate_mean_field(params, grid, policy[0], mf)
 
 
 class TestLockstepDivergence:
@@ -343,9 +323,7 @@ class TestLockstepDivergence:
         assert (exc.arm, exc.outer, exc.inner) == (0, 1, 11)
         assert (alone.value.outer, alone.value.inner) == (1, 11)
         assert str(exc) == str(alone.value)
-        np.testing.assert_array_equal(
-            exc.last_policy.to_vector(), alone.value.last_policy.to_vector()
-        )
+        np.testing.assert_array_equal(exc.last_policy, alone.value.last_policy)
 
     def test_earlier_arms_finish_before_the_error_is_raised(self, params, grid, monkeypatch):
         sizes = []
@@ -403,8 +381,8 @@ class TestLockstepDivergence:
         )
         # the last finite policy is the one round 0 ended at
         policy = exc.last_policy
-        assert np.isfinite(policy.to_vector()).all() and abs(policy.m_hat) > 1e50
-        np.testing.assert_array_equal(policy.to_vector(), alone.value.last_policy.to_vector())
+        assert np.isfinite(policy).all() and abs(policy[0]) > 1e50
+        np.testing.assert_array_equal(policy, alone.value.last_policy)
 
     def test_arms_must_share_all_but_temperature_and_seed(self, params, grid):
         # the learner configuration is one value for the whole stack, so
@@ -414,43 +392,6 @@ class TestLockstepDivergence:
             learner_run(
                 [params_s[0], dataclasses.replace(params_s[1], Q=1.0)], grid, self.cfg, seeds_s
             )
-
-
-class TestRawEstimatorRegime:
-    """Documents why the variance-control switches default to on."""
-
-    def test_raw_estimates_dwarf_controlled_ones_at_reference_scale(self, params, grid):
-        # at the reference constants (radius 0.01, 50 rollouts) the raw
-        # estimator's magnitude is dominated by rollout noise amplified by
-        # 1/radius^2; the controlled estimator stays near the actual
-        # gradient scale, two orders of magnitude smaller
-        policy = reference_policy(params, grid)
-        mf = np.full(grid.n_steps + 1, params.xi_mean)
-        raw_cfg = LearnerConfig(shared_rollout_noise=False, baseline="none")
-        ctl_cfg = LearnerConfig()
-        raw_norms, ctl_norms = [], []
-        for i in range(10):
-            raw_norms.append(np.linalg.norm(
-                estimate_one(params, grid, policy, mf, raw_cfg, rng.substream(50, i))
-            ))
-            ctl_norms.append(np.linalg.norm(
-                estimate_one(params, grid, policy, mf, ctl_cfg, rng.substream(50, i))
-            ))
-        assert np.median(raw_norms) > 50 * np.median(ctl_norms)
-
-    def test_raw_run_diverges_at_reference_constants(self, params, grid):
-        # ascent kicks of size step * estimate ~ 0.4 per coordinate random-walk
-        # the gain into the explosive region; the run either overflows into a
-        # named divergence or ends with a policy far from any optimum
-        cfg = LearnerConfig(n_outer=1, shared_rollout_noise=False, baseline="none")
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                result = run_one(params, grid, cfg, seed=1)
-                diverged = abs(result.policy.m_hat - 0.75) > 5.0
-            except LearnerDivergence:
-                # overflow made a step's policy non-finite
-                diverged = True
-        assert diverged
 
 
 class TestConfigValidation:
@@ -463,10 +404,8 @@ class TestConfigValidation:
             LearnerConfig(radius=0.0)
         with pytest.raises(ParameterError):
             LearnerConfig(step_size=-0.1)
-        with pytest.raises(ParameterError):
-            LearnerConfig(baseline="mean")
-        with pytest.raises(ParameterError):
-            LearnerConfig(baseline="loo", n_perturbations=1)
+        with pytest.raises(ParameterError, match="leave-one-out"):
+            LearnerConfig(n_perturbations=1)
         with pytest.raises(ParameterError):
             InitSpec(m_hat_var=-1.0)
 

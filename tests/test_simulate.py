@@ -431,9 +431,3 @@ class TestDeterminismAndAlignment:
                 sample_rewards(params, grid, policy, path, 2, rng.substream(0, 1))
             with pytest.raises(ParameterError, match="mean path values must be finite"):
                 evaluator.rel_error(policy.m_hat, policy.sigma2, path)
-
-    def test_policy_vector_round_trip(self):
-        policy = PolicyParams(m_hat=0.5, sigma2=np.linspace(0.4, 0.2, 5))
-        back = PolicyParams.from_vector(policy.to_vector())
-        assert back.m_hat == policy.m_hat
-        np.testing.assert_array_equal(back.sigma2, policy.sigma2)
