@@ -97,30 +97,22 @@ def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
     return dataclasses.replace(config.game, lambda_se=lambda_se)
 
 
-def run_arms(arms) -> list:
-    """Run (config, lambda_se) arms in lockstep and score their traces.
+def run_arms(config: ExperimentConfig, arms) -> list:
+    """Run (lambda_se, seed) arms of the configured game in lockstep and
+    score their traces.
 
-    Configurations may differ only in ``seed`` and ``lambda_se_values``,
-    which must hold the arm's temperature. Each result is bit-identical to
-    the arm's run alone. After the learner returns, each arm's whole trace
-    is scored in one ``rel_error`` call: its (K, I + 1) rows against the
-    mean path each round played. ``runtime_seconds`` is the shared run's
-    time, scoring included.
+    Every arm shares the config's game, grid and learner configuration;
+    its ``seed`` and ``lambda_se_values`` are not read. Each result is
+    bit-identical to the arm's run alone, and the first step that makes any
+    arm diverge stops them all. After the learner returns, each arm's whole
+    trace is scored in one ``rel_error`` call: its (K, I + 1) rows against
+    the mean path each round played. ``runtime_seconds`` is the shared
+    run's time, scoring included.
     """
-    params, evaluators = [], []
-    grid, learner = arms[0][0].grid, arms[0][0].learner
-    for config, lambda_se in arms:
-        if lambda_se not in config.lambda_se_values:
-            raise ParameterError(
-                f"lambda_se={lambda_se!r} is not one of the configured "
-                f"lambda_se_values {config.lambda_se_values}"
-            )
-        if config.grid != grid:
-            raise ParameterError("arms run in lockstep must share the time grid")
-        if config.learner != learner:
-            raise ParameterError("arms run in lockstep must share the learner configuration")
-        params.append(_arm_params(config, lambda_se))
-        evaluators.append(PayoffEvaluator(params[-1], grid, learner.sigma_floor))
+    grid, learner = config.grid, config.learner
+    lambdas, seeds = zip(*arms)
+    evaluators = [PayoffEvaluator(_arm_params(config, lam), grid, learner.sigma_floor)
+                  for lam in lambdas]
     rows = (learner.n_outer, learner.n_inner + 1)
 
     start = time.perf_counter()
@@ -128,7 +120,7 @@ def run_arms(arms) -> list:
     # non-finite raises LearnerDivergence, and a huge but finite gain can
     # overflow its score; the error and the score name them, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        results = learner_run(params, grid, learner, [config.seed for config, _ in arms])
+        results = learner_run(config.game, grid, learner, lambdas, seeds)
         for result, evaluator in zip(results, evaluators):
             records, paths = result.trace.records, result.trace.mean_paths
             records["rel_error"] = evaluator.rel_error(
@@ -138,25 +130,27 @@ def run_arms(arms) -> list:
     runtime = time.perf_counter() - start
     return [
         ArmResult(lambda_se=lam, result=result, evaluator=evaluator, runtime_seconds=runtime)
-        for (_, lam), result, evaluator in zip(arms, results, evaluators)
+        for lam, result, evaluator in zip(lambdas, results, evaluators)
     ]
 
 
 def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
-    """Run the learner for one temperature and score its whole trace."""
-    return run_arms([(config, lambda_se)])[0]
+    """Run the learner for one temperature on the config's seed and score
+    its whole trace."""
+    return run_arms(config, [(lambda_se, config.seed)])[0]
 
 
 def reproduce(config: ExperimentConfig) -> ExperimentReport:
     """Sweep the configured temperatures in lockstep and assemble the report.
 
     If the configuration names an output directory the tables are written
-    there before returning. If an arm diverges, the directory instead gets a
-    FAILED marker naming the first diverging arm in sweep order, the step
-    and the last finite policy, and the LearnerDivergence propagates.
+    there before returning. If an arm diverges, the sweep stops at that
+    step and the directory instead gets a FAILED marker naming the diverged
+    arm first in sweep order, the step and its last finite policy, and the
+    LearnerDivergence propagates.
     """
     try:
-        arms = run_arms([(config, lam) for lam in config.lambda_se_values])
+        arms = run_arms(config, [(lam, config.seed) for lam in config.lambda_se_values])
     except LearnerDivergence as exc:
         if config.output_dir:
             os.makedirs(config.output_dir, exist_ok=True)

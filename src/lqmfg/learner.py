@@ -21,7 +21,6 @@ the attainable drift and the learner diverges (see README).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -118,29 +117,31 @@ def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float) -> np.ndar
     return np.add.reduce(U * (values / radius**2)[..., None], axis=-2) / n
 
 
-def estimate_gradient(params, grid: TimeGrid, policies, mean_paths, cfg: LearnerConfig, streams):
+def estimate_gradient(params: GameParams, grid: TimeGrid, policies, mean_paths,
+                      cfg: LearnerConfig, lambdas, streams, owner):
     """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
-    arms: one GameParams per arm (differing only in lambda_se), an (S, 1 + N)
-    policy matrix, (S, N + 1) mean paths and one generator per arm.
+    arms of one game (its lambda_se is not read): an (S, 1 + N) policy
+    matrix, (S, N + 1) mean paths, the (S,) float array of the arms'
+    temperatures, and distinct generators ``streams``, arm j drawing from
+    ``streams[owner[j]]``.
 
-    Arms given the same generator share its draws, made once in a fixed
-    order (perturbations, then one initial state and Brownian path); all
-    S * n perturbed policies are scored on that path in one kernel call.
+    Each generator's draws are made once in a fixed order (perturbations,
+    then one initial state and Brownian path), and arms that own it share
+    them; all S * n perturbed policies are scored in one kernel call.
     Perturbed variances are clamped to the floor for the evaluation only,
     leaving the estimator geometry untouched.
     """
     dim = policies.shape[1]
     if dim != grid.n_steps + 1 or mean_paths.shape != (len(policies), dim):
         raise ParameterError(f"policies and mean paths need {dim} entries per arm")
-    draws = {id(s): (_sample_sphere_batch(cfg.n_perturbations, dim, cfg.radius, s),
-                     *draw_noise(s, params[0], grid.dt, 1, grid.n_steps))
-             for s in {id(s): s for s in streams}.values()}
-    U, x0, dW = (np.array(parts) for parts in zip(*(draws[id(s)] for s in streams)))
+    draws = [(_sample_sphere_batch(cfg.n_perturbations, dim, cfg.radius, s),
+              *draw_noise(s, params, grid.dt, 1, grid.n_steps)) for s in streams]
+    U, x0, dW = (np.array(parts)[owner] for parts in zip(*draws))
     points = policies[:, None, :] + U
     values = rollout(
-        params[0], grid.dt, mean_paths.T[:, :, None], points[..., 0],
+        params, grid.dt, mean_paths.T[:, :, None], points[..., 0],
         np.maximum(points[..., 1:], cfg.sigma_floor), x0, dW,
-        lambda_se=np.array([p.lambda_se for p in params])[:, None, None],
+        lambda_se=lambdas[:, None, None],
     )
     return _sphere_average(U, values, cfg.radius)
 
@@ -154,14 +155,14 @@ def gradient_step(policies: np.ndarray, estimates: np.ndarray, cfg: LearnerConfi
 
 
 class LearnerDivergence(RuntimeError):
-    """A gradient step made the policy non-finite, or the mean-field update
-    after a round made the mean path non-finite.
+    """A gradient step made a policy non-finite, or the mean-field update
+    after a round made a mean path non-finite.
 
     ``outer`` and ``inner`` index the failing step (outer round k, inner step
     i, both from 0; ``inner`` is None for the mean-field update after round
-    k); ``last_policy`` is the last finite (1 + N) policy vector, the one the
-    step started from or the round ended at; ``arm`` indexes the arm in its
-    stack.
+    k); ``arm`` indexes, in its stack, the lowest-index arm the step made
+    non-finite, and ``last_policy`` is that arm's last finite (1 + N) policy
+    vector, the one the step started from or the round ended at.
     """
 
     def __init__(self, outer: int, inner: Optional[int], last_policy: np.ndarray, arm: int = 0):
@@ -189,50 +190,41 @@ class LearningTrace:
     mean_paths: np.ndarray
 
 
-def inner_loop(
-    params: Sequence[GameParams],
-    grid: TimeGrid,
-    mean_paths: np.ndarray,
-    cfg: LearnerConfig,
-    seeds: Sequence[int],
-    outer_index: int = 0,
-    initial: Optional[np.ndarray] = None,
-) -> tuple:
-    """One best-response round of a stack of arms (arm j: ``params[j]``,
-    ``seeds[j]``, ``mean_paths[j]``) against frozen (S, N + 1) mean paths.
+def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: LearnerConfig,
+               lambdas: np.ndarray, seeds: Sequence[int], outer_index: int = 0,
+               initial: Optional[np.ndarray] = None) -> np.ndarray:
+    """One best-response round of a stack of arms of one game (arm j:
+    temperature ``lambdas[j]``, ``seeds[j]``, ``mean_paths[j]``) against
+    frozen (S, N + 1) mean paths.
 
     Starts from the (S, 1 + N) matrix ``initial`` or the initializer, then
     takes ``n_inner`` gradient steps for all arms at once; arms with the same
     seed share every substream, drawn once. Returns the (S, I + 1, 1 + N)
-    block of each arm's policy before every step and after the last, and the
-    divergence of the first diverging arm, or None: it and the arms after it
-    stop, so the block holds the arms before it. Raises it if none is left.
+    block of each arm's policy before every step and after the last. The
+    first step that makes any arm's policy non-finite raises its
+    LearnerDivergence.
     """
+    slot = {}
+    owner = np.array([slot.setdefault(seed, len(slot)) for seed in seeds])
+    distinct = list(slot)
     if initial is None:
-        drawn = {seed: cfg.init.sample(
+        initial = np.array([cfg.init.sample(
             grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), cfg.sigma_floor
-        ) for seed in set(seeds)}
-        initial = np.array([drawn[seed] for seed in seeds])
+        ) for seed in distinct])[owner]
     steps = np.empty((len(seeds), cfg.n_inner + 1, grid.n_steps + 1))
     steps[:, 0] = policies = initial
-    failure = None
     for i in range(cfg.n_inner):
-        streams = {seed: rng.substream(seed, rng.PERTURBATION, outer_index, i) for seed in set(seeds)}
+        streams = [rng.substream(seed, rng.PERTURBATION, outer_index, i) for seed in distinct]
         estimates = estimate_gradient(
-            params, grid, policies, mean_paths, cfg, [streams[seed] for seed in seeds]
+            params, grid, policies, mean_paths, cfg, lambdas, streams, owner
         )
         stepped = gradient_step(policies, estimates, cfg)
         finite = np.isfinite(stepped).all(axis=1)
         if not finite.all():
-            # the first diverging arm, and every arm after it, stop here
             j = int(finite.argmin())
-            failure = LearnerDivergence(outer_index, i, policies[j], arm=j)
-            if j == 0:
-                raise failure
-            stepped, params, mean_paths, seeds = stepped[:j], params[:j], mean_paths[:j], seeds[:j]
-            steps = steps[:j]
+            raise LearnerDivergence(outer_index, i, policies[j], arm=j)
         steps[:, i + 1] = policies = stepped
-    return steps, failure
+    return steps
 
 
 @dataclass(frozen=True)
@@ -241,44 +233,33 @@ class RunResult:
     trace: LearningTrace
 
 
-def run(params: Sequence[GameParams], grid: TimeGrid, cfg: LearnerConfig,
+def run(params: GameParams, grid: TimeGrid, cfg: LearnerConfig, lambdas,
         seeds: Sequence[int]) -> list:
-    """Fictitious play for a stack of arms in lockstep: arm j plays game
-    ``params[j]`` on the substreams of ``seeds[j]``, and the games may differ
-    only in lambda_se. Returns one RunResult per arm, bit-identical to the
-    arm's run alone. If arms diverge, within a round or in the mean-field
-    update after it, raises the divergence of the first in stack order once
-    the arms before it finish.
+    """Fictitious play for a stack of arms of one game in lockstep: arm j
+    plays at temperature ``lambdas[j]`` (the game's own lambda_se is not
+    read) on the substreams of ``seeds[j]``. Returns one RunResult per arm,
+    bit-identical to the arm's run alone. The first step, or mean-field
+    update after a round, that makes any arm non-finite stops the whole
+    stack and raises the LearnerDivergence of the lowest-index such arm.
     """
-    if len({dataclasses.replace(p, lambda_se=0.0) for p in params}) > 1:
-        raise ParameterError("games run in lockstep may differ only in lambda_se")
+    lambdas = np.asarray(lambdas, dtype=float)
     n_outer, n_rows, n = cfg.n_outer, cfg.n_inner + 1, grid.n_steps
     steps = np.empty((len(seeds), n_outer, n_rows, n + 1))
     mean_paths = np.empty((len(seeds), n_outer + 1, n + 1))
     mean_paths[:, 0] = cfg.initial_mean_field
-    active, failure = len(seeds), None
     for k in range(n_outer):
-        block, diverged = inner_loop(
-            params[:active], grid, mean_paths[:active, k], cfg, seeds[:active], k,
-            steps[:active, k - 1, -1] if k else None,
+        steps[:, k] = block = inner_loop(
+            params, grid, mean_paths[:, k], cfg, lambdas, seeds, k,
+            steps[:, k - 1, -1] if k else None,
         )
-        failure = diverged or failure
-        active = len(block)
-        steps[:active, k] = block
-        # the update reads only A, B and xi_mean, which all arms share
-        mean_paths[:active, k + 1] = propagate_mean_field(
-            params[0], grid, block[:, -1, 0], mean_paths[:active, k]
+        mean_paths[:, k + 1] = propagate_mean_field(
+            params, grid, block[:, -1, 0], mean_paths[:, k]
         )
-        finite = np.isfinite(mean_paths[:active, k + 1]).all(axis=1)
+        finite = np.isfinite(mean_paths[:, k + 1]).all(axis=1)
         if not finite.all():
-            # a finite but huge gain overflows the update: the first such arm
-            # and every arm after it stop here, as for a diverging step
+            # a finite but huge gain overflows the update
             j = int(finite.argmin())
-            failure, active = LearnerDivergence(k, None, block[j, -1], arm=j), j
-        if active == 0:
-            raise failure
-    if failure is not None:
-        raise failure
+            raise LearnerDivergence(k, None, block[j, -1], arm=j)
     dtype = [("outer", np.int64), ("inner", np.int64), ("rel_error", float),
              ("m_hat", float), ("sigma2", float, (n,))]
     outer, inner = np.divmod(np.arange(n_outer * n_rows), n_rows)

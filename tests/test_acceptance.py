@@ -42,7 +42,7 @@ from lqmfg import (
 )
 from lqmfg import rng
 from lqmfg.analytic import decay_rate
-from lqmfg.config import config_from_dict, config_to_dict, default_config
+from lqmfg.config import config_to_dict, default_config
 from lqmfg.harness import reference_policy, run_arms
 from lqmfg.learner import _sample_sphere_batch
 
@@ -270,15 +270,10 @@ def test_criterion_6_gradient_estimator_moment():
 def experiment():
     """20-seed runs of the reference configuration for each temperature,
     all 60 arms advanced in lockstep (each bit-identical to its run alone)."""
-    arms = []
-    for lam in (0.0, 1.0, 3.0):
-        for seed in SEEDS:
-            data = config_to_dict(default_config())
-            data["lambda_se_values"] = [lam]
-            data["seed"] = seed
-            arms.append((config_from_dict(data), lam))
+    config = default_config()
+    arms = [(lam, seed) for lam in (0.0, 1.0, 3.0) for seed in SEEDS]
     results = {lam: [] for lam in (0.0, 1.0, 3.0)}
-    for (config, lam), arm in zip(arms, run_arms(arms)):
+    for (lam, _), arm in zip(arms, run_arms(config, arms)):
         records = arm.result.trace.records
         n_inner = config.learner.n_inner
         errors = np.array([r.rel_error for r in records]).reshape(

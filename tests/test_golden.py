@@ -124,8 +124,8 @@ def test_gradient_estimates():
     mean_field = np.full(grid.n_steps + 1, 0.05)
     stream = rng.substream(3, rng.PERTURBATION, 1, 2)
     estimate = estimate_gradient(
-        [params], grid, np.concatenate(([policy.m_hat], policy.sigma2))[None],
-        mean_field[None], LearnerConfig(), [stream],
+        params, grid, np.concatenate(([policy.m_hat], policy.sigma2))[None],
+        mean_field[None], LearnerConfig(), np.array([params.lambda_se]), [stream], [0],
     )
     assert _sha(estimate.tobytes()) == GOLDEN["estimate_gradient[shared+loo]"]
 

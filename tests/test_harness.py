@@ -240,13 +240,12 @@ def _same_arm(a, b):
 class TestRunArms:
     def test_lockstep_equals_one_arm_at_a_time(self):
         # arms share seed 4 or 5, or have seed 6 alone; lambda 0 included
-        arms = [(tiny_config(seed=seed, lambda_se_values=[0.0, 1.0, 3.0]), lam)
-                for seed in (4, 5) for lam in (0.0, 1.0, 3.0)]
-        arms.append((tiny_config(seed=6, lambda_se_values=[2.0]), 2.0))
-        together = run_arms(arms)
+        config = tiny_config()
+        arms = [(lam, seed) for seed in (4, 5) for lam in (0.0, 1.0, 3.0)] + [(2.0, 6)]
+        together = run_arms(config, arms)
         assert len(together) == len(arms)
-        for (cfg, lam), arm in zip(arms, together):
-            _same_arm(arm, run_arm(cfg, lam))
+        for (lam, seed), arm in zip(arms, together):
+            _same_arm(arm, run_arm(dataclasses.replace(config, seed=seed), lam))
 
     def test_reproduce_runs_its_sweep_in_lockstep(self):
         config = tiny_config(lambda_se_values=[1.0, 0.0, 3.0])
@@ -256,27 +255,18 @@ class TestRunArms:
         assert len({arm.runtime_seconds for arm in report.arms}) == 1
 
     def test_temperature_outside_the_sweep_is_named(self):
+        # a temperature the game rejects is named by the game; any other
+        # runs as the same arm of a sweep that holds it
         config = tiny_config()
-        with pytest.raises(ParameterError, match="lambda_se=2.0 is not one of"):
-            run_arm(config, 2.0)
-        with pytest.raises(ParameterError, match="lambda_se=2.0 is not one of"):
-            run_arms([(config, 1.0), (config, 2.0)])
-
-    def test_arms_must_share_the_grid(self):
-        data = config_to_dict(tiny_config())
-        data["grid"]["n_steps"] = 6
-        with pytest.raises(ParameterError, match="time grid"):
-            run_arms([(tiny_config(), 1.0), (config_from_dict(data), 1.0)])
-
-    def test_arms_must_share_the_learner(self):
-        data = config_to_dict(tiny_config())
-        data["learner"]["radius"] = 0.5
-        with pytest.raises(ParameterError, match="lockstep must share the learner"):
-            run_arms([(tiny_config(), 1.0), (config_from_dict(data), 1.0)])
+        with pytest.raises(ParameterError, match="lambda_se"):
+            run_arm(config, -1.0)
+        swept = reproduce(tiny_config(lambda_se_values=[0.0, 2.0])).arms[1]
+        _same_arm(run_arm(config, 2.0), swept)
 
     def test_divergence_marker_names_the_first_arm_in_sweep_order(self, tmp_path):
         # at seed 1 and step 3, lambda 0 diverges at k=0, i=18 and lambda 1
-        # at k=0, i=12: the sweep fails as lambda 0 would, run first alone
+        # at k=0, i=12: the sweep stops at i=12 and fails as lambda 1 would
+        # run alone
         data = config_to_dict(tiny_config(seed=1, lambda_se_values=[0.0, 1.0]))
         data["learner"].update(n_perturbations=50, n_inner=20, step_size=3.0)
         data["output_dir"] = str(tmp_path)
@@ -285,28 +275,30 @@ class TestRunArms:
             with pytest.raises(LearnerDivergence) as info:
                 reproduce(config)
             with pytest.raises(LearnerDivergence) as alone:
-                run_arm(dataclasses.replace(config, lambda_se_values=(0.0,)), 0.0)
-        assert (info.value.arm, info.value.outer, info.value.inner) == (0, 0, 18)
+                run_arm(config, 1.0)
+        assert (info.value.arm, info.value.outer, info.value.inner) == (1, 0, 12)
         assert str(info.value) == str(alone.value)
         marker = (tmp_path / "FAILED").read_text()
-        assert marker.startswith(f"lambda_se=0: {alone.value}\n")
+        assert marker.startswith(f"lambda_se=1: {alone.value}\n")
         assert not (tmp_path / "manifest.json").exists()
 
     def test_trace_scores_equal_row_by_row_scores(self):
         # one batched call per arm gives every row the bits of its own call
-        for arm in run_arms([(tiny_config(), 0.0), (tiny_config(), 1.0)]):
+        config = tiny_config()
+        for arm in run_arms(config, [(0.0, config.seed), (1.0, config.seed)]):
             records, paths = arm.result.trace.records, arm.result.trace.mean_paths
             alone = [arm.evaluator.rel_error(r.m_hat, r.sigma2, paths[r.outer]) for r in records]
             assert np.array(alone).tobytes() == records.rel_error.tobytes()
 
     def test_a_divergence_in_a_later_round_leaves_no_process(self):
-        # at seed 1 and step 3, lambda 0 diverges at k=1, i=3, after round 0
-        # was played; nothing is left running behind the error
+        # at seed 1 and step 3, run alone, lambda 0 diverges at k=1, i=3 and
+        # lambda 1 at k=1, i=2, after round 0 was played; the stack stops at
+        # lambda 1's step, and nothing is left running behind the error
         data = config_to_dict(tiny_config(seed=1))
         data["learner"].update(n_outer=3, n_inner=8, n_perturbations=50, step_size=3.0)
         config = config_from_dict(data)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
-                run_arms([(config, 0.0), (config, 1.0)])
-        assert (info.value.arm, info.value.outer, info.value.inner) == (0, 1, 3)
+                run_arms(config, [(0.0, 1), (1.0, 1)])
+        assert (info.value.arm, info.value.outer, info.value.inner) == (1, 1, 2)
         assert multiprocessing.active_children() == []

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -37,7 +36,7 @@ def small_cfg(**overrides):
 
 def run_one(params, grid, cfg, seed=SEED):
     """The learner's run of a stack of one arm."""
-    return learner_run([params], grid, cfg, [seed])[0]
+    return learner_run(params, grid, cfg, [params.lambda_se], [seed])[0]
 
 
 def vector(policy):
@@ -49,8 +48,8 @@ def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
     """One best-response round of a stack of one arm from the (1 + N) row
     ``initial``: (final policy row, the (I + 1, 1 + N) policies before every
     step and after the last)."""
-    steps, _ = inner_loop(
-        [params], grid, mean_field[None], cfg, [seed],
+    steps = inner_loop(
+        params, grid, mean_field[None], cfg, np.array([params.lambda_se]), [seed],
         initial=None if initial is None else initial[None], **kwargs,
     )
     return steps[0, -1], steps[0]
@@ -58,7 +57,10 @@ def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
 
 def estimate_one(params, grid, policy, mean_field, cfg, stream):
     """The (1, 1 + N) gradient estimate of a stack of one arm."""
-    return estimate_gradient([params], grid, vector(policy)[None], mean_field[None], cfg, [stream])
+    return estimate_gradient(
+        params, grid, vector(policy)[None], mean_field[None], cfg,
+        np.array([params.lambda_se]), [stream], [0],
+    )
 
 
 class TestSampleSphere:
@@ -296,36 +298,21 @@ class TestRun:
 
 
 class TestLockstepDivergence:
-    """Arms advanced together fail as the first of them in stack order would
-    fail when run one after the other."""
+    """The first step, or mean-field update, that makes any arm of a stack
+    non-finite stops the whole stack and names the lowest-index arm it made
+    non-finite."""
 
     # step 3 on 2 rounds of 20 steps: run alone, (lambda_se, seed) (1, 0)
     # diverges at k=1, i=11; (0, 1) at k=0, i=18; (1, 1) at k=0, i=12;
     # (0, 5) at k=0, i=11; (1, 2) does not diverge
     cfg = LearnerConfig(n_outer=2, n_inner=20, step_size=3.0)
 
-    def stack(self, params, arms):
-        return (
-            [dataclasses.replace(params, lambda_se=lam) for lam, _ in arms],
-            [seed for _, seed in arms],
-        )
+    def run_stack(self, params, grid, cfg, arms):
+        lambdas, seeds = zip(*arms)
+        return learner_run(params, grid, cfg, lambdas, seeds)
 
-    def test_a_later_arm_diverging_first_does_not_pre_empt_an_earlier_one(self, params, grid):
-        arms = [(1.0, 0), (0.0, 1), (1.0, 1), (1.0, 2)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            params_1, seeds_1 = self.stack(params, arms[:1])
-            with pytest.raises(LearnerDivergence) as alone:
-                learner_run(params_1, grid, self.cfg, seeds_1)
-            params_s, seeds_s = self.stack(params, arms)
-            with pytest.raises(LearnerDivergence) as together:
-                learner_run(params_s, grid, self.cfg, seeds_s)
-        exc = together.value
-        assert (exc.arm, exc.outer, exc.inner) == (0, 1, 11)
-        assert (alone.value.outer, alone.value.inner) == (1, 11)
-        assert str(exc) == str(alone.value)
-        np.testing.assert_array_equal(exc.last_policy, alone.value.last_policy)
-
-    def test_earlier_arms_finish_before_the_error_is_raised(self, params, grid, monkeypatch):
+    def counted_sizes(self, monkeypatch):
+        """The stack size of every estimate_gradient call from now on."""
         sizes = []
         estimate = learner.estimate_gradient
 
@@ -334,64 +321,72 @@ class TestLockstepDivergence:
             return estimate(params, grid, policies, *args)
 
         monkeypatch.setattr(learner, "estimate_gradient", counted)
-        params_s, seeds_s = self.stack(params, [(1.0, 2), (0.0, 5), (1.0, 2)])
+        return sizes
+
+    def test_a_later_arm_diverging_first_does_not_pre_empt_an_earlier_one(self, params, grid):
+        for arms, failing, expected in [
+            # (1, 1) diverges first in time: it stops (1, 0), which would
+            # diverge only in round 1, and (0, 1), which would at i=18
+            ([(1.0, 0), (0.0, 1), (1.0, 1), (1.0, 2)], 2, (2, 0, 12)),
+            # two arms that diverge at the same step: the lower index is named
+            ([(1.0, 1), (1.0, 1)], 0, (0, 0, 12)),
+        ]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(LearnerDivergence) as alone:
+                    self.run_stack(params, grid, self.cfg, arms[failing:failing + 1])
+                with pytest.raises(LearnerDivergence) as together:
+                    self.run_stack(params, grid, self.cfg, arms)
+            exc = together.value
+            assert (exc.arm, exc.outer, exc.inner) == expected
+            assert (alone.value.outer, alone.value.inner) == expected[1:]
+            assert str(exc) == str(alone.value)
+            np.testing.assert_array_equal(exc.last_policy, alone.value.last_policy)
+
+    def test_earlier_arms_finish_before_the_error_is_raised(self, params, grid, monkeypatch):
+        # no arm takes a step past the divergence, the arm before it included
+        sizes = self.counted_sizes(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
-                learner_run(params_s, grid, self.cfg, seeds_s)
+                self.run_stack(params, grid, self.cfg, [(1.0, 2), (0.0, 5), (1.0, 2)])
         assert (info.value.arm, info.value.outer, info.value.inner) == (1, 0, 11)
-        # arm 1 and the arm after it stopped at step 11; arm 0 ran both rounds
-        assert sizes == [3] * 12 + [1] * (8 + 20)
+        assert sizes == [3] * 12
 
-    @pytest.mark.parametrize("n_inner, step, arms, j, sizes", [
+    @pytest.mark.parametrize("n_inner, step, arms, blown, expected, sizes", [
         # step 10 on 30 steps: run alone, (lambda_se, seed) (0, 0) ends round
         # 0 with a gain whose mean-field update overflows; (1, 1) diverges
-        # at k=0, i=10, earlier in time but later in stack order
-        (30, 10.0, [(0.0, 0), (1.0, 1)], 0, [2] * 11 + [1] * 19),
+        # at k=0, i=10, within that round, so it stops the stack first
+        (30, 10.0, [(0.0, 0), (1.0, 1)], 0, (1, 0, 10), [2] * 11),
         # the class's step 3 on 20 steps: (0, 8) overflows the update after
-        # round 0 between two arms that never diverge; the arm before it
-        # runs both rounds, the arm after it stops with it
-        (20, 3.0, [(1.0, 2), (0.0, 8), (0.0, 4)], 1, [3] * 20 + [1] * 20),
+        # round 0 between two arms that never diverge; the stack stops there
+        (20, 3.0, [(1.0, 2), (0.0, 8), (0.0, 4)], 1, (1, 0, None), [3] * 20),
     ], ids=["first_arm", "middle_arm"])
     def test_a_blown_up_mean_field_update_is_a_divergence_in_stack_order(
-        self, params, grid, monkeypatch, n_inner, step, arms, j, sizes
+        self, params, grid, monkeypatch, n_inner, step, arms, blown, expected, sizes
     ):
         cfg = LearnerConfig(n_outer=2, n_inner=n_inner, step_size=step)
-        params_s, seeds_s = self.stack(params, arms)
         with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LearnerDivergence) as update:
+                self.run_stack(params, grid, cfg, arms[blown:blown + 1])
             with pytest.raises(LearnerDivergence) as alone:
-                learner_run(params_s[j:j + 1], grid, cfg, seeds_s[j:j + 1])
-        seen = []
-        estimate = learner.estimate_gradient
-
-        def counted(params, grid, policies, *args):
-            seen.append(len(policies))
-            return estimate(params, grid, policies, *args)
-
-        monkeypatch.setattr(learner, "estimate_gradient", counted)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(LearnerDivergence) as together:
-                learner_run(params_s, grid, cfg, seeds_s)
-        # the arms before the failing one ran both rounds; it and those after it stopped
-        assert seen == sizes
-        exc = together.value
-        assert (exc.arm, exc.outer, exc.inner) == (j, 0, None)
-        assert str(exc) == str(alone.value) == (
+                self.run_stack(params, grid, cfg, arms[expected[0]:expected[0] + 1])
+        # run alone, the blown arm fails in the update after round 0, from
+        # the finite but huge gain the round ended at
+        assert (update.value.outer, update.value.inner) == (0, None)
+        assert str(update.value) == (
             "learner diverged at outer round k=0: the mean-field update after the round "
             "made the mean path non-finite"
         )
-        # the last finite policy is the one round 0 ended at
-        policy = exc.last_policy
+        policy = update.value.last_policy
         assert np.isfinite(policy).all() and abs(policy[0]) > 1e50
-        np.testing.assert_array_equal(policy, alone.value.last_policy)
-
-    def test_arms_must_share_all_but_temperature_and_seed(self, params, grid):
-        # the learner configuration is one value for the whole stack, so
-        # only the games are checked: they may differ only in lambda_se
-        params_s, seeds_s = self.stack(params, [(1.0, 0), (1.0, 1)])
-        with pytest.raises(ParameterError, match="lockstep"):
-            learner_run(
-                [params_s[0], dataclasses.replace(params_s[1], Q=1.0)], grid, self.cfg, seeds_s
-            )
+        seen = self.counted_sizes(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LearnerDivergence) as together:
+                self.run_stack(params, grid, cfg, arms)
+        assert seen == sizes
+        exc = together.value
+        assert (exc.arm, exc.outer, exc.inner) == expected
+        assert str(exc) == str(alone.value)
+        np.testing.assert_array_equal(exc.last_policy, alone.value.last_policy)
 
 
 class TestConfigValidation:
