@@ -6,11 +6,8 @@ Two game variants are supported, selected by the ``game`` argument:
 * ``"ee"``: enhanced exploration (additional cross-exploration bonus at
   temperature lambda_ce). ``lambda_ce == 0`` reduces "ee" to "se" exactly.
 
-Everything here is a pure function of its inputs: the quadratic value
-coefficient solving the scalar backward Riccati ODE, the value offset, the
-equilibrium Gaussian feedback policy, the equilibrium state variance, the
-game value, and the expected payoff of an arbitrary Gaussian feedback policy
-evaluated through its first/second state-moment ODEs.
+Everything here is a pure function of its inputs (the README lists the
+closed forms).
 
 Riccati coefficients are always evaluated from the closed form. The one
 ODE stepped here is the linear state-moment system behind the policy payoff

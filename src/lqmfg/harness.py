@@ -1,11 +1,7 @@
 """Experiment orchestration: relative error, the reference sweep, and reports.
 
 The convergence metric is |J(candidate) - J(reference)| / |J(reference)|,
-with both payoffs the exact expectation of the same discrete-time game
-(``simulate.expected_reward_exact``). Scoring both sides the same way
-removes the time-discretization bias from the ratio and lets the error
-vanish exactly when the candidate equals the reference; being exact, the
-score carries no sampling noise either.
+both payoffs ``simulate.expected_reward_exact`` of the same discrete game.
 
 The reference is the discretized closed-form equilibrium policy of the
 Shannon game: gain B/D^2 and per-step variances lambda_se/(D^2 * eta(s*dt)).
@@ -98,17 +94,10 @@ def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
 
 
 def run_arms(config: ExperimentConfig, arms) -> list:
-    """Run (lambda_se, seed) arms of the configured game in lockstep and
-    score their traces.
-
-    Every arm shares the config's game, grid and learner configuration;
-    its ``seed`` and ``lambda_se_values`` are not read. Each result is
-    bit-identical to the arm's run alone, and the first step that makes any
-    arm diverge stops them all. After the learner returns, each arm's whole
-    trace is scored in one ``rel_error`` call: its (K, I + 1) rows against
-    the mean path each round played. ``runtime_seconds`` is the shared
-    run's time, scoring included.
-    """
+    """Run (lambda_se, seed) arms of the configured game in lockstep, then
+    score each arm's whole trace in one ``rel_error`` call; the config's
+    ``seed`` and ``lambda_se_values`` are not read. ``runtime_seconds`` is
+    the shared run's time, scoring included."""
     grid, learner = config.grid, config.learner
     lambdas, seeds = zip(*arms)
     evaluators = [PayoffEvaluator(_arm_params(config, lam), grid, learner.sigma_floor)
@@ -141,14 +130,9 @@ def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
 
 
 def reproduce(config: ExperimentConfig) -> ExperimentReport:
-    """Sweep the configured temperatures in lockstep and assemble the report.
-
-    If the configuration names an output directory the tables are written
-    there before returning. If an arm diverges, the sweep stops at that
-    step and the directory instead gets a FAILED marker naming the diverged
-    arm first in sweep order, the step and its last finite policy, and the
-    LearnerDivergence propagates.
-    """
+    """Sweep the configured temperatures in lockstep and assemble the report,
+    written to the configured output directory if there is one; there, a
+    LearnerDivergence first leaves a FAILED marker (see README)."""
     try:
         arms = run_arms(config, [(lam, config.seed) for lam in config.lambda_se_values])
     except LearnerDivergence as exc:

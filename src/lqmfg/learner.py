@@ -17,6 +17,12 @@ common reward level without biasing the estimate (the baseline is
 independent of the perturbation it multiplies). Without this variance
 control the per-step noise at the reference hyperparameters is far above
 the attainable drift and the learner diverges (see README).
+
+A step's draws depend only on its address (seed, PERTURBATION, k, i), not
+on the policy, so the inner loop makes them ahead, ``_BLOCK`` steps at a
+time: per seed and step, one ``standard_normal`` call fills the n
+directions row by row, then the initial state, then the N increments. A
+zero direction is not redrawn: its NaN estimate is a LearnerDivergence.
 """
 
 from __future__ import annotations
@@ -32,10 +38,12 @@ from .params import GameParams, ParameterError, TimeGrid, check_finite
 from .simulate import (
     SIGMA_FLOOR,
     PolicyParams,
-    draw_noise,
     propagate_mean_field,
     rollout,
+    scale_noise,
 )
+
+_BLOCK = 50
 
 
 @dataclass(frozen=True)
@@ -91,19 +99,28 @@ class LearnerConfig:
             raise ParameterError("radius, step_size and sigma_floor must be positive")
 
 
-def _sample_sphere_batch(n: int, dim: int, radius: float, stream) -> np.ndarray:
-    """n uniform draws on the sphere of the given radius (normalized Gaussians)."""
-    if dim < 1 or radius <= 0:
+def _on_sphere(u: np.ndarray, radius: float) -> np.ndarray:
+    """Standard normal rows u (..., dim) scaled in place to the sphere of the
+    given radius: uniform directions. A zero row (probability zero) gives NaN."""
+    if u.shape[-1] < 1 or radius <= 0:
         raise ParameterError("dim must be >= 1 and radius positive")
-    u = stream.standard_normal((n, dim))
-    # the bits of np.linalg.norm(u, axis=1, keepdims=True), without its overhead
-    norms = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
-    # A zero row has probability zero; regenerate defensively if it happens.
-    while (norms == 0.0).any():
-        bad = norms[:, 0] == 0.0
-        u[bad] = stream.standard_normal((int(bad.sum()), dim))
-        norms = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
-    return radius * u / norms
+    # the bits of np.linalg.norm(u, axis=-1, keepdims=True), without its overhead
+    norms = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
+    return np.divide(np.multiply(u, radius, out=u), norms, out=u)
+
+
+def _draw_block(params, grid, cfg, seeds, owner, outer_index, steps):
+    """The draws of the inner steps ``steps`` of round ``outer_index``, step
+    first: directions (b, S, n, 1 + N), initial states (b, S, 1) and
+    increments (b, S, 1, N), arm j drawing from ``seeds[owner[j]]``."""
+    n, dim = cfg.n_perturbations, grid.n_steps + 1
+    raw = np.empty((len(steps), len(seeds), (n + 1) * dim))
+    for i, rows in zip(steps, raw):
+        for seed, row in zip(seeds, rows):
+            rng.substream(seed, rng.PERTURBATION, outer_index, i).standard_normal(out=row)
+    U = _on_sphere(raw[..., :-dim].reshape(*raw.shape[:2], n, dim), cfg.radius)
+    x0, dW = scale_noise(params, grid.dt, raw[..., -dim, None], raw[..., None, 1 - dim:])
+    return U[:, owner], x0[:, owner], dW[:, owner]
 
 
 def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float) -> np.ndarray:
@@ -118,25 +135,21 @@ def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float) -> np.ndar
 
 
 def estimate_gradient(params: GameParams, grid: TimeGrid, policies, mean_paths,
-                      cfg: LearnerConfig, lambdas, streams, owner):
+                      cfg: LearnerConfig, lambdas, U, x0, dW):
     """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
     arms of one game (its lambda_se is not read): an (S, 1 + N) policy
     matrix, (S, N + 1) mean paths, the (S,) float array of the arms'
-    temperatures, and distinct generators ``streams``, arm j drawing from
-    ``streams[owner[j]]``.
+    temperatures, and the step's draws (``_draw_block``): directions U
+    (S, n, 1 + N), initial states x0 (S, 1) and increments dW (S, 1, N).
 
-    Each generator's draws are made once in a fixed order (perturbations,
-    then one initial state and Brownian path), and arms that own it share
-    them; all S * n perturbed policies are scored in one kernel call.
-    Perturbed variances are clamped to the floor for the evaluation only,
-    leaving the estimator geometry untouched.
+    All S * n perturbed policies are scored in one kernel call, an arm's n
+    on its one initial state and Brownian path. Perturbed variances are
+    clamped to the floor for the evaluation only. A zero direction's NaN
+    gives a NaN estimate, so its step raises LearnerDivergence.
     """
     dim = policies.shape[1]
     if dim != grid.n_steps + 1 or mean_paths.shape != (len(policies), dim):
         raise ParameterError(f"policies and mean paths need {dim} entries per arm")
-    draws = [(_sample_sphere_batch(cfg.n_perturbations, dim, cfg.radius, s),
-              *draw_noise(s, params, grid.dt, 1, grid.n_steps)) for s in streams]
-    U, x0, dW = (np.array(parts)[owner] for parts in zip(*draws))
     points = policies[:, None, :] + U
     values = rollout(
         params, grid.dt, mean_paths.T[:, :, None], points[..., 0],
@@ -179,11 +192,10 @@ class LearnerDivergence(RuntimeError):
 class LearningTrace:
     """One arm's policy at every step and its mean path at every round.
 
-    ``records`` is a record array of K * (I + 1) rows with fields ``outer``,
-    ``inner``, ``rel_error`` (NaN until the harness scores the row),
-    ``m_hat`` and ``sigma2`` (N,); a round's first row is its starting
-    policy. ``mean_paths`` is (K + 1, N + 1): the initial path, then the path
-    after each round, so round k plays against ``mean_paths[k]``.
+    ``records``: K * (I + 1) rows of ``outer``, ``inner``, ``rel_error`` (NaN
+    until scored), ``m_hat`` and ``sigma2`` (N,), a round's first row its
+    starting policy. ``mean_paths``: (K + 1, N + 1), the initial path, then
+    the path after each round; round k plays against ``mean_paths[k]``.
     """
 
     records: np.recarray
@@ -197,12 +209,12 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
     temperature ``lambdas[j]``, ``seeds[j]``, ``mean_paths[j]``) against
     frozen (S, N + 1) mean paths.
 
-    Starts from the (S, 1 + N) matrix ``initial`` or the initializer, then
-    takes ``n_inner`` gradient steps for all arms at once; arms with the same
-    seed share every substream, drawn once. Returns the (S, I + 1, 1 + N)
-    block of each arm's policy before every step and after the last. The
-    first step that makes any arm's policy non-finite raises its
-    LearnerDivergence.
+    Starts from the (S, 1 + N) matrix ``initial`` or the initializer and
+    takes ``n_inner`` gradient steps for all arms at once, each ``_BLOCK``
+    steps' draws made before them; arms with the same seed share every
+    substream, drawn once. Returns the (S, I + 1, 1 + N) block of each arm's
+    policy before every step and after the last. The first step that makes
+    any arm's policy non-finite raises its LearnerDivergence.
     """
     slot = {}
     owner = np.array([slot.setdefault(seed, len(slot)) for seed in seeds])
@@ -213,17 +225,17 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
         ) for seed in distinct])[owner]
     steps = np.empty((len(seeds), cfg.n_inner + 1, grid.n_steps + 1))
     steps[:, 0] = policies = initial
-    for i in range(cfg.n_inner):
-        streams = [rng.substream(seed, rng.PERTURBATION, outer_index, i) for seed in distinct]
-        estimates = estimate_gradient(
-            params, grid, policies, mean_paths, cfg, lambdas, streams, owner
-        )
-        stepped = gradient_step(policies, estimates, cfg)
-        finite = np.isfinite(stepped).all(axis=1)
-        if not finite.all():
-            j = int(finite.argmin())
-            raise LearnerDivergence(outer_index, i, policies[j], arm=j)
-        steps[:, i + 1] = policies = stepped
+    for start in range(0, cfg.n_inner, _BLOCK):
+        block = range(start, min(start + _BLOCK, cfg.n_inner))
+        draws = _draw_block(params, grid, cfg, distinct, owner, outer_index, block)
+        for i, *step in zip(block, *draws):
+            estimates = estimate_gradient(params, grid, policies, mean_paths, cfg, lambdas, *step)
+            stepped = gradient_step(policies, estimates, cfg)
+            finite = np.isfinite(stepped).all(axis=1)
+            if not finite.all():
+                j = int(finite.argmin())
+                raise LearnerDivergence(outer_index, i, policies[j], arm=j)
+            steps[:, i + 1] = policies = stepped
     return steps
 
 

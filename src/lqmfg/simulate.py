@@ -159,6 +159,14 @@ def rollout(
     return total
 
 
+def scale_noise(params: GameParams, dt: float, z0: np.ndarray, z: np.ndarray):
+    """Standard normals z0 and z scaled in place to initial states and increments."""
+    z0 *= np.sqrt(params.xi_var)
+    z0 += params.xi_mean
+    z *= np.sqrt(dt)
+    return z0, z
+
+
 def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
                n_paths: int, n_steps: int):
     """Initial states and Brownian increments in the fixed batch layout.
@@ -167,10 +175,9 @@ def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
     same values Fortran-ordered, so the kernel's per-step columns are
     contiguous.
     """
-    x0 = params.xi_mean + np.sqrt(params.xi_var) * stream.standard_normal(n_paths)
-    dW = np.asfortranarray(stream.standard_normal((n_paths, n_steps)))
-    dW *= np.sqrt(dt)
-    return x0, dW
+    z0 = stream.standard_normal(n_paths)
+    z = np.asfortranarray(stream.standard_normal((n_paths, n_steps)))
+    return scale_noise(params, dt, z0, z)
 
 
 def _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None):

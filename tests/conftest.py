@@ -1,8 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 
 from lqmfg import GameParams, TimeGrid, rng, sample_rewards
 from lqmfg.simulate import mean_and_stderr
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli_env(**overrides):
+    """The environment of a ``python -m lqmfg.cli`` child process: this one,
+    with the source tree first on PYTHONPATH and ``overrides`` set."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **overrides}
 
 
 @pytest.fixture

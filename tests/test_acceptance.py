@@ -21,7 +21,6 @@ decision notes):
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -44,9 +43,9 @@ from lqmfg import rng
 from lqmfg.analytic import decay_rate
 from lqmfg.config import config_to_dict, default_config
 from lqmfg.harness import reference_policy, run_arms
-from lqmfg.learner import _sample_sphere_batch
+from lqmfg.learner import _on_sphere
 
-from conftest import make_params, mc_reward
+from conftest import cli_env, make_params, mc_reward
 
 REFERENCE_GRID = TimeGrid.from_horizon(0.1, 5)
 SEEDS = list(range(20))
@@ -249,7 +248,7 @@ def test_criterion_6_gradient_estimator_moment():
     c = np.array([2.0, -1.0, 0.5, 3.0, -0.25, 1.5])
     center = np.full(dim, 0.3)
     stream = rng.substream(606, rng.PERTURBATION)
-    U = _sample_sphere_batch(100_000, dim, radius, stream)
+    U = _on_sphere(stream.standard_normal((100_000, dim)), radius)
     values = (center[None, :] + U) @ c
     estimates = U * (values / radius**2)[:, None]
     mean = estimates.mean(axis=0)
@@ -417,7 +416,7 @@ def test_criterion_11_determinism(tmp_path):
     outputs = []
     for label, threads in (("a", "1"), ("b", "1"), ("c", "8")):
         out_dir = tmp_path / label
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env = cli_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [
                 sys.executable, "-m", "lqmfg.cli", "reproduce",

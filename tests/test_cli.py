@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from lqmfg.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lqmfg.config import config_to_dict, default_config
 
+from conftest import cli_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -218,7 +220,7 @@ class TestHelp:
     def test_help_lists_every_subcommand(self):
         result = subprocess.run(
             [sys.executable, "-m", "lqmfg.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=cli_env(),
         )
         assert result.returncode == 0
         for name in ("solve", "simulate", "learn", "reproduce"):
@@ -227,7 +229,7 @@ class TestHelp:
     def test_subcommand_help_lists_flags(self):
         result = subprocess.run(
             [sys.executable, "-m", "lqmfg.cli", "reproduce", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=cli_env(),
         )
         assert result.returncode == 0
         for flag in ("--config", "--set", "--seed", "--out-dir", "--check"):

@@ -34,6 +34,7 @@ from lqmfg import (
 from lqmfg import rng
 from lqmfg.analytic import DEFAULT_REFINEMENT, _moment_paths, _refined_times, step_fn
 from lqmfg.config import config_from_dict, config_to_dict, default_config, save_config
+from lqmfg.learner import _draw_block
 
 from conftest import make_params
 
@@ -122,10 +123,12 @@ def test_gradient_estimates():
     grid = TimeGrid.from_horizon(params.T, 5)
     policy = reference_policy(params, grid)
     mean_field = np.full(grid.n_steps + 1, 0.05)
-    stream = rng.substream(3, rng.PERTURBATION, 1, 2)
+    # the draws of step i=2 of round k=1 on the substreams of seed 3
+    cfg = LearnerConfig()
+    U, x0, dW = (d[0] for d in _draw_block(params, grid, cfg, [3], [0], 1, range(2, 3)))
     estimate = estimate_gradient(
         params, grid, np.concatenate(([policy.m_hat], policy.sigma2))[None],
-        mean_field[None], LearnerConfig(), np.array([params.lambda_se]), [stream], [0],
+        mean_field[None], cfg, np.array([params.lambda_se]), U, x0, dW,
     )
     assert _sha(estimate.tobytes()) == GOLDEN["estimate_gradient[shared+loo]"]
 

@@ -18,8 +18,9 @@ from lqmfg import (
     reference_policy,
 )
 from lqmfg import learner, rng
-from lqmfg.learner import LearnerDivergence, _sample_sphere_batch, _sphere_average, inner_loop
+from lqmfg.learner import LearnerDivergence, _on_sphere, _sphere_average, inner_loop
 from lqmfg.learner import run as learner_run
+from lqmfg.simulate import draw_noise
 
 from conftest import mc_reward
 
@@ -55,11 +56,20 @@ def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
     return steps[0, -1], steps[0]
 
 
+def step_draws(params, grid, cfg, stream):
+    """One arm's draws of one step from its substream, by hand: the n
+    directions, then ``draw_noise``'s initial state and Brownian path."""
+    u = stream.standard_normal((cfg.n_perturbations, grid.n_steps + 1))
+    U = cfg.radius * u / np.linalg.norm(u, axis=1, keepdims=True)
+    return (U, *draw_noise(stream, params, grid.dt, 1, grid.n_steps))
+
+
 def estimate_one(params, grid, policy, mean_field, cfg, stream):
     """The (1, 1 + N) gradient estimate of a stack of one arm."""
+    U, x0, dW = step_draws(params, grid, cfg, stream)
     return estimate_gradient(
         params, grid, vector(policy)[None], mean_field[None], cfg,
-        np.array([params.lambda_se]), [stream], [0],
+        np.array([params.lambda_se]), U[None], x0[None], dW[None],
     )
 
 
@@ -67,27 +77,27 @@ class TestSampleSphere:
     def test_norm_is_the_radius(self):
         stream = rng.substream(0, 1)
         for dim in (1, 2, 6, 11):
-            u = _sample_sphere_batch(5, dim, 0.01, stream)
+            u = _on_sphere(stream.standard_normal((5, dim)), 0.01)
             np.testing.assert_allclose(np.linalg.norm(u, axis=1), 0.01, rtol=1e-12)
 
     def test_dimension_one_is_a_fair_sign(self):
         stream = rng.substream(0, 2)
-        draws = _sample_sphere_batch(4000, 1, 2.0, stream)[:, 0]
+        draws = _on_sphere(stream.standard_normal((4000, 1)), 2.0)[:, 0]
         assert set(np.round(np.abs(draws), 12)) == {2.0}
         assert 0.45 < np.mean(draws > 0) < 0.55
 
     def test_empirical_mean_vanishes(self):
         stream = rng.substream(0, 3)
         r = 0.7
-        draws = _sample_sphere_batch(1_000_000, 6, r, stream)
+        draws = _on_sphere(stream.standard_normal((1_000_000, 6)), r)
         bound = 4.0 / math.sqrt(1_000_000) * r
         assert np.all(np.abs(draws.mean(axis=0)) < bound)
 
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):
-            _sample_sphere_batch(1, 0, 1.0, rng.substream(0, 4))
+            _on_sphere(np.ones((1, 0)), 1.0)
         with pytest.raises(ParameterError):
-            _sample_sphere_batch(1, 3, 0.0, rng.substream(0, 4))
+            _on_sphere(np.ones((1, 3)), 0.0)
 
 
 class TestSphereGradientEstimate:
@@ -98,7 +108,7 @@ class TestSphereGradientEstimate:
         # the leave-one-out baseline cancels a constant integrand exactly,
         # in every estimate and not only on average
         stream = rng.substream(1, 1)
-        U = _sample_sphere_batch(20_000 * 4, 3, 0.1, stream).reshape(20_000, 4, 3)
+        U = _on_sphere(stream.standard_normal((20_000, 4, 3)), 0.1)
         est = _sphere_average(U, np.full((20_000, 4), 5.0), 0.1)
         np.testing.assert_array_equal(est, 0.0)
 
@@ -109,13 +119,13 @@ class TestSphereGradientEstimate:
         c = np.array([2.0, -1.0, 0.5, 3.0])
         center = np.zeros(4)
         stream = rng.substream(1, 2)
-        U = _sample_sphere_batch(20_000 * 4, 4, 0.2, stream).reshape(20_000, 4, 4)
+        U = _on_sphere(stream.standard_normal((20_000, 4, 4)), 0.2)
         est = _sphere_average(U, (center + U) @ c, 0.2)
         stderr = est.std(axis=0, ddof=1) / math.sqrt(len(est))
         np.testing.assert_array_less(np.abs(est.mean(axis=0) - c / 4), 5 * stderr)
 
     def test_loo_needs_two_points(self):
-        U = _sample_sphere_batch(1, 3, 0.1, rng.substream(1, 3))
+        U = _on_sphere(rng.substream(1, 3).standard_normal((1, 3)), 0.1)
         with pytest.raises(ParameterError):
             _sphere_average(U, np.zeros(1), 0.1)
 
@@ -226,6 +236,41 @@ class TestInnerLoop:
         assert np.isfinite(exc.last_policy).all()
 
 
+    def test_draws_ahead_across_a_block_boundary(self, params, grid):
+        # three arms on two seeds for one block and three steps more: every
+        # step rebuilt from its own substream, arm by arm, is the learner's
+        cfg = small_cfg(n_inner=learner._BLOCK + 3)
+        lambdas, seeds = np.array([1.0, 0.0, 3.0]), [4, 9, 4]
+        mean_paths = np.linspace(0.0, 0.2, 3 * (grid.n_steps + 1)).reshape(3, -1)
+        steps = inner_loop(params, grid, mean_paths, cfg, lambdas, seeds, outer_index=1)
+        assert steps.shape == (3, cfg.n_inner + 1, grid.n_steps + 1)
+        expected = [steps[:, 0]]
+        for i in range(cfg.n_inner):
+            U, x0, dW = (np.array(parts) for parts in zip(*(
+                step_draws(params, grid, cfg, rng.substream(seed, rng.PERTURBATION, 1, i))
+                for seed in seeds
+            )))
+            estimates = estimate_gradient(
+                params, grid, expected[-1], mean_paths, cfg, lambdas, U, x0, dW
+            )
+            expected.append(gradient_step(expected[-1], estimates, cfg))
+        np.testing.assert_array_equal(np.stack(expected, axis=1), steps)
+
+    def test_a_zero_direction_is_a_divergence(self, params, grid, monkeypatch):
+        # not redrawn: its NaN estimate makes the step non-finite
+        on_sphere = learner._on_sphere
+
+        def zeroed(u, radius):
+            u[4, 0, 2] = 0.0  # step 4, seed 0, direction 2
+            return on_sphere(u, radius)
+
+        monkeypatch.setattr(learner, "_on_sphere", zeroed)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
+        with np.errstate(invalid="ignore"), pytest.raises(LearnerDivergence) as info:
+            inner_one(params, grid, mf, small_cfg())
+        assert (info.value.arm, info.value.outer, info.value.inner) == (0, 0, 4)
+
+
 class TestRun:
     def test_minimal_loop(self, params, grid):
         cfg = small_cfg(n_outer=1, n_inner=0)
@@ -323,7 +368,7 @@ class TestLockstepDivergence:
         monkeypatch.setattr(learner, "estimate_gradient", counted)
         return sizes
 
-    def test_a_later_arm_diverging_first_does_not_pre_empt_an_earlier_one(self, params, grid):
+    def test_first_arm_to_diverge_is_named_lower_index_on_a_tie(self, params, grid):
         for arms, failing, expected in [
             # (1, 1) diverges first in time: it stops (1, 0), which would
             # diverge only in round 1, and (0, 1), which would at i=18
@@ -342,7 +387,7 @@ class TestLockstepDivergence:
             assert str(exc) == str(alone.value)
             np.testing.assert_array_equal(exc.last_policy, alone.value.last_policy)
 
-    def test_earlier_arms_finish_before_the_error_is_raised(self, params, grid, monkeypatch):
+    def test_no_arm_steps_past_the_first_divergence(self, params, grid, monkeypatch):
         # no arm takes a step past the divergence, the arm before it included
         sizes = self.counted_sizes(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
