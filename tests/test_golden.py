@@ -33,6 +33,7 @@ from lqmfg import (
 )
 from lqmfg import rng
 from lqmfg.analytic import DEFAULT_REFINEMENT, _moment_paths, _refined_times, step_fn
+from lqmfg.cli import main
 from lqmfg.config import config_from_dict, config_to_dict, default_config, save_config
 from lqmfg.learner import _draw_block
 
@@ -71,6 +72,8 @@ GOLDEN = {
         "50e84a3b9445d75f7eca6145739bd16567c38704133bc2c0239d663212714566",
     "solve_equilibrium":
         "caa466c1de5819710a7b09b82ed600071ddcdcea4f3032366ef59247f001acb0",
+    "simulate --dump-paths":
+        "2af4e9ddef68e17f57c8914d28acffb64d038fd2c0d5f0cd2a84a28dffa9abc5",
     # computed once the raw-estimator and cold-start switches left the
     # schema; a later schema change must regenerate it and say so
     "default_config.json":
@@ -95,6 +98,17 @@ def test_saved_default_config(tmp_path):
     path = tmp_path / "default.json"
     save_config(default_config(), str(path))
     assert _sha(path.read_bytes()) == GOLDEN["default_config.json"]
+
+
+def test_simulate_dump(tmp_path, capsys):
+    dump = tmp_path / "rewards.csv"
+    code = main([
+        "simulate", "--policy", "se", "--set", "grid.n_steps=50",
+        "--n-paths", str(3 * (1 << 14) + 5), "--seed", "5", "--dump-paths", str(dump),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha(out.encode() + dump.read_bytes()) == GOLDEN["simulate --dump-paths"]
 
 
 def _rollout_inputs():
