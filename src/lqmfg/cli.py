@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -43,9 +44,6 @@ EXIT_RUNTIME = 3
 EXIT_CHECK = 4
 
 OUT_DIR_ENV = "LQMFG_OUT_DIR"
-
-# Rows of the --dump-paths CSV formatted and written per write call.
-_DUMP_BLOCK = 1 << 14
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -172,18 +170,22 @@ def _policy_from_arg(arg: str, config: ExperimentConfig) -> PolicyParams:
     )
 
 
-def _cmd_simulate(args) -> int:
-    config = _load(args)
-    if args.n_paths < 2:
-        raise ConfigError("--n-paths must be >= 2")
-    policy = _policy_from_arg(args.policy, config)
+def _write_rows(fh, start, rewards):
+    """``on_chunk`` callback: a chunk's rewards as csv.writer's rows, formatted with one ``%``."""
+    cells = [None] * (2 * len(rewards))
+    cells[0::2] = range(start, start + len(rewards))
+    cells[1::2] = rewards.tolist()
+    fh.write(("%d,%.17g\r\n" * len(rewards)) % tuple(cells))
+
+
+def _sample(config, policy, n_paths, on_chunk=None):
     mean_field = np.full(config.grid.n_steps + 1, config.game.xi_mean)
     # a game far from the reference scale can overflow the rollout; the
     # check below names it instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         rewards = sample_rewards(
-            config.game, config.grid, policy, mean_field, args.n_paths,
-            _rng.substream(config.seed, _rng.TRAJECTORY),
+            config.game, config.grid, policy, mean_field, n_paths,
+            _rng.substream(config.seed, _rng.TRAJECTORY), on_chunk,
         )
         mean, stderr = mean_and_stderr(rewards)
     if not (np.isfinite(mean) and np.isfinite(stderr)):
@@ -191,20 +193,32 @@ def _cmd_simulate(args) -> int:
             "game: the sampled rewards are not finite; the game's coefficients "
             "(or the policy's) are too large for the simulation"
         )
+    return mean, stderr
+
+
+def _cmd_simulate(args) -> int:
+    config = _load(args)
+    if args.n_paths < 2:
+        raise ConfigError("--n-paths must be >= 2")
+    policy = _policy_from_arg(args.policy, config)
+    if not args.dump_paths:
+        mean, stderr = _sample(config, policy, args.n_paths)
+    else:
+        # rows go, as chunks finish, to a file that replaces the target once all are finite
+        staged = args.dump_paths + ".partial"
+        fh = open(staged, "w", newline="")
+        try:
+            with fh:
+                fh.write("path,reward\r\n")
+                mean, stderr = _sample(config, policy, args.n_paths, partial(_write_rows, fh))
+            os.replace(staged, args.dump_paths)
+        except BaseException:
+            os.remove(staged)
+            raise
     print(f"mean {_fmt(mean)}")
     print(f"stderr {_fmt(stderr)}")
     print(f"n_paths {args.n_paths}")
     print(f"seed {config.seed}")
-    if args.dump_paths:
-        # CSV rows as csv.writer would write them, joined block by block: a
-        # block bounds the memory held by formatted strings
-        with open(args.dump_paths, "w", newline="") as fh:
-            fh.write("path,reward\r\n")
-            for start in range(0, len(rewards), _DUMP_BLOCK):
-                block = rewards[start:start + _DUMP_BLOCK].tolist()
-                fh.write("".join(
-                    f"{j},{r:.17g}\r\n" for j, r in enumerate(block, start)
-                ))
     return EXIT_OK
 
 

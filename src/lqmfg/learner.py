@@ -109,10 +109,10 @@ def _on_sphere(u: np.ndarray, radius: float) -> np.ndarray:
     return np.divide(np.multiply(u, radius, out=u), norms, out=u)
 
 
-def _draw_block(params, grid, cfg, seeds, owner, outer_index, steps):
+def _draw_block(params, grid, cfg, seeds, outer_index, steps):
     """The draws of the inner steps ``steps`` of round ``outer_index``, step
-    first: directions (b, S, n, 1 + N), initial states (b, S, 1) and
-    increments (b, S, 1, N), arm j drawing from ``seeds[owner[j]]``."""
+    first, one set per seed: directions (b, S, n, 1 + N), initial states
+    (b, S, 1) and increments (b, S, 1, N), set j drawn from ``seeds[j]``."""
     n, dim = cfg.n_perturbations, grid.n_steps + 1
     raw = np.empty((len(steps), len(seeds), (n + 1) * dim))
     for i, rows in zip(steps, raw):
@@ -120,7 +120,7 @@ def _draw_block(params, grid, cfg, seeds, owner, outer_index, steps):
             rng.substream(seed, rng.PERTURBATION, outer_index, i).standard_normal(out=row)
     U = _on_sphere(raw[..., :-dim].reshape(*raw.shape[:2], n, dim), cfg.radius)
     x0, dW = scale_noise(params, grid.dt, raw[..., -dim, None], raw[..., None, 1 - dim:])
-    return U[:, owner], x0[:, owner], dW[:, owner]
+    return U, x0, dW
 
 
 def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float) -> np.ndarray:
@@ -139,7 +139,7 @@ def estimate_gradient(params: GameParams, grid: TimeGrid, policies, mean_paths,
     """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
     arms of one game (its lambda_se is not read): an (S, 1 + N) policy
     matrix, (S, N + 1) mean paths, the (S,) float array of the arms'
-    temperatures, and the step's draws (``_draw_block``): directions U
+    temperatures, and each arm's draws of the step (``_draw_block``): directions U
     (S, n, 1 + N), initial states x0 (S, 1) and increments dW (S, 1, N).
 
     All S * n perturbed policies are scored in one kernel call, an arm's n
@@ -227,8 +227,9 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
     steps[:, 0] = policies = initial
     for start in range(0, cfg.n_inner, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.n_inner))
-        draws = _draw_block(params, grid, cfg, distinct, owner, outer_index, block)
+        draws = _draw_block(params, grid, cfg, distinct, outer_index, block)
         for i, *step in zip(block, *draws):
+            step = step if len(distinct) == len(seeds) else [d[owner] for d in step]
             estimates = estimate_gradient(params, grid, policies, mean_paths, cfg, lambdas, *step)
             stepped = gradient_step(policies, estimates, cfg)
             finite = np.isfinite(stepped).all(axis=1)

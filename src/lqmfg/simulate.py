@@ -9,7 +9,8 @@ and the Brownian increments.
 Determinism contract: all draws for a batch come from one counter-based
 substream in a fixed layout (row per path, fixed chunk size), and reductions
 use numpy's pairwise summation, so results are bit-identical for a given seed
-regardless of evaluation order or thread count.
+regardless of evaluation order or thread count: the chunk loop draws on a
+helper thread, and only that thread reads the stream, in chunk order.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ def scale_noise(params: GameParams, dt: float, z0: np.ndarray, z: np.ndarray):
     return z0, z
 
 
+def _fill(stream: np.random.Generator, z0: np.ndarray, z: np.ndarray) -> None:
+    """The fixed batch layout: normals into z0 (n,), then z (n, N) row by row."""
+    stream.standard_normal(out=z0)
+    stream.standard_normal(out=z)
+
+
 def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
                n_paths: int, n_steps: int):
     """Initial states and Brownian increments in the fixed batch layout.
@@ -175,26 +182,42 @@ def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
     same values Fortran-ordered, so the kernel's per-step columns are
     contiguous.
     """
-    z0 = stream.standard_normal(n_paths)
-    z = np.asfortranarray(stream.standard_normal((n_paths, n_steps)))
-    return scale_noise(params, dt, z0, z)
+    z0, z = np.empty(n_paths), np.empty((n_paths, n_steps))
+    _fill(stream, z0, z)
+    return scale_noise(params, dt, z0, np.asfortranarray(z))
 
 
-def _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None):
-    """Rewards of n_paths rollouts drawn chunk by chunk (fixed draw layout)."""
+def _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None, on_chunk=None):
+    """Rewards of n_paths rollouts drawn chunk by chunk (fixed draw layout): a helper
+    thread fills the next chunk's draws once the current one's are copied out, while
+    this thread rolls them out and hands the rewards to ``on_chunk(start, rewards)``."""
+    from concurrent.futures import ThreadPoolExecutor
+
     if len(policy.sigma2) != grid.n_steps:
         raise ParameterError(
             f"policy has {len(policy.sigma2)} variance entries, grid needs {grid.n_steps}"
         )
     path = check_path(mean_field, grid)
     rewards = np.empty(n_paths)
-    for start in range(0, n_paths, _CHUNK):
-        stop = min(start + _CHUNK, n_paths)
-        x0, dW = draw_noise(stream, params, grid.dt, stop - start, grid.n_steps)
-        rewards[start:stop] = rollout(
-            params, grid.dt, path, policy.m_hat, policy.sigma2, x0, dW,
-            None if states is None else states[start:stop],
-        )
+    z0, z = np.empty(min(n_paths, _CHUNK)), np.empty((min(n_paths, _CHUNK), grid.n_steps))
+    dW = np.empty_like(z, order="F")
+    with ThreadPoolExecutor(1) as helper:
+        filled = helper.submit(_fill, stream, z0, z)
+        for start in range(0, n_paths, _CHUNK):
+            stop = min(start + _CHUNK, n_paths)
+            n, following = stop - start, min(_CHUNK, n_paths - stop)
+            filled.result()
+            dW[:n] = z[:n]
+            x0 = z0[:n].copy()
+            if following:
+                filled = helper.submit(_fill, stream, z0[:following], z[:following])
+            x0, chunk_dW = scale_noise(params, grid.dt, x0, dW[:n])
+            rewards[start:stop] = rollout(
+                params, grid.dt, path, policy.m_hat, policy.sigma2, x0, chunk_dW,
+                None if states is None else states[start:stop],
+            )
+            if on_chunk is not None:
+                on_chunk(start, rewards[start:stop])
     return rewards
 
 
@@ -205,9 +228,11 @@ def sample_rewards(
     mean_field: np.ndarray,
     n_paths: int,
     stream: np.random.Generator,
+    on_chunk=None,
 ) -> np.ndarray:
-    """Realized rewards of n_paths independent paths against a mean path (fixed draw layout)."""
-    return _rollout_chunks(params, grid, policy, mean_field, n_paths, stream)
+    """Realized rewards of n_paths independent paths against a mean path (fixed
+    draw layout); ``on_chunk(start, rewards)`` gets each chunk's as it is done."""
+    return _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, on_chunk=on_chunk)
 
 
 def simulate_states(

@@ -155,6 +155,34 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50
 
+    @pytest.mark.parametrize("existing", [None, b"path,reward\r\n0,1\r\n"], ids=["new", "existing"])
+    def test_a_failed_run_leaves_the_dump_target_as_it_was(self, capsys, tmp_path, existing):
+        target = tmp_path / "paths.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "simulate", "--n-paths", "2", "--set", "game.A=1e150",
+                "--dump-paths", str(target),
+            )
+        assert code == EXIT_CONFIG
+        assert "the sampled rewards are not finite" in err and out == ""
+        # no partial file beside the target, and the target as it was
+        assert os.listdir(tmp_path) == ([] if existing is None else ["paths.csv"])
+        if existing is not None:
+            assert target.read_bytes() == existing
+
+    def test_an_unwritable_dump_is_a_runtime_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "paths.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--n-paths", "50", "--dump-paths", str(target)
+        )
+        assert code == EXIT_RUNTIME
+        assert str(target) in err
+        assert out == ""  # the dump is opened before the results are printed
+        assert os.listdir(tmp_path) == []
+
 
 class TestLearn:
     def test_minimal_trace_has_one_row(self, capsys, tmp_path):

@@ -139,7 +139,7 @@ def test_gradient_estimates():
     mean_field = np.full(grid.n_steps + 1, 0.05)
     # the draws of step i=2 of round k=1 on the substreams of seed 3
     cfg = LearnerConfig()
-    U, x0, dW = (d[0] for d in _draw_block(params, grid, cfg, [3], [0], 1, range(2, 3)))
+    U, x0, dW = (d[0] for d in _draw_block(params, grid, cfg, [3], 1, range(2, 3)))
     estimate = estimate_gradient(
         params, grid, np.concatenate(([policy.m_hat], policy.sigma2))[None],
         mean_field[None], cfg, np.array([params.lambda_se]), U, x0, dW,

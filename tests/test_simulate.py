@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lqmfg import (
 )
 from lqmfg import rng
 from lqmfg.analytic import constant_fn
-from lqmfg.simulate import SIGMA_FLOOR, draw_noise, rollout
+from lqmfg.simulate import _CHUNK, SIGMA_FLOOR, check_path, draw_noise, rollout
 
 from conftest import make_params, mc_reward, random_params
 
@@ -431,3 +432,109 @@ class TestDeterminismAndAlignment:
                 sample_rewards(params, grid, policy, path, 2, rng.substream(0, 1))
             with pytest.raises(ParameterError, match="mean path values must be finite"):
                 evaluator.rel_error(policy.m_hat, policy.sigma2, path)
+
+
+def sequential_rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None):
+    """The chunk loop as it was before its draws moved to a helper thread:
+    the reference the threaded loop must reproduce bit for bit."""
+    if len(policy.sigma2) != grid.n_steps:
+        raise ParameterError(
+            f"policy has {len(policy.sigma2)} variance entries, grid needs {grid.n_steps}"
+        )
+    path = check_path(mean_field, grid)
+    rewards = np.empty(n_paths)
+    for start in range(0, n_paths, _CHUNK):
+        stop = min(start + _CHUNK, n_paths)
+        x0, dW = draw_noise(stream, params, grid.dt, stop - start, grid.n_steps)
+        rewards[start:stop] = rollout(
+            params, grid.dt, path, policy.m_hat, policy.sigma2, x0, dW,
+            None if states is None else states[start:stop],
+        )
+    return rewards
+
+
+def within(seconds, fn):
+    """fn() on a thread joined with a timeout: a deadlock fails the test
+    instead of hanging it. Returns fn's result or raises its exception."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class TestChunkLoopHelperThread:
+    """The next chunk is drawn on a helper thread while the caller rolls out
+    the current one and runs ``on_chunk``; the GIL is handed over as often
+    as the interpreter allows, to shake out any dependence on timing."""
+
+    @pytest.mark.parametrize("n_paths", [1, _CHUNK - 1, _CHUNK + 1, 5 * _CHUNK + 3])
+    def test_matches_the_sequential_loop(self, params, n_paths):
+        grid = TimeGrid.from_horizon(params.T, 50)
+        policy = ne_policy(params, grid)
+        mf = np.linspace(0.1, 0.3, grid.n_steps + 1)
+        chunks = []
+
+        def on_chunk(start, rewards):
+            # Python work holding the GIL while the next chunk is drawn
+            chunks.append((start, len(rewards), sum(float(r) for r in rewards[:2000])))
+
+        threads = threading.enumerate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rewards = within(60, lambda: sample_rewards(
+                params, grid, policy, mf, n_paths, rng.substream(12, rng.TRAJECTORY), on_chunk
+            ))
+            states = within(60, lambda: simulate_states(
+                params, grid, policy, mf, n_paths, rng.substream(11, rng.TRAJECTORY)
+            ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.enumerate() == threads
+        ref_rewards = sequential_rollout_chunks(
+            params, grid, policy, mf, n_paths, rng.substream(12, rng.TRAJECTORY)
+        )
+        ref_states = np.empty_like(states)
+        sequential_rollout_chunks(
+            params, grid, policy, mf, n_paths, rng.substream(11, rng.TRAJECTORY), ref_states
+        )
+        assert rewards.tobytes() == ref_rewards.tobytes()
+        assert states.tobytes() == ref_states.tobytes()
+        # every chunk once, in path order, with the rewards of its paths
+        assert [(start, n) for start, n, _ in chunks] == [
+            (start, min(_CHUNK, n_paths - start)) for start in range(0, n_paths, _CHUNK)
+        ]
+        assert [total for *_, total in chunks] == [
+            sum(float(r) for r in ref_rewards[start:start + _CHUNK][:2000])
+            for start in range(0, n_paths, _CHUNK)
+        ]
+
+    def test_an_on_chunk_error_stops_the_helper(self, params):
+        grid = TimeGrid.from_horizon(params.T, 50)
+        policy = ne_policy(params, grid)
+        mf = np.full(grid.n_steps + 1, params.xi_mean)
+        seen = []
+
+        def on_chunk(start, rewards):
+            seen.append(start)
+            if start:
+                raise OSError("disk full")
+
+        threads = threading.enumerate()
+        with pytest.raises(OSError, match="disk full"):
+            within(60, lambda: sample_rewards(
+                params, grid, policy, mf, 4 * _CHUNK, rng.substream(0, 1), on_chunk
+            ))
+        assert seen == [0, _CHUNK]
+        assert threading.enumerate() == threads
