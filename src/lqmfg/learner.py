@@ -139,8 +139,8 @@ def estimate_gradient(params: GameParams, grid: TimeGrid, policies, mean_paths,
     """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
     arms of one game (its lambda_se is not read): an (S, 1 + N) policy
     matrix, (S, N + 1) mean paths, the (S,) float array of the arms'
-    temperatures, and each arm's draws of the step (``_draw_block``): directions U
-    (S, n, 1 + N), initial states x0 (S, 1) and increments dW (S, 1, N).
+    temperatures, and the step's draws per arm, or one set for all (``_draw_block``):
+    directions U (S, n, 1 + N), initial states x0 (S, 1), increments dW (S, 1, N).
 
     All S * n perturbed policies are scored in one kernel call, an arm's n
     on its one initial state and Brownian path. Perturbed variances are
@@ -229,7 +229,7 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
         block = range(start, min(start + _BLOCK, cfg.n_inner))
         draws = _draw_block(params, grid, cfg, distinct, outer_index, block)
         for i, *step in zip(block, *draws):
-            step = step if len(distinct) == len(seeds) else [d[owner] for d in step]
+            step = [d[owner] for d in step] if 1 < len(distinct) < len(seeds) else step
             estimates = estimate_gradient(params, grid, policies, mean_paths, cfg, lambdas, *step)
             stepped = gradient_step(policies, estimates, cfg)
             finite = np.isfinite(stepped).all(axis=1)
