@@ -20,9 +20,12 @@ the attainable drift and the learner diverges (see README).
 
 A step's draws depend only on its address (seed, PERTURBATION, k, i), not
 on the policy, so the inner loop makes them ahead, ``_BLOCK`` steps at a
-time: per seed and step, one ``standard_normal`` call fills the n
-directions row by row, then the initial state, then the N increments. A
-zero direction is not redrawn: its NaN estimate is a LearnerDivergence.
+time: per seed, one pass of ``rng.substream_keys`` keys the block's steps,
+and one Philox, re-keyed per step, fills the n directions row by row, then
+the initial state, then the N increments. A zero direction is not redrawn:
+its NaN estimate is a LearnerDivergence. What the kernel reads at every
+step (mean paths, a block's increments, variances) is laid out step-major
+once, so each step reads contiguous (S, n) slabs.
 """
 
 from __future__ import annotations
@@ -112,12 +115,18 @@ def _on_sphere(u: np.ndarray, radius: float) -> np.ndarray:
 def _draw_block(params, grid, cfg, seeds, outer_index, steps):
     """The draws of the inner steps ``steps`` of round ``outer_index``, step
     first, one set per seed: directions (b, S, n, 1 + N), initial states
-    (b, S, 1) and increments (b, S, 1, N), set j drawn from ``seeds[j]``."""
+    (b, S, 1) and increments (b, S, 1, N), set j drawn from ``seeds[j]`` by
+    one Philox re-keyed per step (counter 0, empty buffer) to its substream."""
     n, dim = cfg.n_perturbations, grid.n_steps + 1
     raw = np.empty((len(steps), len(seeds), (n + 1) * dim))
-    for i, rows in zip(steps, raw):
-        for seed, row in zip(seeds, rows):
-            rng.substream(seed, rng.PERTURBATION, outer_index, i).standard_normal(out=row)
+    for j, seed in enumerate(seeds):
+        keys = rng.substream_keys(seed, rng.PERTURBATION, outer_index, steps)
+        bits = np.random.Philox(key=keys[0])
+        state, normals = bits.state, np.random.Generator(bits)
+        for key, row in zip(keys, raw[:, j]):
+            state["state"]["key"] = key
+            bits.state = state
+            normals.standard_normal(out=row)
     U = _on_sphere(raw[..., :-dim].reshape(*raw.shape[:2], n, dim), cfg.radius)
     x0, dW = scale_noise(params, grid.dt, raw[..., -dim, None], raw[..., None, 1 - dim:])
     return U, x0, dW
@@ -129,18 +138,20 @@ def _sphere_average(U: np.ndarray, values: np.ndarray, radius: float) -> np.ndar
     n = values.shape[-1]
     if n < 2:
         raise ParameterError("leave-one-out baseline needs n >= 2")
-    values = values - (values.sum(axis=-1, keepdims=True) - values) / (n - 1)
-    # the bits of .mean(axis=-2), without its overhead
+    # the bits of .sum(axis=-1) and .mean(axis=-2), without their overhead
+    values = values - (np.add.reduce(values, axis=-1, keepdims=True) - values) / (n - 1)
     return np.add.reduce(U * (values / radius**2)[..., None], axis=-2) / n
 
 
-def estimate_gradient(params: GameParams, grid: TimeGrid, policies, mean_paths,
+def estimate_gradient(params: GameParams, grid: TimeGrid, policies, paths,
                       cfg: LearnerConfig, lambdas, U, x0, dW):
     """Sphere-smoothed reward-gradient estimates, (S, 1 + N), for a stack of S
     arms of one game (its lambda_se is not read): an (S, 1 + N) policy
-    matrix, (S, N + 1) mean paths, the (S,) float array of the arms'
-    temperatures, and the step's draws per arm, or one set for all (``_draw_block``):
-    directions U (S, n, 1 + N), initial states x0 (S, 1), increments dW (S, 1, N).
+    matrix, the mean paths step first, (N + 1, S, 1) or (N + 1, S, n), the
+    (S,) float array of the arms' temperatures, and the step's draws per arm,
+    or one set for all (``_draw_block``): directions U (S, n, 1 + N), initial
+    states x0 (S, 1), increments dW (S, 1, N) or (S, n, N), the broadcast
+    forms the fastest in step-major memory, with the same bits.
 
     All S * n perturbed policies are scored in one kernel call, an arm's n
     on its one initial state and Brownian path. Perturbed variances are
@@ -148,12 +159,12 @@ def estimate_gradient(params: GameParams, grid: TimeGrid, policies, mean_paths,
     gives a NaN estimate, so its step raises LearnerDivergence.
     """
     dim = policies.shape[1]
-    if dim != grid.n_steps + 1 or mean_paths.shape != (len(policies), dim):
+    if dim != grid.n_steps + 1 or paths.shape[:2] != (dim, len(policies)):
         raise ParameterError(f"policies and mean paths need {dim} entries per arm")
     points = policies[:, None, :] + U
+    sigma2 = np.maximum(points[..., 1:].transpose(2, 0, 1), cfg.sigma_floor, order="C")
     values = rollout(
-        params, grid.dt, mean_paths.T[:, :, None], points[..., 0],
-        np.maximum(points[..., 1:], cfg.sigma_floor), x0, dW,
+        params, grid.dt, paths, points[..., 0], sigma2.transpose(1, 2, 0), x0, dW,
         lambda_se=lambdas[:, None, None],
     )
     return _sphere_average(U, values, cfg.radius)
@@ -225,16 +236,20 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
         ) for seed in distinct])[owner]
     steps = np.empty((len(seeds), cfg.n_inner + 1, grid.n_steps + 1))
     steps[:, 0] = policies = initial
+    # loop-invariant kernel operands, broadcast over the n perturbations and
+    # step-major, so a step reads (S, n) slabs: each block's dW is (b, S, n, N)
+    n = cfg.n_perturbations
+    paths = np.repeat(mean_paths.T[:, :, None], n, axis=2)
     for start in range(0, cfg.n_inner, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.n_inner))
-        draws = _draw_block(params, grid, cfg, distinct, outer_index, block)
-        for i, *step in zip(block, *draws):
-            step = [d[owner] for d in step] if 1 < len(distinct) < len(seeds) else step
-            estimates = estimate_gradient(params, grid, policies, mean_paths, cfg, lambdas, *step)
+        U, x0, dW = _draw_block(params, grid, cfg, distinct, outer_index, block)
+        dW = np.repeat(dW[:, owner].transpose(0, 3, 1, 2), n, axis=3).transpose(0, 2, 3, 1)
+        for i, u, x, w in zip(block, U, x0[:, owner], dW):
+            u = u[owner] if 1 < len(distinct) < len(seeds) else u
+            estimates = estimate_gradient(params, grid, policies, paths, cfg, lambdas, u, x, w)
             stepped = gradient_step(policies, estimates, cfg)
-            finite = np.isfinite(stepped).all(axis=1)
-            if not finite.all():
-                j = int(finite.argmin())
+            if not np.isfinite(stepped).all():
+                j = int(np.isfinite(stepped).all(axis=1).argmin())
                 raise LearnerDivergence(outer_index, i, policies[j], arm=j)
             steps[:, i + 1] = policies = stepped
     return steps

@@ -100,9 +100,10 @@ def rollout(
     axes of m_values ((N + 1,) or (N + 1, ...)) and the entropy weight
     ``lambda_se`` (default ``params.lambda_se``): a stack of arms can have
     its own mean paths and weights. A path's reward does not depend on the
-    batch it runs in. The kernel reads dW one step (column) at a time, so a
-    Fortran-ordered dW, as ``draw_noise`` returns it, is read contiguously;
-    any order gives the same bits. The inputs are not modified. The reward
+    batch it runs in. The kernel reads dW, sigma2 and m_values one step at a
+    time, so step-major memory (a Fortran-ordered dW, as ``draw_noise``
+    returns it, or a transposed step-first array) is read contiguously; any
+    layout gives the same bits. The inputs are not modified. The reward
     is the running quadratic penalty plus the Gaussian entropy bonus
     0.5 * lambda_se * log(2*pi*e*sigma2_s) per step, and the terminal
     quadratic penalty. When ``states`` is given it must have shape
@@ -115,8 +116,8 @@ def rollout(
     shape = np.broadcast(x0, m_hat, sigma2[..., 0], dW[..., 0]).shape
     a = params.A + params.B * m_hat
     m_hat2 = m_hat**2
-    quad = -0.5 * params.Q
-    diff2 = params.D**2
+    # 0-d arrays: cheaper operands than Python floats, with the same bits
+    dt, quad, diff2 = np.asarray(dt), np.asarray(-0.5 * params.Q), np.asarray(params.D**2)
     # Preallocated buffers, updated in place where possible (an in-place pass
     # is the cheaper one). Every element goes through the operations of
     #   total += quad * gap**2 * dt;  total += bonus_s

@@ -142,7 +142,7 @@ def test_gradient_estimates():
     U, x0, dW = (d[0] for d in _draw_block(params, grid, cfg, [3], 1, range(2, 3)))
     estimate = estimate_gradient(
         params, grid, np.concatenate(([policy.m_hat], policy.sigma2))[None],
-        mean_field[None], cfg, np.array([params.lambda_se]), U, x0, dW,
+        mean_field[:, None, None], cfg, np.array([params.lambda_se]), U, x0, dW,
     )
     assert _sha(estimate.tobytes()) == GOLDEN["estimate_gradient[shared+loo]"]
 

@@ -68,7 +68,7 @@ def estimate_one(params, grid, policy, mean_field, cfg, stream):
     """The (1, 1 + N) gradient estimate of a stack of one arm."""
     U, x0, dW = step_draws(params, grid, cfg, stream)
     return estimate_gradient(
-        params, grid, vector(policy)[None], mean_field[None], cfg,
+        params, grid, vector(policy)[None], mean_field[:, None, None], cfg,
         np.array([params.lambda_se]), U[None], x0[None], dW[None],
     )
 
@@ -251,10 +251,22 @@ class TestInnerLoop:
                 for seed in seeds
             )))
             estimates = estimate_gradient(
-                params, grid, expected[-1], mean_paths, cfg, lambdas, U, x0, dW
+                params, grid, expected[-1], mean_paths.T[:, :, None], cfg, lambdas, U, x0, dW
             )
             expected.append(gradient_step(expected[-1], estimates, cfg))
         np.testing.assert_array_equal(np.stack(expected, axis=1), steps)
+
+    def test_one_re_keyed_philox_draws_every_step_substream(self, params, grid):
+        # the block's one Philox per seed, re-keyed per step, leaves nothing
+        # of one step's stream in the next: seeds of one to three words
+        cfg = small_cfg()
+        seeds, steps = [2**64 + 3, 0, 2**32 + 5], range(396, 400)
+        draws = learner._draw_block(params, grid, cfg, seeds, 9, steps)
+        for i, *step in zip(steps, *draws):
+            for j, seed in enumerate(seeds):
+                stream = rng.substream(seed, rng.PERTURBATION, 9, i)
+                for drawn, by_hand in zip(step, step_draws(params, grid, cfg, stream)):
+                    np.testing.assert_array_equal(drawn[j], by_hand.reshape(drawn[j].shape))
 
     def test_a_zero_direction_is_a_divergence(self, params, grid, monkeypatch):
         # not redrawn: its NaN estimate makes the step non-finite

@@ -241,6 +241,47 @@ class TestRolloutInputs:
             assert alone.tobytes() == together[j].tobytes(), lam
 
 
+    @pytest.mark.parametrize("entropy", [False, True], ids=["no_entropy", "entropy"])
+    @pytest.mark.parametrize("with_states", [False, True], ids=["rewards", "states"])
+    @pytest.mark.parametrize("n_arms", [1, 3])
+    def test_broadcast_and_step_major_layouts_give_the_same_bits(
+        self, params, grid, n_arms, with_states, entropy
+    ):
+        # the learner passes each arm's mean path and increments broadcast
+        # over its n perturbations, and its per-step operands step-major
+        n, n_steps = 8, grid.n_steps
+        x0, dW, m_hats, sigma2s, _ = self._inputs(params, grid, n=n_arms * n)
+        x0, dW = x0.reshape(n_arms, n)[:, :1], dW.reshape(n_arms, n, n_steps)[:, :1]
+        m_hats, sigma2s = m_hats.reshape(n_arms, n), sigma2s.reshape(n_arms, n, n_steps)
+        paths = np.linspace(0.0, 0.2, n_arms * (n_steps + 1)).reshape(n_arms, -1).T[:, :, None]
+        lams = np.array([1.0, 0.0, 3.0][:n_arms])[:, None, None] if entropy else None
+        game = params if entropy else dataclasses.replace(params, lambda_se=0.0)
+
+        def step_major(a):
+            # the same values, the step (last) axis outermost in memory
+            out = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+            assert out[..., 0].flags.c_contiguous
+            return out
+
+        def run(m_values, sigma2, noise):
+            states = np.empty((n_arms, n_steps + 1, n)) if with_states else None
+            rewards = rollout(
+                game, grid.dt, m_values, m_hats, sigma2, x0, noise, states, lambda_se=lams
+            )
+            return rewards, states
+
+        full_paths, full_dW = np.repeat(paths, n, axis=2), np.repeat(dW, n, axis=1)
+        expected = run(paths, sigma2s, dW)
+        for layout in [
+            (full_paths, sigma2s, dW),
+            (paths, step_major(sigma2s), dW),
+            (paths, sigma2s, full_dW),
+            (full_paths, step_major(sigma2s), step_major(full_dW)),
+        ]:
+            for got, want in zip(run(*layout), expected):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestMcExpectedReward:
     """``mean_and_stderr`` of ``sample_rewards`` on a trajectory substream."""
 
