@@ -135,16 +135,15 @@ def _cmd_solve(args) -> int:
     print(f"game_value {_fmt(solution.game_value)}")
     print(f"m_star {_fmt(solution.m_star)}")
     header = ["t", "riccati", "value_offset", "policy_variance", "state_variance"]
-    rows = [
-        [solution.times[i], solution.riccati[i], solution.value_offset[i],
-         solution.policy_variance[i], solution.state_variance[i]]
-        for i in range(len(solution.times))
-    ]
+    rows = list(zip(
+        solution.times.tolist(), solution.riccati.tolist(), solution.value_offset.tolist(),
+        solution.policy_variance.tolist(), solution.state_variance.tolist(),
+    ))
     print(" ".join(header))
     for row in rows:
         print(" ".join(_fmt(v) for v in row))
     if args.csv:
-        harness.write_table(args.csv, header, ([_fmt(v) for v in row] for row in rows))
+        harness.write_table(args.csv, header, [(",".join(["%.17g"] * len(header)) + "\r\n", rows)])
         if args.verbose:
             print(f"wrote {args.csv}", file=sys.stderr)
     return EXIT_OK

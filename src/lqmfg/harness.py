@@ -11,7 +11,6 @@ quadratic-cost-only equilibrium: same gain, variances at the floor.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -184,12 +183,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_table(path: str, header, rows) -> None:
-    """A CSV table: the header, then ``rows``, each a list of cells."""
+def write_table(path: str, header, blocks) -> None:
+    """A CSV table of numbers, in the bytes csv.writer gives it: the header,
+    then for each (template, rows) of ``blocks`` every row, a tuple of cells,
+    through the one-row ``%`` template (``%.17g`` for a float cell, as _fmt)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for template, rows in blocks:
+            fh.write("".join([template % row for row in rows]))
 
 
 def _clear_markers(out_dir: str) -> None:
@@ -216,33 +217,38 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
     _clear_markers(out_dir)
     written = []
     try:
+        # one row template per arm, its temperature formatted once
         tables = {
             "learning_curve.csv": (["lambda_se", "k", "i", "total_iter", "rel_error"], (
-                [_fmt(arm.lambda_se), k, i, total, _fmt(err)]
+                (f"{_fmt(arm.lambda_se)},%d,%d,%d,%.17g\r\n", (
+                    (k, i, total, err)
+                    # rows are in (k, i) order, so a row's index is k * (I + 1) + i
+                    for total, (k, i, err) in enumerate(
+                        arm.result.trace.records[["outer", "inner", "rel_error"]].tolist()
+                    )
+                ))
                 for arm in report.arms
-                # rows are in (k, i) order, so a row's index is k * (I + 1) + i
-                for total, (k, i, err) in enumerate(
-                    arm.result.trace.records[["outer", "inner", "rel_error"]].tolist()
-                )
             )),
             # each arm's learned schedule next to the one its errors are measured against
             "variance_schedule.csv": (["lambda_se", "s", "learned_sigma2", "analytic_sigma2"], (
-                [_fmt(arm.lambda_se), s, _fmt(learned), _fmt(analytic)]
+                (f"{_fmt(arm.lambda_se)},%d,%.17g,%.17g\r\n", zip(
+                    range(report.config.grid.n_steps),
+                    arm.result.policy.sigma2.tolist(), arm.evaluator.reference.sigma2.tolist(),
+                ))
                 for arm in report.arms
-                for s, (learned, analytic) in enumerate(
-                    zip(arm.result.policy.sigma2, arm.evaluator.reference.sigma2)
-                )
             )),
             "mean_field.csv": (["lambda_se", "k", "s", "m"], (
-                [_fmt(arm.lambda_se), k, s, _fmt(m)]
+                (f"{_fmt(arm.lambda_se)},%d,%d,%.17g\r\n", (
+                    (k, s, m)
+                    for k, values in enumerate(arm.result.trace.mean_paths.tolist())
+                    for s, m in enumerate(values)
+                ))
                 for arm in report.arms
-                for k, values in enumerate(arm.result.trace.mean_paths)
-                for s, m in enumerate(values)
             )),
         }
-        for name, (header, rows) in tables.items():
+        for name, (header, blocks) in tables.items():
             path = os.path.join(out_dir, name)
-            write_table(path, header, rows)
+            write_table(path, header, blocks)
             written.append(path)
 
         path = os.path.join(out_dir, "summary.json")

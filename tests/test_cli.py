@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqmfg import TimeGrid, solve_equilibrium
 from lqmfg.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from lqmfg.config import config_to_dict, default_config
 
@@ -88,6 +89,23 @@ class TestSolve:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert float(rows[-1]["riccati"]) == 2.0
+
+    def test_csv_dump_has_csv_writers_bytes(self, capsys, tmp_path):
+        # the table's own row template writes what csv.writer writes for
+        # the same cells: header, then each cell as %.17g, CRLF-terminated
+        target = tmp_path / "table.csv"
+        code, _, _ = run_cli(capsys, "solve", "--set", "grid.n_steps=10", "--csv", str(target))
+        assert code == EXIT_OK
+        solution = solve_equilibrium(default_config().game, "se", TimeGrid.from_horizon(0.1, 10))
+        columns = ("times", "riccati", "value_offset", "policy_variance", "state_variance")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["t", "riccati", "value_offset", "policy_variance", "state_variance"])
+        writer.writerows(
+            [f"{float(v):.17g}" for v in row]
+            for row in zip(*(getattr(solution, name) for name in columns))
+        )
+        assert target.read_bytes() == expected.getvalue().encode()
 
 
 class TestSimulate:

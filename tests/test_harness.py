@@ -167,7 +167,7 @@ class TestReproduce:
         def boom(*args, **kwargs):
             raise ValueError("disk on fire")
 
-        monkeypatch.setattr(hmod.csv, "writer", boom)
+        monkeypatch.setattr(hmod, "write_table", boom)
         out = tmp_path / "broken"
         with pytest.raises(OSError, match=str(out)):
             write_report(report, str(out))
@@ -183,18 +183,18 @@ class TestReproduce:
 
         import lqmfg.harness as hmod
 
-        real_writer = hmod.csv.writer
-        monkeypatch.setattr(hmod.csv, "writer", lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")))
+        real_writer = hmod.write_table
+        monkeypatch.setattr(hmod, "write_table", lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")))
         with pytest.raises(OSError):
             write_report(report, str(out))
         assert (out / "FAILED").exists()
 
-        monkeypatch.setattr(hmod.csv, "writer", real_writer)
+        monkeypatch.setattr(hmod, "write_table", real_writer)
         write_report(report, str(out))
         assert (out / "manifest.json").exists()
         assert not (out / "FAILED").exists()
 
-        monkeypatch.setattr(hmod.csv, "writer", lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")))
+        monkeypatch.setattr(hmod, "write_table", lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")))
         with pytest.raises(OSError):
             write_report(report, str(out))
         assert (out / "FAILED").exists()
