@@ -55,8 +55,10 @@ def substream_keys(master_seed: int, *path) -> np.ndarray:
     start = _INIT_A * pow(_MULT_A, 4 * (max(4, words[0]) + sum(words[1:])), 1 << 32) & _MASK
     last = np.asarray(last, dtype=np.uint64).reshape(-1)
     n_words, state = 1 + (last > _MASK), np.empty((len(last), 4), dtype=np.uint64)
-    for count in np.unique(n_words):
+    for count in (1, 2):
         group, pool, const = n_words == count, [int(w) for w in seq.pool], start
+        if not group.any():
+            continue
         for j in range(count):
             word = (last[group] >> np.uint64(32 * j) & np.uint64(_MASK)).astype(np.uint32)
             for dst in range(4):

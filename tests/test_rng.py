@@ -1,9 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqmfg import rng
+
+from conftest import cli_env
 
 
 def test_same_address_same_stream():
@@ -58,3 +63,19 @@ def test_a_keyed_philox_draws_the_substream():
         keyed = np.random.Generator(np.random.Philox(key=key))
         stream = rng.substream(2**64 + 3, rng.PERTURBATION, 9, i)
         np.testing.assert_array_equal(keyed.standard_normal(7), stream.standard_normal(7))
+
+
+def test_a_learner_run_does_not_import_numpy_ma():
+    # np.unique would import numpy.ma on a process's first keyed block,
+    # inside the learner's timed run; the keys loop over the word counts
+    code = (
+        "import sys\n"
+        "from lqmfg.config import default_config\n"
+        "from lqmfg.learner import LearnerConfig, run\n"
+        "c = default_config()\n"
+        "run(c.game, c.grid, LearnerConfig(n_outer=1, n_inner=2, n_perturbations=2), [1.0], [3])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"
