@@ -230,8 +230,9 @@ def _cmd_learn(args) -> int:
     report = harness.reproduce(single)
     arm = report.arms[0]
     print(f"lambda_se {_fmt(lam)}")
-    print(f"learned_m_hat {_fmt(arm.result.policy.m_hat)}")
-    print(f"final_rel_error {_fmt(arm.result.trace.records[-1].rel_error)}")
+    last = arm.result.trace.records[-1]
+    print(f"learned_m_hat {_fmt(last.m_hat)}")
+    print(f"final_rel_error {_fmt(last.rel_error)}")
     if args.verbose:
         print(f"wrote tables under {args.out_dir}", file=sys.stderr)
     return EXIT_OK
@@ -241,10 +242,10 @@ def _cmd_reproduce(args) -> int:
     config = dataclasses.replace(_load(args), output_dir=args.out_dir)
     report = harness.reproduce(config)
     for arm in report.arms:
-        final = arm.result.trace.records[-1].rel_error
+        last = arm.result.trace.records[-1]
         print(
             f"lambda_se {_fmt(arm.lambda_se)} learned_m_hat "
-            f"{_fmt(arm.result.policy.m_hat)} final_rel_error {_fmt(final)}"
+            f"{_fmt(last.m_hat)} final_rel_error {_fmt(last.rel_error)}"
         )
     if args.check:
         failures = harness.check_thresholds(report)

@@ -233,7 +233,8 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
             "variance_schedule.csv": (["lambda_se", "s", "learned_sigma2", "analytic_sigma2"], (
                 (f"{_fmt(arm.lambda_se)},%d,%.17g,%.17g\r\n", zip(
                     range(report.config.grid.n_steps),
-                    arm.result.policy.sigma2.tolist(), arm.evaluator.reference.sigma2.tolist(),
+                    arm.result.trace.records[-1].sigma2.tolist(),
+                    arm.evaluator.reference.sigma2.tolist(),
                 ))
                 for arm in report.arms
             )),
@@ -258,7 +259,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
             "arms": [
                 {
                     "lambda_se": arm.lambda_se,
-                    "learned_m_hat": arm.result.policy.m_hat,
+                    "learned_m_hat": arm.result.trace.records[-1].m_hat,
                     "final_rel_error": arm.result.trace.records[-1].rel_error,
                     "reference_payoff": arm.evaluator.reference_payoff,
                     "reference_game_value": _continuous_game_value(

@@ -40,7 +40,6 @@ from . import rng
 from .params import GameParams, ParameterError, TimeGrid, check_finite
 from .simulate import (
     SIGMA_FLOOR,
-    PolicyParams,
     propagate_mean_field,
     rollout,
     scale_noise,
@@ -257,7 +256,6 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
 
 @dataclass(frozen=True)
 class RunResult:
-    policy: PolicyParams
     trace: LearningTrace
 
 
@@ -297,8 +295,5 @@ def run(params: GameParams, grid: TimeGrid, cfg: LearnerConfig, lambdas,
         records = np.rec.fromarrays(
             [outer, inner, np.full(len(rows), np.nan), rows[:, 0], rows[:, 1:]], dtype=dtype
         )
-        results.append(RunResult(
-            policy=PolicyParams(m_hat=float(rows[-1, 0]), sigma2=rows[-1, 1:].copy()),
-            trace=LearningTrace(records=records, mean_paths=arm_paths),
-        ))
+        results.append(RunResult(trace=LearningTrace(records=records, mean_paths=arm_paths)))
     return results

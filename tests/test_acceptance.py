@@ -281,8 +281,8 @@ def experiment():
         results[lam].append(
             {
                 "errors": errors,
-                "m_hat": arm.result.policy.m_hat,
-                "sigma2": arm.result.policy.sigma2,
+                "m_hat": records[-1].m_hat,
+                "sigma2": records[-1].sigma2,
                 "final": records[-1].rel_error,
             }
         )

@@ -226,15 +226,11 @@ class TestCheckThresholds:
 
 def _same_arm(a, b):
     """Bit-for-bit equal outputs: every trace row (indices, rel_error and the
-    step's policy), the mean paths of every round, and the final policy,
-    which is the last row."""
+    step's policy) and the mean paths of every round."""
     ta, tb = a.result.trace, b.result.trace
     assert a.lambda_se == b.lambda_se
     assert ta.records.tobytes() == tb.records.tobytes()
     assert ta.mean_paths.tobytes() == tb.mean_paths.tobytes()
-    for arm in (a, b):
-        last, policy = arm.result.trace.records[-1], arm.result.policy
-        assert (last.m_hat, last.sigma2.tobytes()) == (policy.m_hat, policy.sigma2.tobytes())
 
 
 class TestRunArms:

@@ -287,14 +287,15 @@ class TestRun:
     def test_minimal_loop(self, params, grid):
         cfg = small_cfg(n_outer=1, n_inner=0)
         result = run_one(params, grid, cfg)
+        last = result.trace.records[-1]
         init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
         expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
-        np.testing.assert_array_equal(vector(result.policy), expected)
+        np.testing.assert_array_equal(vector(last), expected)
         assert len(result.trace.records) == 1
         mf0 = np.full(grid.n_steps + 1, cfg.initial_mean_field)
         np.testing.assert_array_equal(
             result.trace.mean_paths[-1],
-            propagate_mean_field(params, grid, result.policy.m_hat, mf0),
+            propagate_mean_field(params, grid, last.m_hat, mf0),
         )
 
     def test_trace_shape(self, params, grid):
@@ -309,8 +310,6 @@ class TestRun:
         assert records.sigma2.shape == (3 * 8, grid.n_steps)
         assert paths.shape == (3 + 1, grid.n_steps + 1)
         np.testing.assert_array_equal(paths[0], np.full(grid.n_steps + 1, 0.25))
-        assert records[-1].m_hat == result.policy.m_hat
-        np.testing.assert_array_equal(records[-1].sigma2, result.policy.sigma2)
         # the learner does not score its trace
         assert np.isnan(records.rel_error).all()
 
@@ -318,8 +317,9 @@ class TestRun:
         cfg = small_cfg()
         r1 = run_one(params, grid, cfg)
         r2 = run_one(params, grid, cfg)
-        assert r1.policy.m_hat == r2.policy.m_hat
-        np.testing.assert_array_equal(r1.policy.sigma2, r2.policy.sigma2)
+        last1, last2 = r1.trace.records[-1], r2.trace.records[-1]
+        assert last1.m_hat == last2.m_hat
+        np.testing.assert_array_equal(last1.sigma2, last2.sigma2)
         np.testing.assert_array_equal(r1.trace.mean_paths, r2.trace.mean_paths)
 
     def test_variances_respect_the_floor_throughout(self, params, grid):
