@@ -37,9 +37,8 @@ from .params import DomainError, GameParams, ParameterError, TimeGrid
 from .simulate import (
     SIGMA_FLOOR,
     PolicyParams,
+    discrete_moments,
     discretize_policy,
-    expected_reward_exact,
-    propagate_mean_field,
     sample_rewards,
     simulate_states,
 )
@@ -58,17 +57,16 @@ __all__ = [
     "SIGMA_FLOOR",
     "TimeGrid",
     "default_config",
+    "discrete_moments",
     "discretize_policy",
     "equilibrium_policy",
     "equilibrium_state_rates",
     "estimate_gradient",
-    "expected_reward_exact",
     "feedback_policy_payoff",
     "game_value",
     "gradient_step",
     "learner_run",
     "load_config",
-    "propagate_mean_field",
     "reference_policy",
     "reproduce",
     "riccati_coefficient",

@@ -1,7 +1,8 @@
 """Experiment orchestration: relative error, the reference sweep, and reports.
 
 The convergence metric is |J(candidate) - J(reference)| / |J(reference)|,
-both payoffs ``simulate.expected_reward_exact`` of the same discrete game.
+both the expected reward ``simulate.discrete_moments`` gives in the same
+discrete game.
 
 The reference is the discretized closed-form equilibrium policy of the
 Shannon game: gain B/D^2 and per-step variances lambda_se/(D^2 * eta(s*dt)).
@@ -25,7 +26,7 @@ from .config import ExperimentConfig, config_to_dict
 from .learner import LearnerDivergence, RunResult
 from .learner import run as learner_run
 from .params import GameParams, ParameterError, TimeGrid
-from .simulate import SIGMA_FLOOR, PolicyParams, discretize_policy, expected_reward_exact
+from .simulate import SIGMA_FLOOR, PolicyParams, discrete_moments, discretize_policy
 
 
 def reference_policy(
@@ -46,7 +47,7 @@ class PayoffEvaluator:
     """Exact relative-error scorer of one game, with its reference payoff cached.
 
     A policy is scored by its gain, variances and mean path, batched as
-    ``expected_reward_exact`` takes them; the reference plays against the
+    ``discrete_moments`` takes them; the reference plays against the
     constant path ``reference_path``.
     """
 
@@ -55,9 +56,9 @@ class PayoffEvaluator:
         self.grid = grid
         self.reference = reference_policy(params, grid, sigma_floor)
         self.reference_path = np.full(grid.n_steps + 1, params.xi_mean)
-        self.reference_payoff = float(expected_reward_exact(
+        self.reference_payoff = float(discrete_moments(
             params, grid, self.reference.m_hat, self.reference.sigma2, self.reference_path
-        ))
+        )[2])
         if abs(self.reference_payoff) < 1e-12:
             raise DegenerateReferenceError(
                 f"reference payoff is numerically zero for {params}; relative error undefined"
@@ -66,7 +67,7 @@ class PayoffEvaluator:
     def rel_error(self, m_hat, sigma2, path):
         """Relative errors of gains (...), variances (..., N) and mean paths
         (..., N + 1), broadcast against each other."""
-        value = expected_reward_exact(self.params, self.grid, m_hat, sigma2, path)
+        value = discrete_moments(self.params, self.grid, m_hat, sigma2, path)[2]
         return np.abs(value - self.reference_payoff) / abs(self.reference_payoff)
 
 

@@ -2,7 +2,8 @@
 
 Outer loop: fictitious play. Learn a best response against the frozen
 population mean path, then update the path assuming everyone adopts the
-learned policy. Inner loop: zeroth-order ascent on the realized reward,
+learned policy: the mean path of ``simulate.discrete_moments``, imported
+here as ``propagate_mean_field``. Inner loop: zeroth-order ascent on the realized reward,
 with gradients estimated from sphere-smoothed single-rollout evaluations:
 
     estimate = (1/n) * sum_j  (reward_j / r^2) * U_j,   ||U_j|| = r.
@@ -38,12 +39,8 @@ import numpy as np
 
 from . import rng
 from .params import GameParams, ParameterError, TimeGrid, check_finite
-from .simulate import (
-    SIGMA_FLOOR,
-    propagate_mean_field,
-    rollout,
-    scale_noise,
-)
+from .simulate import SIGMA_FLOOR, rollout, scale_noise
+from .simulate import discrete_moments as propagate_mean_field
 
 _BLOCK = 50
 
@@ -278,9 +275,11 @@ def run(params: GameParams, grid: TimeGrid, cfg: LearnerConfig, lambdas,
             params, grid, mean_paths[:, k], cfg, lambdas, seeds, k,
             steps[:, k - 1, -1] if k else None,
         )
+        # the fictitious-play update: the mean path when every agent plays
+        # the policy the round ended at
         mean_paths[:, k + 1] = propagate_mean_field(
-            params, grid, block[:, -1, 0], mean_paths[:, k]
-        )
+            params, grid, block[:, -1, 0], block[:, -1, 1:], mean_paths[:, k], lambdas
+        )[0]
         finite = np.isfinite(mean_paths[:, k + 1]).all(axis=1)
         if not finite.all():
             # a finite but huge gain overflows the update

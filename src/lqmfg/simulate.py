@@ -4,7 +4,10 @@ The controlled state aggregates the policy's action law in closed form: for a
 feedback law N(m_hat*(m_s - x), sigma2_s) the per-step drift and squared
 diffusion are the policy's first and second action moments, so no inner
 sampling over actions is needed. Paths differ only through the initial state
-and the Brownian increments.
+and the Brownian increments. The same closure makes the state's mean and
+variance exact linear recursions: ``discrete_moments`` is the one of them,
+giving the mean path (the learner's fictitious-play update), the variance
+path and the expected reward (the harness's score) in one batched pass.
 
 Determinism contract: all draws for a batch come from one counter-based
 substream in a fixed layout (row per path, fixed chunk size), and reductions
@@ -255,55 +258,45 @@ def mean_and_stderr(rewards: np.ndarray) -> tuple[float, float]:
     return float(rewards.mean()), float(rewards.std(ddof=1) / np.sqrt(len(rewards)))
 
 
-def expected_reward_exact(params: GameParams, grid: TimeGrid, m_hat, sigma2, path):
-    """Exact expectation of the realized reward under the discrete dynamics.
+def discrete_moments(params: GameParams, grid: TimeGrid, m_hat, sigma2, path, lambda_se=None):
+    """Exact moments and expected reward of the discrete dynamics: every agent
+    plays gain ``m_hat`` and per-step variances ``sigma2`` against ``path``.
 
     Gains (...), variances (..., N) and mean paths (..., N + 1) broadcast
-    against each other; returns the expected rewards (...). The state's mean
-    and variance close into linear recursions because drift is affine and
-    squared diffusion quadratic in the state, so no sampling is needed: this
-    is the systematic part of any Monte Carlo estimate of the same quantity.
-    Every operation is elementwise, so a row's value does not depend on the
-    batch it is computed in.
+    against each other, and the entropy weight ``lambda_se`` (default
+    ``params.lambda_se``) broadcasts like the gains. Returns the state's mean
+    path and variance path, (..., N + 1) each, and the expected reward (...).
+    Mean and variance close into linear recursions because drift is affine
+    and squared diffusion quadratic in the state, so no sampling is needed:
+    the reward is the systematic part of any Monte Carlo estimate of it, and
+    the mean path is the fictitious-play update (it starts at the initial
+    mean and reverts toward ``path`` at rate A + B*m_hat). Every operation is
+    elementwise, step by step, so a row's values do not depend on the batch
+    it is computed in; a huge gain overflows to non-finite values, which are
+    returned as they are.
     """
     m = check_path(path, grid, stack=True)
     sigma2 = np.asarray(sigma2, dtype=float)
     if sigma2.shape[-1:] != (grid.n_steps,):
         raise ParameterError(f"sigma2 of shape {sigma2.shape} does not fit the grid")
-    dt = grid.dt
-    k = np.asarray(m_hat, dtype=float)
-    a_dt = (params.A + params.B * k) * dt
-    shrink, k2 = 1.0 - a_dt, k * k
+    dt, k = grid.dt, np.asarray(m_hat, dtype=float)
+    a = params.A + params.B * k
+    shrink, k2 = 1.0 - a * dt, k * k
     noise, quad = dt * params.D**2, 0.5 * params.Q * dt
-    if params.lambda_se > 0.0:
-        bonus = (0.5 * params.lambda_se * dt) * np.log(2.0 * np.pi * np.e * sigma2)
-    mean, var, total = params.xi_mean, params.xi_var, 0.0
-    # step by step, so a row's sum has the same order in any batch
+    lam = params.lambda_se if lambda_se is None else np.asarray(lambda_se, dtype=float)[..., None]
+    entropy = lambda_se is not None or lam > 0.0
+    if entropy:
+        bonus = (0.5 * lam * dt) * np.log(2.0 * np.pi * np.e * sigma2)
+    shape = np.broadcast_shapes(k.shape, sigma2.shape[:-1], m.shape[:-1]) + m.shape[-1:]
+    mean, var, total = np.empty(shape), np.empty(shape), 0.0
+    mean[..., 0], var[..., 0] = params.xi_mean, params.xi_var
     for s in range(grid.n_steps):
-        gap = m[..., s] - mean
-        gap2 = var + gap * gap
+        gap = m[..., s] - mean[..., s]
+        gap2 = var[..., s] + gap * gap
         total = total - quad * gap2
-        if params.lambda_se > 0.0:
+        if entropy:
             total = total + bonus[..., s]
-        mean = mean + a_dt * gap
-        var = shrink * shrink * var + noise * (k2 * gap2 + sigma2[..., s])
-    gap = m[..., -1] - mean
-    return total - 0.5 * params.Q_bar * (var + gap * gap)
-
-
-def propagate_mean_field(params: GameParams, grid: TimeGrid, m_hat, prev) -> np.ndarray:
-    """Exact mean path when every agent plays gain ``m_hat`` against ``prev``.
-
-    This is the expectation of the discrete dynamics (the fictitious-play
-    update): the new path starts at the initial mean and reverts toward the
-    previous iteration's path at rate A + B*m_hat. Deterministic. A gain or
-    an (S,) vector of them, against a path or an (S, N + 1) stack; a huge
-    gain overflows to a non-finite path, which is returned as it is.
-    """
-    prev = check_path(prev, grid, stack=True)
-    a = params.A + params.B * np.asarray(m_hat, dtype=float)
-    out = np.empty(np.broadcast_shapes(prev.shape, a.shape + (1,)))
-    out[..., 0] = params.xi_mean
-    for s in range(grid.n_steps):
-        out[..., s + 1] = out[..., s] + a * (prev[..., s] - out[..., s]) * grid.dt
-    return out
+        mean[..., s + 1] = mean[..., s] + a * gap * dt
+        var[..., s + 1] = shrink * shrink * var[..., s] + noise * (k2 * gap2 + sigma2[..., s])
+    gap = m[..., -1] - mean[..., -1]
+    return mean, var, total - 0.5 * params.Q_bar * (var[..., -1] + gap * gap)

@@ -30,9 +30,9 @@ import pytest
 from lqmfg import (
     GaussianFeedbackPolicy,
     TimeGrid,
+    discrete_moments,
     discretize_policy,
     equilibrium_policy,
-    expected_reward_exact,
     feedback_policy_payoff,
     game_value,
     riccati_coefficient,
@@ -193,7 +193,7 @@ def test_criterion_4_feedback_policy_payoff():
             mc, stderr = mc_reward(
                 params, g, step_policy, mf, 100_000, seed=4000 + idx * 10 + n_steps
             )
-            exact = expected_reward_exact(params, g, step_policy.m_hat, step_policy.sigma2, mf)
+            exact = discrete_moments(params, g, step_policy.m_hat, step_policy.sigma2, mf)[2]
             # the Monte Carlo estimate must sit on the exact discrete value
             ok &= abs(mc - exact) <= 3 * stderr
             gaps[n_steps] = abs(exact - ode_value)
@@ -226,7 +226,7 @@ def test_criterion_5_value_consistency():
         policy = discretize_policy(equilibrium_policy(params, "se"), g)
         mf = np.full(g.n_steps + 1, params.xi_mean)
         mc, stderr = mc_reward(params, g, policy, mf, 200_000, seed=505)
-        exact = expected_reward_exact(params, g, policy.m_hat, policy.sigma2, mf)
+        exact = discrete_moments(params, g, policy.m_hat, policy.sigma2, mf)[2]
         ok &= abs(mc - gv) <= 3 * stderr + budget_rate * g.dt
         ok &= abs(mc - exact) <= 3 * stderr
         systematic.append(abs(exact - gv))

@@ -71,7 +71,7 @@ class TestPayoffEvaluator:
         assert scaled > ev.rel_error(ref.m_hat, ref.sigma2, path)
 
     def test_degenerate_reference_guard(self, params, grid, monkeypatch):
-        monkeypatch.setattr(harness, "expected_reward_exact", lambda *args: 0.0)
+        monkeypatch.setattr(harness, "discrete_moments", lambda *args: (None, None, 0.0))
         with pytest.raises(DegenerateReferenceError):
             PayoffEvaluator(params, grid)
 

@@ -11,10 +11,9 @@ from lqmfg import (
     PolicyParams,
     discretize_policy,
     equilibrium_policy,
+    discrete_moments,
     estimate_gradient,
-    expected_reward_exact,
     gradient_step,
-    propagate_mean_field,
     reference_policy,
 )
 from lqmfg import learner, rng
@@ -169,7 +168,7 @@ class TestGradientStep:
         cfg = small_cfg(step_size=0.05)
 
         def payoff(vec):
-            return expected_reward_exact(params, grid, vec[0], vec[1:], mf)
+            return discrete_moments(params, grid, vec[0], vec[1:], mf)[2]
 
         def oracle_gradient(vec):
             out = np.empty_like(vec)
@@ -295,7 +294,7 @@ class TestRun:
         mf0 = np.full(grid.n_steps + 1, cfg.initial_mean_field)
         np.testing.assert_array_equal(
             result.trace.mean_paths[-1],
-            propagate_mean_field(params, grid, last.m_hat, mf0),
+            discrete_moments(params, grid, last.m_hat, last.sigma2, mf0)[0],
         )
 
     def test_trace_shape(self, params, grid):
@@ -351,7 +350,7 @@ class TestRun:
         for k in range(cfg.n_outer):
             policy, _ = inner_one(params, grid, mf, cfg, initial=policy, seed=11, outer_index=k)
             assert evaluator.rel_error(policy[0], policy[1:], mf) <= noise_scale
-            mf = propagate_mean_field(params, grid, policy[0], mf)
+            mf = discrete_moments(params, grid, policy[0], policy[1:], mf)[0]
 
 
 class TestLockstepDivergence:

@@ -15,12 +15,11 @@ from lqmfg import (
     PolicyParams,
     TimeGrid,
     DomainError,
+    discrete_moments,
     discretize_policy,
     equilibrium_policy,
-    expected_reward_exact,
     feedback_policy_payoff,
     game_value,
-    propagate_mean_field,
     sample_rewards,
     simulate_states,
     solve_equilibrium,
@@ -315,7 +314,7 @@ class TestExpectedRewardExact:
         policy = PolicyParams(m_hat=0.6, sigma2=np.linspace(0.4, 0.2, 5))
         mf = np.linspace(0.0, 0.2, 6)
         mean, stderr = mc_reward(params, grid, policy, mf, 200_000, seed=13)
-        exact = expected_reward_exact(params, grid, policy.m_hat, policy.sigma2, mf)
+        exact = discrete_moments(params, grid, policy.m_hat, policy.sigma2, mf)[2]
         assert abs(exact - mean) <= 3 * stderr
 
     def test_approaches_continuous_payoff(self, params):
@@ -326,9 +325,9 @@ class TestExpectedRewardExact:
         for n in (5, 50, 500):
             g = TimeGrid.from_horizon(params.T, n)
             policy = discretize_policy(pol, g)
-            exact = expected_reward_exact(
+            exact = discrete_moments(
                 params, g, policy.m_hat, policy.sigma2, np.full(g.n_steps + 1, params.xi_mean)
-            )
+            )[2]
             gaps.append(abs(exact - cont))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -342,7 +341,7 @@ class TestExpectedRewardExact:
         m_hat = gen.uniform(-0.5, 2.0, (3, 4))
         sigma2 = gen.uniform(1e-3, 1.0, (3, 4, n_steps))
         paths = gen.uniform(-1.0, 1.0, (3, 4, n_steps + 1))
-        rewards = expected_reward_exact(params, grid, m_hat, sigma2, paths)
+        rewards = discrete_moments(params, grid, m_hat, sigma2, paths)[2]
         assert rewards.shape == (3, 4)
         game = {name: getattr(params, name) for name in oracle.REFERENCE_GAME}
         for j in np.ndindex(3, 4):
@@ -355,24 +354,53 @@ class TestExpectedRewardExact:
                 np.log(2 * math.pi * math.e * sigma2[j])
             ).sum()
             assert abs(rewards[j] - expected) <= 1e-12 * (abs(expected) + bonus)
-            alone = expected_reward_exact(params, grid, m_hat[j], sigma2[j], paths[j])
+            alone = discrete_moments(params, grid, m_hat[j], sigma2[j], paths[j])[2]
             assert alone.tobytes() == rewards[j].tobytes()
         policy = PolicyParams(m_hat=float(m_hat[0, 0]), sigma2=sigma2[0, 0])
         mean, stderr = mc_reward(params, grid, policy, paths[0, 0], 1 << 16, seed)
         assert abs(mean - rewards[0, 0]) <= 4 * stderr
 
 
+class TestDiscreteMoments:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 12))
+    def test_reward_is_rebuilt_from_the_paths_and_rows_keep_their_bits(self, seed, n_steps):
+        # a (2, 3) stack of gains, schedules, paths and temperatures
+        gen = np.random.default_rng(seed)
+        params = random_params(gen)
+        grid = TimeGrid.from_horizon(params.T, n_steps)
+        m_hat = gen.uniform(-0.5, 2.0, (2, 3))
+        sigma2 = gen.uniform(1e-3, 1.0, (2, 3, n_steps))
+        paths = gen.uniform(-1.0, 1.0, (2, 3, n_steps + 1))
+        lambdas = gen.uniform(0.0, 3.0, (2, 3))
+        mean, var, reward = discrete_moments(params, grid, m_hat, sigma2, paths, lambdas)
+        assert mean.shape == var.shape == paths.shape and reward.shape == (2, 3)
+        # the reward is its running and terminal quadratic penalties on the
+        # state's second moment about the mean path, plus the entropy bonus
+        penalty = 0.5 * (var + (paths - mean) ** 2)
+        running = -params.Q * grid.dt * penalty[..., :-1]
+        bonus = 0.5 * lambdas[..., None] * grid.dt * np.log(2 * math.pi * math.e * sigma2)
+        terminal = -params.Q_bar * penalty[..., -1]
+        rebuilt = running.sum(axis=-1) + bonus.sum(axis=-1) + terminal
+        scale = np.abs(running).sum(axis=-1) + np.abs(bonus).sum(axis=-1) + np.abs(terminal)
+        assert np.all(np.abs(reward - rebuilt) <= 1e-12 * scale)
+        for j in np.ndindex(2, 3):
+            alone = discrete_moments(params, grid, m_hat[j], sigma2[j], paths[j], lambdas[j])
+            for part, stacked in zip(alone, (mean, var, reward)):
+                assert part.tobytes() == stacked[j].tobytes()
+
+
 class TestPropagateMeanField:
     def test_equilibrium_fixed_point(self, params, grid):
         policy = ne_policy(params, grid)
         prev = np.full(grid.n_steps + 1, params.xi_mean)
-        out = propagate_mean_field(params, grid, policy.m_hat, prev)
+        out = discrete_moments(params, grid, policy.m_hat, policy.sigma2, prev)[0]
         np.testing.assert_allclose(out, params.xi_mean, rtol=1e-15)
 
     def test_zero_coupling_gain(self, params, grid):
         policy = PolicyParams(m_hat=-params.A / params.B, sigma2=np.full(5, 0.3))
         prev = np.linspace(-3.0, 7.0, 6)
-        out = propagate_mean_field(params, grid, policy.m_hat, prev)
+        out = discrete_moments(params, grid, policy.m_hat, policy.sigma2, prev)[0]
         np.testing.assert_allclose(out, params.xi_mean, rtol=1e-15)
 
     def test_iterates_contract_to_the_initial_mean(self, params, grid):
@@ -380,7 +408,7 @@ class TestPropagateMeanField:
         mf = np.full(grid.n_steps + 1, 0.0)
         gaps = []
         for _ in range(10):
-            mf = propagate_mean_field(params, grid, policy.m_hat, mf)
+            mf = discrete_moments(params, grid, policy.m_hat, policy.sigma2, mf)[0]
             gaps.append(np.max(np.abs(mf - params.xi_mean)))
         # strict contraction until the update reaches the fixed point exactly:
         # the pinned initial mean propagates one grid step per round, so the
@@ -393,18 +421,24 @@ class TestPropagateMeanField:
     def test_monte_carlo_variant_agrees(self, params, grid):
         policy = ne_policy(params, grid)
         prev = np.linspace(0.0, 0.2, 6)
-        exact = propagate_mean_field(params, grid, policy.m_hat, prev)
-        mc = simulate_states(
+        exact, var, _ = discrete_moments(params, grid, policy.m_hat, policy.sigma2, prev)
+        states = simulate_states(
             params, grid, policy, prev, 200_000, rng.substream(3, rng.TRAJECTORY)
-        ).mean(axis=0)
+        )
+        mc = states.mean(axis=0)
         assert np.max(np.abs(mc - exact)) < 0.01
+        # and the variance path: the sample variance's standard error is
+        # about sqrt(2 / n) * var for near-Gaussian states
+        assert np.all(np.abs(states.var(axis=0, ddof=1) - var) <= 5 * np.sqrt(2 / 200_000) * var)
 
     def test_a_stack_updates_each_path_as_alone(self, params, grid):
         gen = np.random.default_rng(8)
         m_hats = gen.uniform(-1.0, 3.0, 7)
         prev = gen.uniform(-1.0, 1.0, (7, grid.n_steps + 1))
-        stacked = propagate_mean_field(params, grid, m_hats, prev)
-        alone = [propagate_mean_field(params, grid, m, path) for m, path in zip(m_hats, prev)]
+        sigma2 = gen.uniform(1e-3, 1.0, (7, grid.n_steps))
+        stacked = discrete_moments(params, grid, m_hats, sigma2, prev)[0]
+        alone = [discrete_moments(params, grid, m, s2, path)[0]
+                 for m, s2, path in zip(m_hats, sigma2, prev)]
         assert stacked.shape == prev.shape
         assert np.array_equal(stacked, alone)
 
@@ -419,13 +453,10 @@ class TestWeakConvergence:
         for n in (5, 50, 500):
             g = TimeGrid.from_horizon(params.T, n)
             pol = ne_policy(params, g)
-            a = params.A + params.B * pol.m_hat
-            var = params.xi_var
-            for s in range(n):
-                var = (1 - a * g.dt) ** 2 * var + g.dt * params.D**2 * (
-                    pol.m_hat**2 * var + pol.sigma2[s]
-                )
-            biases.append(abs(var - target))
+            var = discrete_moments(
+                params, g, pol.m_hat, pol.sigma2, np.full(n + 1, params.xi_mean)
+            )[1]
+            biases.append(abs(var[-1] - target))
         assert biases[0] > biases[1] > biases[2]
         # first-order scheme: one decade of refinement buys about one decade
         assert biases[0] / biases[1] == pytest.approx(10.0, rel=0.35)
