@@ -3,8 +3,9 @@
 Outer loop: fictitious play. Learn a best response against the frozen
 population mean path, then update the path assuming everyone adopts the
 learned policy: the mean path of ``simulate.discrete_moments``, imported
-here as ``propagate_mean_field``. Inner loop: zeroth-order ascent on the realized reward,
-with gradients estimated from sphere-smoothed single-rollout evaluations:
+here as ``propagate_mean_field``. Inner loop: zeroth-order ascent on the
+realized reward, with gradients estimated from sphere-smoothed
+single-rollout evaluations:
 
     estimate = (1/n) * sum_j  (reward_j / r^2) * U_j,   ||U_j|| = r.
 

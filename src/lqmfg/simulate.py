@@ -283,19 +283,17 @@ def discrete_moments(params: GameParams, grid: TimeGrid, m_hat, sigma2, path, la
     a = params.A + params.B * k
     shrink, k2 = 1.0 - a * dt, k * k
     noise, quad = dt * params.D**2, 0.5 * params.Q * dt
+    # a zero weight adds signed zeros, which leave every total as it is
     lam = params.lambda_se if lambda_se is None else np.asarray(lambda_se, dtype=float)[..., None]
-    entropy = lambda_se is not None or lam > 0.0
-    if entropy:
-        bonus = (0.5 * lam * dt) * np.log(2.0 * np.pi * np.e * sigma2)
+    bonus = (0.5 * lam * dt) * np.log(2.0 * np.pi * np.e * sigma2)
     shape = np.broadcast_shapes(k.shape, sigma2.shape[:-1], m.shape[:-1]) + m.shape[-1:]
     mean, var, total = np.empty(shape), np.empty(shape), 0.0
     mean[..., 0], var[..., 0] = params.xi_mean, params.xi_var
     for s in range(grid.n_steps):
         gap = m[..., s] - mean[..., s]
         gap2 = var[..., s] + gap * gap
-        total = total - quad * gap2
-        if entropy:
-            total = total + bonus[..., s]
+        total = total - quad * gap2 + bonus[..., s]
+        # (a * gap) * dt: the order the learner's pinned mean paths were made in
         mean[..., s + 1] = mean[..., s] + a * gap * dt
         var[..., s + 1] = shrink * shrink * var[..., s] + noise * (k2 * gap2 + sigma2[..., s])
     gap = m[..., -1] - mean[..., -1]
