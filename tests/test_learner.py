@@ -9,9 +9,9 @@ from lqmfg import (
     ParameterError,
     PayoffEvaluator,
     PolicyParams,
+    discrete_moments,
     discretize_policy,
     equilibrium_policy,
-    discrete_moments,
     estimate_gradient,
     gradient_step,
     reference_policy,
