@@ -123,3 +123,27 @@ def test_closed_form_overshoot_failure(game):
     params = make_params(lambda_ce=1.0 if game == "ee" else 0.0)
     with pytest.raises(DomainError, match="outside the horizon"):
         solve_equilibrium(params, game, TimeGrid.from_horizon(params.T, 11))
+
+
+# Every benchmark workload built at two seeds, constructors only (their
+# set-up): a package name the workloads use and the package drops fails here.
+_BUILD_WORKLOADS = """
+import sys, tempfile
+sys.path[:0] = ["src", "bench"]
+import workloads
+with tempfile.TemporaryDirectory() as out_dir:
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in (0, 1):
+            built = workload(seed, out_dir, call_cli=None)
+            assert built.attempted > 0 and built.failed == 0, (name, seed)
+print(sorted(workloads.WORKLOADS))
+"""
+
+
+def test_every_workload_builds():
+    out = subprocess.run(
+        [sys.executable, "-c", _BUILD_WORKLOADS], cwd=ROOT, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "['closed_form', 'reproduce', 'seed_sweep', 'simulate']"
