@@ -19,23 +19,11 @@ from .analytic import (
     riccati_coefficient,
     solve_equilibrium,
 )
-from .config import ConfigError, ExperimentConfig, default_config, load_config, save_config
-from .harness import (
-    PayoffEvaluator,
-    reference_policy,
-    reproduce,
-    write_report,
-)
-from .learner import (
-    InitSpec,
-    LearnerConfig,
-    estimate_gradient,
-    gradient_step,
-)
-from .learner import run as learner_run
+from .config import ConfigError, load_config, save_config
+from .harness import PayoffEvaluator, reference_policy, reproduce
+from .learner import InitSpec, LearnerConfig, estimate_gradient, gradient_step
 from .params import DomainError, GameParams, ParameterError, TimeGrid
 from .simulate import (
-    SIGMA_FLOOR,
     PolicyParams,
     discrete_moments,
     discretize_policy,
@@ -46,7 +34,6 @@ from .simulate import (
 __all__ = [
     "ConfigError",
     "DomainError",
-    "ExperimentConfig",
     "GameParams",
     "GaussianFeedbackPolicy",
     "InitSpec",
@@ -54,9 +41,7 @@ __all__ = [
     "ParameterError",
     "PayoffEvaluator",
     "PolicyParams",
-    "SIGMA_FLOOR",
     "TimeGrid",
-    "default_config",
     "discrete_moments",
     "discretize_policy",
     "equilibrium_policy",
@@ -65,7 +50,6 @@ __all__ = [
     "feedback_policy_payoff",
     "game_value",
     "gradient_step",
-    "learner_run",
     "load_config",
     "reference_policy",
     "reproduce",
@@ -74,5 +58,4 @@ __all__ = [
     "simulate_states",
     "save_config",
     "solve_equilibrium",
-    "write_report",
 ]
