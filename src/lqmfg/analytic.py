@@ -85,7 +85,7 @@ def _refined_times(t0: float, t1: float, base_dt: float, refinement: int) -> np.
     return np.linspace(t0, t1, n + 1)
 
 
-def equilibrium_state_rates(params: GameParams, game: str = "ee") -> tuple[float, float]:
+def equilibrium_state_rates(params: GameParams, game: str) -> tuple[float, float]:
     """Linear rates (drift_rate, variance_feedback_rate) of the equilibrium state.
 
     The equilibrium state follows a linear SDE whose variance obeys
@@ -204,8 +204,8 @@ def equilibrium_policy(params: GameParams, game: str = "se") -> GaussianFeedback
 def game_value(
     params: GameParams,
     game: str,
-    t: float = 0.0,
-    grid: TimeGrid | None = None,
+    t: float,
+    grid: TimeGrid,
     refinement: int = DEFAULT_REFINEMENT,
 ) -> float:
     """Expected value of the game at time ``t`` over the initial distribution.
@@ -213,8 +213,6 @@ def game_value(
     Averaging the quadratic value ansatz over the initial state gives
     -eta(t)/2 * Var[xi] + gamma(t).
     """
-    if grid is None:
-        grid = TimeGrid.from_horizon(params.T, 1)
     params.check_time(t)
     eta_t = riccati_coefficient(params, t, game)
     times = _refined_times(t, params.T, grid.dt, refinement)
@@ -302,7 +300,6 @@ def feedback_policy_payoff(
     policy: GaussianFeedbackPolicy,
     mean_field_fn,
     grid: TimeGrid,
-    start_time: float = 0.0,
     refinement: int = DEFAULT_REFINEMENT,
 ) -> PayoffBreakdown:
     """Expected payoff of an arbitrary Gaussian feedback policy against m(t).
@@ -314,8 +311,7 @@ def feedback_policy_payoff(
     terminal penalty by composite trapezoid. Requires strictly positive
     policy variance along the horizon.
     """
-    params.check_time(start_time)
-    times = _refined_times(start_time, params.T, grid.dt, refinement)
+    times = _refined_times(0.0, params.T, grid.dt, refinement)
     var = np.asarray(policy.variance_fn(times), dtype=float)
     if np.any(var <= 0.0):
         raise DomainError("policy variance must be strictly positive on the horizon")

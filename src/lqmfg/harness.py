@@ -164,18 +164,22 @@ def _continuous_game_value(config: ExperimentConfig, lambda_se: float) -> float:
     return -0.5 * float(riccati_coefficient(params, 0.0, "se")) * params.xi_var
 
 
-def check_thresholds(report: ExperimentReport, threshold: float = 0.05) -> list:
-    """Convergence checks for --check mode: final error below the threshold
+# The --check gate on every positive-temperature arm's final relative error.
+CHECK_THRESHOLD = 0.05
+
+
+def check_thresholds(report: ExperimentReport) -> list:
+    """Convergence checks for --check mode: final error below CHECK_THRESHOLD
     for every positive-temperature arm. Returns a list of failure messages."""
     failures = []
     for arm in report.arms:
         if arm.lambda_se <= 0.0:
             continue
         final = arm.result.trace.records[-1].rel_error
-        if not final < threshold:
+        if not final < CHECK_THRESHOLD:
             failures.append(
                 f"lambda_se={arm.lambda_se}: final relative error {final:.4f} "
-                f">= {threshold}"
+                f">= {CHECK_THRESHOLD}"
             )
     return failures
 
