@@ -127,12 +127,9 @@ def rollout(
     #   x = x + a * gap * dt + sqrt(D^2 * (m_hat^2 * gap**2 + sigma2_s)) * dW_s
     # in this order, with only the operands of products swapped, so the bits
     # do not depend on the buffering. The entropy bonus does not depend on
-    # the state, so all steps' bonuses are computed at once. A given weight
-    # is applied even where it is zero: that adds a signed zero, which
-    # leaves every nonzero total, and the +0.0 a total starts from, as is.
-    entropy = lambda_se is not None or lam > 0.0
-    if entropy:
-        bonus = 0.5 * lam * np.log(2.0 * np.pi * np.e * sigma2) * dt
+    # the state, so all steps' bonuses are computed at once. A zero weight
+    # adds signed zeros, which leave every total as it is.
+    bonus = 0.5 * lam * np.log(2.0 * np.pi * np.e * sigma2) * dt
     gap, gap2, x = np.empty(shape), np.empty(shape), np.empty(shape)
     total = np.zeros(shape)
     x[...] = x0
@@ -147,8 +144,7 @@ def rollout(
         np.multiply(quad, gap2, out=gap)
         gap *= dt
         total += gap
-        if entropy:
-            total += bonus[..., s]
+        total += bonus[..., s]
         gap2 *= m_hat2
         gap2 += sigma2[..., s]
         gap2 *= diff2
