@@ -5,7 +5,8 @@ Subcommands: ``solve`` (closed-form equilibrium on the grid), ``simulate``
 ``reproduce`` (the built-in temperature sweep with report tables).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error (an I/O
-failure or a learner divergence), 4 a ``--check`` threshold failed.
+failure, a learner divergence or an allocation too large for memory), 4 a
+``--check`` threshold failed.
 """
 
 from __future__ import annotations
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (OSError, LearnerDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -472,6 +472,19 @@ class TestExitCodes:
         assert "last finite policy: m_hat=" in marker
         assert not (out / "manifest.json").exists()
 
+    # sizes of 10^14 elements and more: numpy refuses them at once
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--n-paths", "100000000000000"),
+        ("solve", "--set", "grid.n_steps=100000000000000"),
+        ("learn", "--lambda-se", "1", "--set", "learner.n_inner=100000000000000"),
+    ], ids=["simulate", "solve", "learn"])
+    def test_an_allocation_too_large_for_memory_is_named(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--out-dir", str(out))
+        assert code == EXIT_RUNTIME
+        assert err.startswith("error: out of memory: Unable to allocate"), err
+        assert not out.exists()
+
 
 def _schema_keys(section, prefix=""):
     for key, value in section.items():
@@ -481,7 +494,12 @@ def _schema_keys(section, prefix=""):
 
 
 SCHEMA_KEYS = list(_schema_keys(config_to_dict(default_config())))
-BAD_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "1e-200", "1e308", "x", "[]", "{}"]
+# "100000000000000" asks for arrays numpy refuses at once (10^14 elements and
+# more are beyond any address space), never for one near the machine's memory
+BAD_VALUES = [
+    "NaN", "Infinity", "-Infinity", "-1", "0", "1e-200", "1e308", "100000000000000", "x", "[]",
+    "{}",
+]
 
 
 def _main_quietly(*argv):
@@ -497,7 +515,8 @@ def _main_quietly(*argv):
 def test_exit_code_contract(overrides):
     """Any overrides of schema keys with bad values end in a documented exit
     code, never an uncaught exception: a configuration error names one of
-    the overridden fields, and a learner divergence leaves its marker."""
+    the overridden fields, a learner divergence leaves its marker, and an
+    allocation too large for memory is named as such."""
     sets = [arg for key, value in overrides for arg in ("--set", f"{key}={value}")]
     names = {key.rsplit(".", 1)[-1] for key, _ in overrides}
     with tempfile.TemporaryDirectory() as tmp:
@@ -514,7 +533,7 @@ def test_exit_code_contract(overrides):
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_CHECK), argv
             if code == EXIT_CONFIG:
                 assert any(name in err for name in names), (argv, err)
-            if code == EXIT_RUNTIME:
+            if code == EXIT_RUNTIME and "error: out of memory: " not in err:
                 assert "learner diverged" in err, (argv, err)
                 assert os.path.exists(os.path.join(out_dir, "FAILED")), argv
         code, err = _main_quietly("learn", *TINY_LEARN, *sets, "--out-dir", blocker)
