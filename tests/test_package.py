@@ -1,4 +1,4 @@
-"""The package's public surface: what the CLI, the harness and the tests import from it."""
+"""The package's exported names, pinned: a name leaves `__all__` only with this list."""
 
 import lqmfg
 
