@@ -21,7 +21,7 @@ from .analytic import (
 )
 from .config import ConfigError, load_config, save_config
 from .harness import PayoffEvaluator, reference_policy, reproduce
-from .learner import InitSpec, LearnerConfig, estimate_gradient, gradient_step
+from .learner import LearnerConfig, estimate_gradient, gradient_step
 from .params import DomainError, GameParams, ParameterError, TimeGrid
 from .simulate import (
     PolicyParams,
@@ -36,7 +36,6 @@ __all__ = [
     "DomainError",
     "GameParams",
     "GaussianFeedbackPolicy",
-    "InitSpec",
     "LearnerConfig",
     "ParameterError",
     "PayoffEvaluator",

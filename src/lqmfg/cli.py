@@ -178,7 +178,7 @@ def _write_rows(fh, start, rewards):
     fh.write(("%d,%.17g\r\n" * len(rewards)) % tuple(cells))
 
 
-def _sample(config, policy, n_paths, on_chunk=None):
+def _sample(config, policy, n_paths, on_chunk=None, policy_file=False):
     mean_field = np.full(config.grid.n_steps + 1, config.game.xi_mean)
     # a game far from the reference scale can overflow the rollout; the
     # check below names it instead of numpy warnings
@@ -189,9 +189,12 @@ def _sample(config, policy, n_paths, on_chunk=None):
         )
         mean, stderr = mean_and_stderr(rewards)
     if not (np.isfinite(mean) and np.isfinite(stderr)):
+        # name the keys the rollout reads
+        policy_keys = " (or the policy file's m_hat and sigma2)" if policy_file else ""
         raise ParameterError(
-            "game: the sampled rewards are not finite; the game's coefficients "
-            "(or the policy's) are too large for the simulation"
+            "game: the sampled rewards are not finite; game.A, game.B, game.D, game.Q, "
+            "game.Q_bar, game.xi_mean, game.xi_second_moment or game.lambda_se"
+            f"{policy_keys} is too large for the simulation"
         )
     return mean, stderr
 
@@ -201,8 +204,10 @@ def _cmd_simulate(args) -> int:
     if args.n_paths < 2:
         raise ConfigError("--n-paths must be >= 2")
     policy = _policy_from_arg(args.policy, config)
+    sample = partial(_sample, config, policy, args.n_paths,
+                     policy_file=args.policy not in ("se", "ee"))
     if not args.dump_paths:
-        mean, stderr = _sample(config, policy, args.n_paths)
+        mean, stderr = sample()
     else:
         # rows go, as chunks finish, to a file that replaces the target once all are finite
         staged = args.dump_paths + ".partial"
@@ -210,7 +215,7 @@ def _cmd_simulate(args) -> int:
         try:
             with fh:
                 fh.write("path,reward\r\n")
-                mean, stderr = _sample(config, policy, args.n_paths, partial(_write_rows, fh))
+                mean, stderr = sample(partial(_write_rows, fh))
             os.replace(staged, args.dump_paths)
         except BaseException:
             os.remove(staged)

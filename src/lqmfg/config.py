@@ -1,16 +1,17 @@
 """Experiment configuration: one JSON tree with dotted-key overrides.
 
 The schema mirrors the dataclasses it builds: a ``game`` section
-(GameParams), ``grid`` (n_steps; the step is T / n_steps), ``learner``
-(LearnerConfig, with its ``init`` section), the temperature sweep,
-output directory and seed. Validation errors name the offending dotted key.
+(GameParams), ``grid`` (n_steps; the step is T / n_steps) and ``learner``
+(LearnerConfig), each a flat object of numbers, then the temperature
+sweep, output directory and seed. Validation errors name the offending
+dotted key.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, get_type_hints
 
 from .learner import LearnerConfig
@@ -69,19 +70,11 @@ def _schema(cls) -> dict:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _section_dict(obj) -> dict:
-    """The JSON section of a dataclass; a dataclass field is a nested section."""
-    return {
-        name: getattr(obj, name) if kind in _PARSERS else _section_dict(getattr(obj, name))
-        for name, kind in _schema(type(obj)).items()
-    }
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
-        "game": _section_dict(cfg.game),
+        "game": asdict(cfg.game),
         "grid": {"n_steps": cfg.grid.n_steps},
-        "learner": _section_dict(cfg.learner),
+        "learner": asdict(cfg.learner),
         "lambda_se_values": list(cfg.lambda_se_values),
         "output_dir": cfg.output_dir,
         "seed": cfg.seed,
@@ -126,14 +119,13 @@ def _check_section(section, allowed, where: str) -> None:
 
 def _build(cls, section, where: str):
     """The dataclass ``cls`` from its section, every field type-checked and
-    required; a dataclass field is built from its nested section."""
+    required."""
     schema = _schema(cls)
     _check_section(section, schema, where)
-    kwargs = {}
-    for name, kind in schema.items():
-        value, key = _need(section, name, where), f"{where}{name}"
-        parse = _PARSERS.get(kind)
-        kwargs[name] = parse(value, key) if parse else _build(kind, value, f"{key}.")
+    kwargs = {
+        name: _PARSERS[kind](_need(section, name, where), f"{where}{name}")
+        for name, kind in schema.items()
+    }
     try:
         return cls(**kwargs)
     except ParameterError as exc:

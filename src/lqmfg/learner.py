@@ -33,7 +33,7 @@ once, so each step reads contiguous (S, n) slabs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,25 +46,12 @@ from .simulate import discrete_moments as propagate_mean_field
 _BLOCK = 50
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    """Gaussian initializer for the (1 + N) policy vector: gain first, then
-    the variance schedule, clamped to the floor."""
-
-    m_hat_mean: float = 0.5
-    m_hat_var: float = 1.0
-    sigma2_mean: float = 0.5
-    sigma2_var: float = 0.1
-
-    def __post_init__(self):
-        check_finite(self)
-        if self.m_hat_var < 0 or self.sigma2_var < 0:
-            raise ParameterError("m_hat_var and sigma2_var must be nonnegative")
-
-    def sample(self, n_steps: int, stream: np.random.Generator, floor: float) -> np.ndarray:
-        m_hat = self.m_hat_mean + math.sqrt(self.m_hat_var) * stream.standard_normal()
-        sigma2 = self.sigma2_mean + math.sqrt(self.sigma2_var) * stream.standard_normal(n_steps)
-        return np.concatenate(([m_hat], np.maximum(sigma2, floor)))
+def _initial_policy(n_steps: int, stream: np.random.Generator, floor: float) -> np.ndarray:
+    """The first round's (1 + N) policy vector: gain ~ N(0.5, 1), then the
+    variance schedule ~ N(0.5, 0.1) per step, clamped to the floor."""
+    m_hat = 0.5 + math.sqrt(1.0) * stream.standard_normal()
+    sigma2 = 0.5 + math.sqrt(0.1) * stream.standard_normal(n_steps)
+    return np.concatenate(([m_hat], np.maximum(sigma2, floor)))
 
 
 @dataclass(frozen=True)
@@ -73,9 +60,10 @@ class LearnerConfig:
 
     ``n_outer`` fictitious-play rounds of ``n_inner`` gradient steps, each
     estimated from ``n_perturbations`` sphere-perturbed rollouts of radius
-    ``radius``, ascending with ``step_size``. The first round starts from
-    an ``init`` draw, and each later round from the policy the previous one
-    ended at.
+    ``radius``, ascending with ``step_size``; variances never go below
+    ``sigma_floor``. The first round starts from a Gaussian draw of the
+    policy against the mean path 0, and each later round from the policy
+    the previous one ended at.
     """
 
     n_outer: int = 10
@@ -84,8 +72,6 @@ class LearnerConfig:
     radius: float = 0.01
     step_size: float = 0.05
     sigma_floor: float = SIGMA_FLOOR
-    initial_mean_field: float = 0.0
-    init: InitSpec = field(default_factory=InitSpec)
 
     def __post_init__(self):
         check_finite(self)
@@ -217,7 +203,7 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
     temperature ``lambdas[j]``, ``seeds[j]``, ``mean_paths[j]``) against
     frozen (S, N + 1) mean paths.
 
-    Starts from the (S, 1 + N) matrix ``initial`` or the initializer and
+    Starts from the (S, 1 + N) matrix ``initial`` or ``_initial_policy`` and
     takes ``n_inner`` gradient steps for all arms at once, each ``_BLOCK``
     steps' draws made before them; arms with the same seed share every
     substream, drawn once. Returns the (S, I + 1, 1 + N) block of each arm's
@@ -228,7 +214,7 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
     owner = np.array([slot.setdefault(seed, len(slot)) for seed in seeds])
     distinct = list(slot)
     if initial is None:
-        initial = np.array([cfg.init.sample(
+        initial = np.array([_initial_policy(
             grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), cfg.sigma_floor
         ) for seed in distinct])[owner]
     steps = np.empty((len(seeds), cfg.n_inner + 1, grid.n_steps + 1))
@@ -261,16 +247,16 @@ def run(params: GameParams, grid: TimeGrid, cfg: LearnerConfig, lambdas,
         seeds: Sequence[int]) -> list:
     """Fictitious play for a stack of arms of one game in lockstep: arm j
     plays at temperature ``lambdas[j]`` (the game's own lambda_se is not
-    read) on the substreams of ``seeds[j]``. Returns one RunResult per arm,
-    bit-identical to the arm's run alone. The first step, or mean-field
-    update after a round, that makes any arm non-finite stops the whole
-    stack and raises the LearnerDivergence of the lowest-index such arm.
+    read) on the substreams of ``seeds[j]``, from the mean path 0. Returns
+    one RunResult per arm, bit-identical to the arm's run alone. The first
+    step, or mean-field update after a round, that makes any arm non-finite
+    stops the whole stack and raises the LearnerDivergence of the
+    lowest-index such arm.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     n_outer, n_rows, n = cfg.n_outer, cfg.n_inner + 1, grid.n_steps
     steps = np.empty((len(seeds), n_outer, n_rows, n + 1))
-    mean_paths = np.empty((len(seeds), n_outer + 1, n + 1))
-    mean_paths[:, 0] = cfg.initial_mean_field
+    mean_paths = np.zeros((len(seeds), n_outer + 1, n + 1))
     for k in range(n_outer):
         steps[:, k] = block = inner_loop(
             params, grid, mean_paths[:, k], cfg, lambdas, seeds, k,

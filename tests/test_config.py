@@ -4,6 +4,7 @@ import json
 import pytest
 
 from lqmfg import ConfigError, load_config, save_config
+from lqmfg.cli import EXIT_CONFIG, main
 from lqmfg.config import (
     apply_overrides,
     config_from_dict,
@@ -51,11 +52,11 @@ def test_type_errors_name_the_field():
     with pytest.raises(ConfigError, match="learner.n_perturbations"):
         config_from_dict(data)
     data = config_to_dict(default_config())
-    data["learner"]["init"]["sigma2_var"] = "wide"
-    with pytest.raises(ConfigError, match="learner.init.sigma2_var"):
+    data["learner"]["radius"] = "wide"
+    with pytest.raises(ConfigError, match="learner.radius"):
         config_from_dict(data)
     # a section that is not an object is named, not iterated
-    for section in ("game", "grid", "learner", "learner.init"):
+    for section in ("game", "grid", "learner"):
         data = config_to_dict(default_config())
         apply_overrides(data, [f"{section}=5"])
         with pytest.raises(ConfigError, match=f"section {section} must be an object"):
@@ -75,8 +76,8 @@ def test_model_invariants_surface_as_config_errors():
             with pytest.raises(ConfigError, match=f"game: {name} must be finite"):
                 config_from_dict(data)
     data = config_to_dict(default_config())
-    data["learner"]["init"]["m_hat_var"] = -1.0
-    with pytest.raises(ConfigError, match="learner.init: m_hat_var and sigma2_var must be"):
+    data["learner"]["sigma_floor"] = -1.0
+    with pytest.raises(ConfigError, match="learner: radius, step_size and sigma_floor must be"):
         config_from_dict(data)
 
 
@@ -136,4 +137,26 @@ def test_saved_file_is_plain_json(tmp_path):
     save_config(default_config(), str(path))
     data = json.loads(path.read_text())
     assert data["game"]["B"] == 3.0
-    assert data["learner"]["init"]["m_hat_mean"] == 0.5
+    assert data["learner"] == {
+        "n_outer": 10, "n_inner": 400, "n_perturbations": 50, "radius": 0.01,
+        "step_size": 0.05, "sigma_floor": 1e-6,
+    }
+
+
+@pytest.mark.parametrize("key, value", [
+    ("initial_mean_field", 0.3), ("init", {"m_hat_mean": 1.0}),
+])
+def test_a_removed_learner_key_is_rejected(tmp_path, capsys, key, value):
+    # the first-round draw and the first mean path are fixed, not settable;
+    # a config file that still sets them, or an override, exits 2 naming the key
+    data = config_to_dict(default_config())
+    data["learner"][key] = value
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=f"unknown field learner.{key}"):
+        load_config(str(path))
+    override = "learner.init.m_hat_mean=1" if key == "init" else f"learner.{key}={value}"
+    for argv in (("--config", str(path)), ("--set", override)):
+        assert main(["solve", *argv]) == EXIT_CONFIG, argv
+        captured = capsys.readouterr()
+        assert f"learner.{key}" in captured.err and captured.out == "", argv

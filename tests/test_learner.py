@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lqmfg import (
-    InitSpec,
     LearnerConfig,
     ParameterError,
     PayoffEvaluator,
@@ -17,7 +16,9 @@ from lqmfg import (
     reference_policy,
 )
 from lqmfg import learner, rng
-from lqmfg.learner import LearnerDivergence, _on_sphere, _sphere_average, inner_loop
+from lqmfg.learner import (
+    LearnerDivergence, _initial_policy, _on_sphere, _sphere_average, inner_loop,
+)
 from lqmfg.learner import run as learner_run
 from lqmfg.simulate import draw_noise
 
@@ -193,15 +194,9 @@ class TestInnerLoop:
         cfg = small_cfg(n_inner=0)
         policy, records = inner_one(params, grid, mf, cfg)
         init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
-        expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
+        expected = _initial_policy(grid.n_steps, init_stream, cfg.sigma_floor)
         np.testing.assert_array_equal(policy, expected)
         assert len(records) == 1
-
-    def test_point_mass_initializer(self, params, grid):
-        spec = InitSpec(m_hat_mean=0.75, m_hat_var=0.0, sigma2_mean=0.3, sigma2_var=0.0)
-        cfg = small_cfg(n_inner=0, init=spec)
-        policy, _ = inner_one(params, grid, np.full(grid.n_steps + 1, 0.1), cfg)
-        np.testing.assert_array_equal(policy, [0.75] + [0.3] * 5)
 
     def test_improves_on_the_initializer(self, params, grid):
         # against the frozen equilibrium mean path, one best-response round
@@ -288,17 +283,17 @@ class TestRun:
         result = run_one(params, grid, cfg)
         last = result.trace.records[-1]
         init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
-        expected = cfg.init.sample(grid.n_steps, init_stream, cfg.sigma_floor)
+        expected = _initial_policy(grid.n_steps, init_stream, cfg.sigma_floor)
         np.testing.assert_array_equal(vector(last), expected)
         assert len(result.trace.records) == 1
-        mf0 = np.full(grid.n_steps + 1, cfg.initial_mean_field)
+        mf0 = np.zeros(grid.n_steps + 1)
         np.testing.assert_array_equal(
             result.trace.mean_paths[-1],
             discrete_moments(params, grid, last.m_hat, last.sigma2, mf0)[0],
         )
 
     def test_trace_shape(self, params, grid):
-        cfg = small_cfg(n_outer=3, n_inner=7, initial_mean_field=0.25)
+        cfg = small_cfg(n_outer=3, n_inner=7)
         result = run_one(params, grid, cfg)
         records, paths = result.trace.records, result.trace.mean_paths
         assert len(records) == 3 * (7 + 1)
@@ -308,7 +303,8 @@ class TestRun:
         assert inners[:8] == list(range(8))
         assert records.sigma2.shape == (3 * 8, grid.n_steps)
         assert paths.shape == (3 + 1, grid.n_steps + 1)
-        np.testing.assert_array_equal(paths[0], np.full(grid.n_steps + 1, 0.25))
+        # every run starts from the mean path 0
+        np.testing.assert_array_equal(paths[0], np.zeros(grid.n_steps + 1))
         # the learner does not score its trace
         assert np.isnan(records.rel_error).all()
 
@@ -328,21 +324,13 @@ class TestRun:
             assert np.all(record.sigma2 >= cfg.sigma_floor)
 
     def test_equilibrium_start_stays_at_equilibrium(self, params, grid):
-        # point mass at the discretized equilibrium policy, mean path already
-        # at the fixed point: the exact error must stay at the noise level of
-        # a payoff estimate (taken as 3x the standard error of 4096 sampled
-        # paths) for three fictitious-play rounds
+        # each round starts at the discretized equilibrium policy, mean path
+        # already at the fixed point: the exact error must stay at the noise
+        # level of a payoff estimate (taken as 3x the standard error of 4096
+        # sampled paths) for three fictitious-play rounds
         ne = discretize_policy(equilibrium_policy(params, "se"), grid)
-        spec = InitSpec(
-            m_hat_mean=ne.m_hat, m_hat_var=0.0,
-            sigma2_mean=float(ne.sigma2[0]), sigma2_var=0.0,
-        )
-        # per-step variances differ across steps; run with the flat point
-        # mass but overwrite through a warm start from the exact policy
         evaluator = PayoffEvaluator(params, grid)
-        cfg = LearnerConfig(
-            n_outer=3, init=spec, initial_mean_field=params.xi_mean,
-        )
+        cfg = LearnerConfig(n_outer=3)
         mf = np.full(grid.n_steps + 1, params.xi_mean)
         _, stderr = mc_reward(params, grid, ne, mf, 4096, seed=3)
         noise_scale = 3 * stderr / abs(evaluator.reference_payoff)
@@ -457,8 +445,6 @@ class TestConfigValidation:
             LearnerConfig(step_size=-0.1)
         with pytest.raises(ParameterError, match="leave-one-out"):
             LearnerConfig(n_perturbations=1)
-        with pytest.raises(ParameterError):
-            InitSpec(m_hat_var=-1.0)
 
     def test_zero_inner_steps_allowed(self):
         assert LearnerConfig(n_inner=0).n_inner == 0

@@ -7,7 +7,6 @@ PUBLIC = [
     "DomainError",
     "GameParams",
     "GaussianFeedbackPolicy",
-    "InitSpec",
     "LearnerConfig",
     "ParameterError",
     "PayoffEvaluator",
