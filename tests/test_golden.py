@@ -77,9 +77,11 @@ GOLDEN = {
     "simulate --dump-paths":
         "2af4e9ddef68e17f57c8914d28acffb64d038fd2c0d5f0cd2a84a28dffa9abc5",
     # computed once the raw-estimator and cold-start switches left the
-    # schema; a later schema change must regenerate it and say so
+    # schema, and regenerated when learner.init and
+    # learner.initial_mean_field left it; a later schema change must
+    # regenerate it and say so
     "default_config.json":
-        "59eaea88cd8936d8fc5b43b636c420be9551823c29ae5904b7d263f8542f7b28",
+        "838d5d41cfb2056c792b59b199e339bc9f4e3b398b9abd34eb80702443a3c6ca",
 }
 
 
