@@ -40,7 +40,7 @@ def reference_policy(
 
 
 class DegenerateReferenceError(ParameterError):
-    """Reference payoff too close to zero for a relative error."""
+    """Reference payoff too close to zero, or not finite, for a relative error."""
 
 
 class PayoffEvaluator:
@@ -56,9 +56,16 @@ class PayoffEvaluator:
         self.grid = grid
         self.reference = reference_policy(params, grid, sigma_floor)
         self.reference_path = np.full(grid.n_steps + 1, params.xi_mean)
-        self.reference_payoff = float(discrete_moments(
-            params, grid, self.reference.m_hat, self.reference.sigma2, self.reference_path
-        )[2])
+        # a game far from the reference scale overflows the recursion; the
+        # check below names it instead of numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.reference_payoff = float(discrete_moments(
+                params, grid, self.reference.m_hat, self.reference.sigma2, self.reference_path
+            )[2])
+        if not np.isfinite(self.reference_payoff):
+            raise DegenerateReferenceError(
+                f"reference payoff is not finite for {params}; relative error undefined"
+            )
         if abs(self.reference_payoff) < 1e-12:
             raise DegenerateReferenceError(
                 f"reference payoff is numerically zero for {params}; relative error undefined"

@@ -357,10 +357,13 @@ class TestExitCodes:
         (("simulate", "--n-paths", "2", "--set", "game.A=1e150"),
          "game: the sampled rewards are not finite; game.A, game.B,"),
         (("solve", "--set", "game.D=1e-150"), "the se equilibrium's value_offset is not finite"),
-    ], ids=["simulate", "solve"])
+        (("learn", *TINY_LEARN, "--set", "game.A=1e150"),
+         "reference payoff is not finite for GameParams(A=1e+150"),
+    ], ids=["simulate", "solve", "learn"])
     def test_a_non_finite_result_is_a_config_error(self, capsys, tmp_path, argv, named):
-        # both printed NaN columns and exited 0; the error comes without
-        # numpy warnings
+        # simulate and solve printed NaN columns and exited 0, and learn's
+        # reference payoff overflowed on to a learner divergence (exit 3);
+        # the error comes without numpy warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
