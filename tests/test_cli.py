@@ -371,6 +371,7 @@ class TestExitCodes:
         assert named in err and out == ""
 
     def test_a_policy_file_too_large_for_the_simulation_is_named(self, capsys, tmp_path):
+        # the error named neither a key nor the file's fields
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps({"m_hat": 1e150, "sigma2": [0.5] * 5}))
         with warnings.catch_warnings():
