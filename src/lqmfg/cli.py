@@ -210,16 +210,9 @@ def _cmd_simulate(args) -> int:
         mean, stderr = sample()
     else:
         # rows go, as chunks finish, to a file that replaces the target once all are finite
-        staged = args.dump_paths + ".partial"
-        fh = open(staged, "w", newline="")
-        try:
-            with fh:
-                fh.write("path,reward\r\n")
-                mean, stderr = sample(partial(_write_rows, fh))
-            os.replace(staged, args.dump_paths)
-        except BaseException:
-            os.remove(staged)
-            raise
+        with harness.staged(args.dump_paths) as fh:
+            fh.write("path,reward\r\n")
+            mean, stderr = sample(partial(_write_rows, fh))
     print(f"mean {_fmt(mean)}")
     print(f"stderr {_fmt(stderr)}")
     print(f"n_paths {args.n_paths}")
@@ -230,10 +223,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_learn(args) -> int:
     config = _load(args)
     lam = config.game.lambda_se
-    single = dataclasses.replace(
-        config, lambda_se_values=(lam,), output_dir=args.out_dir
-    )
-    report = harness.reproduce(single)
+    report = harness.reproduce(dataclasses.replace(config, lambda_se_values=(lam,)), args.out_dir)
     arm = report.arms[0]
     print(f"lambda_se {_fmt(lam)}")
     last = arm.result.trace.records[-1]
@@ -245,8 +235,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    config = dataclasses.replace(_load(args), output_dir=args.out_dir)
-    report = harness.reproduce(config)
+    report = harness.reproduce(_load(args), args.out_dir)
     for arm in report.arms:
         last = arm.result.trace.records[-1]
         print(

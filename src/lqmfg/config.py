@@ -3,8 +3,9 @@
 The schema mirrors the dataclasses it builds: a ``game`` section
 (GameParams), ``grid`` (n_steps; the step is T / n_steps) and ``learner``
 (LearnerConfig), each a flat object of numbers, then the temperature
-sweep, output directory and seed. Validation errors name the offending
-dotted key.
+sweep and the seed. Every field is required, and validation errors name the
+offending dotted key. The output directory is not a setting: the CLI's
+``--out-dir`` passes it to ``harness.reproduce``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional, get_type_hints
+from typing import get_type_hints
 
 from .learner import LearnerConfig
 from .params import REFERENCE_MODEL, GameParams, ParameterError, TimeGrid
@@ -28,7 +29,6 @@ class ExperimentConfig:
     grid: TimeGrid
     learner: LearnerConfig
     lambda_se_values: tuple
-    output_dir: Optional[str]
     seed: int
 
     def __post_init__(self):
@@ -58,7 +58,6 @@ def default_config() -> ExperimentConfig:
         grid=TimeGrid.from_horizon(game.T, 5),
         learner=LearnerConfig(),
         lambda_se_values=(0.0, 1.0, 3.0),
-        output_dir=None,
         seed=0,
     )
 
@@ -76,7 +75,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "grid": {"n_steps": cfg.grid.n_steps},
         "learner": asdict(cfg.learner),
         "lambda_se_values": list(cfg.lambda_se_values),
-        "output_dir": cfg.output_dir,
         "seed": cfg.seed,
     }
 
@@ -147,15 +145,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"grid: {exc}") from exc
 
     learner = _build(LearnerConfig, _need(data, "learner", ""), "learner.")
-    out_dir = data.get("output_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"field output_dir must be a string or null, got {out_dir!r}")
     return ExperimentConfig(
         game=game,
         grid=grid,
         learner=learner,
         lambda_se_values=_numbers(_need(data, "lambda_se_values", ""), "lambda_se_values"),
-        output_dir=out_dir,
         seed=_integer(_need(data, "seed", ""), "seed"),
     )
 
@@ -172,7 +166,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
+    from .harness import staged
+
+    with staged(path) as fh:
         json.dump(config_to_dict(cfg), fh, indent=2)
         fh.write("\n")
 

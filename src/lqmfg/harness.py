@@ -12,6 +12,7 @@ quadratic-cost-only equilibrium: same gain, variances at the floor.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -136,26 +137,24 @@ def run_arm(config: ExperimentConfig, lambda_se: float) -> ArmResult:
     return run_arms(config, [(lambda_se, config.seed)])[0]
 
 
-def reproduce(config: ExperimentConfig) -> ExperimentReport:
+def reproduce(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Sweep the configured temperatures in lockstep and assemble the report,
-    written to the configured output directory if there is one; there, a
-    LearnerDivergence first leaves a FAILED marker (see README)."""
+    written to ``out_dir`` if one is given; there, a LearnerDivergence first
+    leaves a FAILED marker (see README)."""
     try:
         arms = run_arms(config, [(lam, config.seed) for lam in config.lambda_se_values])
     except LearnerDivergence as exc:
-        if config.output_dir:
-            os.makedirs(config.output_dir, exist_ok=True)
-            _clear_markers(config.output_dir)
+        if out_dir:
             policy = exc.last_policy
-            _write_failed(config.output_dir, (
+            _mark(out_dir, (
                 f"lambda_se={_fmt(config.lambda_se_values[exc.arm])}: {exc}\n"
                 f"last finite policy: m_hat={_fmt(policy[0])} "
                 f"sigma2={' '.join(_fmt(v) for v in policy[1:])}\n"
             ))
         raise
     report = ExperimentReport(config=config, arms=arms)
-    if config.output_dir:
-        write_report(report, config.output_dir)
+    if out_dir:
+        write_report(report, out_dir)
     return report
 
 
@@ -195,38 +194,62 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+@contextlib.contextmanager
+def staged(path: str):
+    """The one way the package writes a file: a text file, newlines written
+    as given, opened at ``<path>.partial`` and moved onto ``path`` when the
+    block completes. On any failure the partial file is removed, so ``path``
+    holds its old bytes or its whole new bytes; an OSError is raised again
+    naming ``path``, and any other exception passes through."""
+    partial = path + ".partial"
+    try:
+        with open(partial, "w", newline="") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def write_table(path: str, header, blocks) -> None:
     """A CSV table of numbers, in the bytes csv.writer gives it: the header,
     then for each (template, rows) of ``blocks`` every row, a tuple of cells,
     through the one-row ``%`` template (``%.17g`` for a float cell, as _fmt)."""
-    with open(path, "w", newline="") as fh:
+    with staged(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for template, rows in blocks:
             fh.write("".join([template % row for row in rows]))
 
 
-def _clear_markers(out_dir: str) -> None:
-    # a manifest must always describe the tables next to it: clear leftovers
-    # from any previous run before writing anything new
+def _write_json(path: str, data) -> str:
+    with staged(path) as fh:
+        json.dump(data, fh, indent=2)
+    return path
+
+
+def _mark(out_dir: str, failed=None) -> None:
+    """Make ``out_dir`` and clear an earlier run's markers, since a manifest
+    must describe the tables next to it; then leave a FAILED marker holding
+    the text ``failed``, if given."""
+    os.makedirs(out_dir, exist_ok=True)
     for stale in ("manifest.json", "FAILED"):
-        path = os.path.join(out_dir, stale)
-        if os.path.exists(path):
-            os.remove(path)
-
-
-def _write_failed(out_dir: str, text: str) -> None:
-    with open(os.path.join(out_dir, "FAILED"), "w") as fh:
-        fh.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, stale))
+    if failed is not None:
+        with staged(os.path.join(out_dir, "FAILED")) as fh:
+            fh.write(failed)
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> list:
-    """Write the report tables; the manifest is written last and atomically.
-
-    A failure mid-write leaves the partial tables plus a FAILED marker and
-    never a manifest. Returns the list of written paths.
+    """Write the report tables, summary.json and, last, manifest.json, each
+    file staged. A failure leaves every file with its old bytes or its whole
+    new bytes, a FAILED marker and never a manifest. Returns the list of
+    written paths.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    _clear_markers(out_dir)
+    _mark(out_dir)
     written = []
     try:
         # one row template per arm, its temperature formatted once
@@ -264,7 +287,6 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
             write_table(path, header, blocks)
             written.append(path)
 
-        path = os.path.join(out_dir, "summary.json")
         summary = {
             "true_m_hat": report.config.game.B / report.config.game.D**2,
             "seeds": {"master_seed": report.config.seed},
@@ -282,23 +304,15 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
                 for arm in report.arms
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-        written.append(path)
+        written.append(_write_json(os.path.join(out_dir, "summary.json"), summary))
+        manifest = {
+            "config": config_to_dict(report.config),
+            "seed": report.config.seed,
+            "version": __version__,
+            "tables": [os.path.basename(p) for p in written],
+        }
+        written.append(_write_json(os.path.join(out_dir, "manifest.json"), manifest))
     except Exception as exc:
-        _write_failed(out_dir, f"report writing failed: {exc}\n")
+        _mark(out_dir, f"report writing failed: {exc}\n")
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
-
-    manifest = {
-        "config": config_to_dict(report.config),
-        "seed": report.config.seed,
-        "version": __version__,
-        "tables": [os.path.basename(p) for p in written],
-    }
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    final = os.path.join(out_dir, "manifest.json")
-    os.replace(tmp, final)
-    written.append(final)
     return written

@@ -104,9 +104,8 @@ def rollout(
     ``lambda_se`` (default ``params.lambda_se``): a stack of arms can have
     its own mean paths and weights. A path's reward does not depend on the
     batch it runs in. The kernel reads dW, sigma2 and m_values one step at a
-    time, so step-major memory (a Fortran-ordered dW, as ``draw_noise``
-    returns it, or a transposed step-first array) is read contiguously; any
-    layout gives the same bits. The inputs are not modified. The reward
+    time, so step-major memory (a Fortran-ordered dW, or a transposed
+    step-first array) is read contiguously; any layout gives the same bits. The inputs are not modified. The reward
     is the running quadratic penalty plus the Gaussian entropy bonus
     0.5 * lambda_se * log(2*pi*e*sigma2_s) per step, and the terminal
     quadratic penalty. When ``states`` is given it must have shape
@@ -172,19 +171,6 @@ def _fill(stream: np.random.Generator, z0: np.ndarray, z: np.ndarray) -> None:
     """The fixed batch layout: normals into z0 (n,), then z (n, N) row by row."""
     stream.standard_normal(out=z0)
     stream.standard_normal(out=z)
-
-
-def draw_noise(stream: np.random.Generator, params: GameParams, dt: float,
-               n_paths: int, n_steps: int):
-    """Initial states and Brownian increments in the fixed batch layout.
-
-    The draws fill dW row by row (path by path); the returned dW holds the
-    same values Fortran-ordered, so the kernel's per-step columns are
-    contiguous.
-    """
-    z0, z = np.empty(n_paths), np.empty((n_paths, n_steps))
-    _fill(stream, z0, z)
-    return scale_noise(params, dt, z0, np.asfortranarray(z))
 
 
 def _rollout_chunks(params, grid, policy, mean_field, n_paths, stream, states=None, on_chunk=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lqmfg import GameParams, TimeGrid, rng, sample_rewards
-from lqmfg.simulate import mean_and_stderr
+from lqmfg.simulate import _fill, mean_and_stderr, scale_noise
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -65,3 +65,12 @@ def mc_reward(params, grid, policy, path, n_paths, seed):
     ``path`` over n_paths paths of the seed's trajectory substream."""
     stream = rng.substream(seed, rng.TRAJECTORY)
     return mean_and_stderr(sample_rewards(params, grid, policy, path, n_paths, stream))
+
+
+def draw_noise(stream, params, dt, n_paths, n_steps):
+    """Initial states and Brownian increments of n_paths paths in the fixed
+    batch layout (normals filled path by path), with dW Fortran-ordered so
+    that the kernel's per-step columns are contiguous."""
+    z0, z = np.empty(n_paths), np.empty((n_paths, n_steps))
+    _fill(stream, z0, z)
+    return scale_noise(params, dt, z0, np.asfortranarray(z))

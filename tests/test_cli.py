@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import errno
+import functools
 import io
 import json
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -409,6 +412,26 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown config field 'n_eval_paths'" in err
 
+    def test_a_config_setting_output_dir_is_rejected(self, capsys, tmp_path):
+        # the output directory left the schema for --out-dir alone; a config
+        # that still set it exited 0, wrote into --out-dir and never made it
+        path = tmp_path / "old.json"
+        with open(write_tiny_config(path)) as fh:
+            data = json.load(fh)
+        stale = tmp_path / "X"
+        data["output_dir"] = str(stale)
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "reproduce", "--config", str(path),
+                                 "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert "unknown field output_dir" in err and out == ""
+        code, out, err = run_cli(capsys, "learn", *TINY_LEARN, "--set", f"output_dir={stale}",
+                                 "--out-dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert "unknown config field 'output_dir'" in err and out == ""
+        assert not stale.exists() and not out_dir.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("shared_rollout_noise", True), ("baseline", "loo"), ("warm_start", True),
     ])
@@ -551,3 +574,129 @@ def test_exit_code_contract(overrides):
                 assert os.path.exists(os.path.join(out_dir, "FAILED")), argv
         code, err = _main_quietly("learn", *TINY_LEARN, *sets, "--out-dir", blocker)
         assert code in (EXIT_CONFIG, EXIT_RUNTIME), err
+
+
+# Fault injection: the k-th open for writing, or the k-th write to a file so
+# opened, fails with an errno, in process; reads pass through.
+REPORT_FILES = ["learning_curve.csv", "variance_schedule.csv", "mean_field.csv", "summary.json"]
+FAULT_COMMANDS = {
+    # command: (argv in a scratch directory d, the files it writes there)
+    "reproduce": (lambda d: ["reproduce", "--config", write_tiny_config(
+        os.path.join(d, "tiny.json"), (0.0, 1.0), n_outer=1, n_inner=2, n_perturbations=2,
+    ), "--out-dir", os.path.join(d, "out")], REPORT_FILES),
+    "learn": (lambda d: ["learn", *TINY_LEARN, "--out-dir", os.path.join(d, "out")],
+              REPORT_FILES),
+    "solve --csv": (lambda d: ["solve", "--csv", os.path.join(d, "out", "table.csv")],
+                    ["table.csv"]),
+    "simulate --dump-paths": (lambda d: [
+        "simulate", "--n-paths", "5", "--dump-paths", os.path.join(d, "out", "rewards.csv"),
+    ], ["rewards.csv"]),
+}
+
+
+@contextlib.contextmanager
+def failing_io(op, k, code):
+    """Patch ``open`` so that the k-th ``op`` ("open" or "write") of a file
+    opened for writing raises OSError(code); yields the counts of both
+    operations and, once it has failed, the name of the file it failed on."""
+    real_open = open
+    seen = {"open": 0, "write": 0, "failed": None}
+
+    def tick(kind, name):
+        seen[kind] += 1
+        if kind == op and seen[kind] == k:
+            seen["failed"] = os.fspath(name)
+            raise OSError(code, os.strerror(code), *([name] if kind == "open" else []))
+
+    def faulty_open(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+"):
+            return real_open(file, mode, *args, **kwargs)
+        tick("open", file)
+        fh = real_open(file, mode, *args, **kwargs)
+        write = fh.write
+
+        def faulty_write(data):
+            tick("write", file)
+            return write(data)
+
+        fh.write = faulty_write
+        return fh
+
+    with mock.patch("builtins.open", faulty_open):
+        yield seen
+
+
+def _normalized(name, data):
+    # a report's runtimes differ from run to run
+    if name == "summary.json" and data.startswith(b"{"):
+        summary = json.loads(data)
+        for arm in summary["arms"]:
+            arm["runtime_seconds"] = None
+        return json.dumps(summary).encode()
+    return data
+
+
+@functools.cache
+def _fault_free(command):
+    """The normalized bytes of every file the command writes, and how many
+    opens and writes it makes, from one run without faults."""
+    argv, names = FAULT_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "out"))
+        args = argv(tmp)
+        with failing_io("open", 0, errno.EIO) as seen:
+            code, err = _main_quietly(*args)
+        assert code == EXIT_OK, err
+        new = {}
+        for name in names:
+            with open(os.path.join(tmp, "out", name), "rb") as fh:
+                new[name] = _normalized(name, fh.read())
+    return new, {"open": seen["open"], "write": seen["write"]}
+
+
+OLD_BYTES = b"the bytes of an earlier run\n"
+
+
+# k is taken modulo the count of its operation; small k reach the tables'
+# writes, which the JSON files' many small writes outnumber
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FAULT_COMMANDS)), st.sampled_from(["open", "write"]),
+       st.integers(1, 12) | st.integers(1, 1000),
+       st.sampled_from([errno.ENOSPC, errno.EACCES, errno.EIO]))
+# a write after solve's CSV header left the file holding only the header
+@example("solve --csv", "write", 2, errno.ENOSPC)
+# a failed open of the manifest left four tables, no manifest and no marker
+@example("reproduce", "open", 5, errno.EIO)
+def test_every_output_is_all_or_nothing(command, op, k, code):
+    """Whichever open or write fails, the command exits 3 naming the file;
+    every file it writes holds its old bytes or its whole new bytes, no
+    staging file is left, and a report directory holds a manifest only when
+    every table is new, and a FAILED marker otherwise."""
+    new, counts = _fault_free(command)
+    k = (k - 1) % counts[op] + 1
+    argv, names = FAULT_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        os.mkdir(out)
+        for name in names + ["manifest.json"] * (names == REPORT_FILES):
+            with open(os.path.join(out, name), "wb") as fh:
+                fh.write(OLD_BYTES)
+        args = argv(tmp)
+        with failing_io(op, k, code) as seen:
+            status, err = _main_quietly(*args)
+        assert status == EXIT_RUNTIME, err
+        left = os.listdir(out)
+        assert not [name for name in left if name.endswith((".partial", ".tmp"))], left
+        complete = True
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                data = fh.read()
+            assert data == OLD_BYTES or _normalized(name, data) == new[name], name
+            complete &= data != OLD_BYTES
+        if names == REPORT_FILES:
+            if "manifest.json" in left:
+                assert complete, left
+            else:
+                assert "FAILED" in left, left
+    target = seen["failed"].removesuffix(".partial").removesuffix(".tmp")
+    assert target in err, (target, err)

@@ -92,8 +92,7 @@ def _sha(data: bytes) -> str:
 def test_report_tables(tmp_path):
     data = config_to_dict(default_config())
     data["learner"].update({"n_outer": 2, "n_inner": 30})
-    data["output_dir"] = str(tmp_path)
-    reproduce(config_from_dict(data))
+    reproduce(config_from_dict(data), str(tmp_path))
     for name in ("learning_curve.csv", "variance_schedule.csv", "mean_field.csv"):
         assert _sha((tmp_path / name).read_bytes()) == GOLDEN[name], name
 

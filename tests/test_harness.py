@@ -116,8 +116,8 @@ class TestAnalyticSchedule:
 
 class TestReproduce:
     def test_report_shape_and_tables(self, tmp_path):
-        config = tiny_config(output_dir=str(tmp_path / "out"))
-        report = reproduce(config)
+        config = tiny_config()
+        report = reproduce(config, str(tmp_path / "out"))
         rows_per_arm = config.learner.n_outer * (config.learner.n_inner + 1)
         for arm in report.arms:
             assert len(arm.result.trace.records) == rows_per_arm
@@ -265,11 +265,10 @@ class TestRunArms:
         # run alone
         data = config_to_dict(tiny_config(seed=1, lambda_se_values=[0.0, 1.0]))
         data["learner"].update(n_perturbations=50, n_inner=20, step_size=3.0)
-        data["output_dir"] = str(tmp_path)
         config = config_from_dict(data)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LearnerDivergence) as info:
-                reproduce(config)
+                reproduce(config, str(tmp_path))
             with pytest.raises(LearnerDivergence) as alone:
                 run_arm(config, 1.0)
         assert (info.value.arm, info.value.outer, info.value.inner) == (1, 0, 12)

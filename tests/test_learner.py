@@ -20,9 +20,7 @@ from lqmfg.learner import (
     LearnerDivergence, _initial_policy, _on_sphere, _sphere_average, inner_loop,
 )
 from lqmfg.learner import run as learner_run
-from lqmfg.simulate import draw_noise
-
-from conftest import mc_reward
+from conftest import draw_noise, mc_reward
 
 
 # the seed of the single-arm helpers below unless a test passes its own

@@ -26,9 +26,9 @@ from lqmfg import (
 )
 from lqmfg import rng
 from lqmfg.analytic import constant_fn
-from lqmfg.simulate import _CHUNK, SIGMA_FLOOR, check_path, draw_noise, rollout
+from lqmfg.simulate import _CHUNK, SIGMA_FLOOR, check_path, rollout
 
-from conftest import make_params, mc_reward, random_params
+from conftest import draw_noise, make_params, mc_reward, random_params
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 import oracle  # noqa: E402
