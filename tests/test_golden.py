@@ -78,10 +78,10 @@ GOLDEN = {
         "2af4e9ddef68e17f57c8914d28acffb64d038fd2c0d5f0cd2a84a28dffa9abc5",
     # computed once the raw-estimator and cold-start switches left the
     # schema, and regenerated when learner.init and
-    # learner.initial_mean_field left it; a later schema change must
-    # regenerate it and say so
+    # learner.initial_mean_field left it, and again when output_dir left
+    # it for --out-dir; a later schema change must regenerate it and say so
     "default_config.json":
-        "838d5d41cfb2056c792b59b199e339bc9f4e3b398b9abd34eb80702443a3c6ca",
+        "f873765d32a6d1dce2c6d3aefac4055110cb5376f85c207f0b8322fe448cdbb1",
 }
 
 
