@@ -105,8 +105,9 @@ def rollout(
     its own mean paths and weights. A path's reward does not depend on the
     batch it runs in. The kernel reads dW, sigma2 and m_values one step at a
     time, so step-major memory (a Fortran-ordered dW, or a transposed
-    step-first array) is read contiguously; any layout gives the same bits. The inputs are not modified. The reward
-    is the running quadratic penalty plus the Gaussian entropy bonus
+    step-first array) is read contiguously; any layout gives the same bits.
+    The inputs are not modified. The reward is the running quadratic
+    penalty plus the Gaussian entropy bonus
     0.5 * lambda_se * log(2*pi*e*sigma2_s) per step, and the terminal
     quadratic penalty. When ``states`` is given it must have shape
     (n, N + 1) and receives the state paths.

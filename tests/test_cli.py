@@ -413,11 +413,11 @@ class TestExitCodes:
         assert "unknown config field 'n_eval_paths'" in err
 
     def test_a_config_setting_output_dir_is_rejected(self, capsys, tmp_path):
-        # the output directory left the schema for --out-dir alone; a config
-        # that still set it exited 0, wrote into --out-dir and never made it
+        # the output directory is --out-dir's alone: a config that names it
+        # is rejected, not silently overridden
         path = tmp_path / "old.json"
-        with open(write_tiny_config(path)) as fh:
-            data = json.load(fh)
+        write_tiny_config(path)
+        data = json.loads(path.read_text())
         stale = tmp_path / "X"
         data["output_dir"] = str(stale)
         path.write_text(json.dumps(data))

@@ -20,6 +20,7 @@ from lqmfg.learner import (
     LearnerDivergence, _initial_policy, _on_sphere, _sphere_average, inner_loop,
 )
 from lqmfg.learner import run as learner_run
+
 from conftest import draw_noise, mc_reward
 
 
