@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from functools import partial
@@ -32,7 +31,7 @@ from .config import (
     config_from_dict,
     config_to_dict,
     default_config,
-    load_config,
+    read_json,
 )
 from .learner import LearnerDivergence
 from .params import DomainError, ParameterError
@@ -47,24 +46,32 @@ EXIT_CHECK = 4
 OUT_DIR_ENV = "LQMFG_OUT_DIR"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_MODEL_FLAGS = (
+    ("--lambda-se", "game.lambda_se", "self-exploration temperature"),
+    ("--lambda-ce", "game.lambda_ce", "cross-exploration temperature"),
+)
+
+
+def _add_common(parser: argparse.ArgumentParser, *aliases, out_dir=False) -> None:
+    """The config flags; each alias ``(flag, key, help)`` makes ``flag V``
+    the override ``key=V``, applied in command-line order with ``--set``."""
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="dotted-key override, e.g. game.A=2.5 (repeatable)",
     )
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument(
-        "--out-dir",
-        default=os.environ.get(OUT_DIR_ENV, "."),
-        help=f"output directory (default: ${OUT_DIR_ENV} or '.')",
-    )
+    for flag, key, text in (("--seed", "seed", "master seed"), *aliases):
+        parser.add_argument(
+            flag, dest="overrides", action="append", type=f"{key}={{}}".format,
+            metavar=key.rsplit(".", 1)[-1].upper(), help=f"{text} (--set {key}=...)",
+        )
+    if out_dir:
+        parser.add_argument(
+            "--out-dir",
+            default=os.environ.get(OUT_DIR_ENV, "."),
+            help=f"output directory (default: ${OUT_DIR_ENV} or '.')",
+        )
     parser.add_argument("-v", "--verbose", action="count", default=0)
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda-se", type=float, help="self-exploration temperature")
-    parser.add_argument("--lambda-ce", type=float, help="cross-exploration temperature")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="evaluate the closed-form equilibrium")
-    _add_common(p)
-    _add_model_flags(p)
+    _add_common(p, *_MODEL_FLAGS)
     p.add_argument("--game", choices=("se", "ee"), default="se")
     p.add_argument("--csv", help="also dump the table to this CSV path")
 
@@ -90,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for the 'se' equilibrium, while an 'ee' policy is scored on the "
         "same observable rather than on the enhanced objective.",
     )
-    _add_common(p)
-    _add_model_flags(p)
+    _add_common(p, *_MODEL_FLAGS)
     p.add_argument(
         "--policy", default="se",
         help="'se', 'ee' (closed-form equilibrium) or a JSON file with "
@@ -101,11 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-paths", help="optional per-path reward CSV")
 
     p = sub.add_parser("learn", help="run the learner for one temperature")
-    _add_common(p)
-    _add_model_flags(p)
+    _add_common(p, *_MODEL_FLAGS, out_dir=True)
 
     p = sub.add_parser("reproduce", help="run the built-in temperature sweep")
-    _add_common(p)
+    _add_common(p, out_dir=True)
     p.add_argument(
         "--check", action="store_true",
         help="fail (exit 4) when a convergence threshold is violated",
@@ -114,18 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config:
-        data = config_to_dict(load_config(args.config))
-    else:
-        data = config_to_dict(default_config())
-    if getattr(args, "lambda_se", None) is not None:
-        data["game"]["lambda_se"] = args.lambda_se
-    if getattr(args, "lambda_ce", None) is not None:
-        data["game"]["lambda_ce"] = args.lambda_ce
-    if args.seed is not None:
-        data["seed"] = args.seed
-    apply_overrides(data, args.overrides)
-    return config_from_dict(data)
+    data = read_json(args.config, "config") if args.config else config_to_dict(default_config())
+    return config_from_dict(apply_overrides(data, args.overrides))
 
 
 def _cmd_solve(args) -> int:
@@ -156,13 +150,7 @@ def _policy_from_arg(arg: str, config: ExperimentConfig) -> PolicyParams:
 
     if arg in ("se", "ee"):
         return discretize_policy(equilibrium_policy(config.game, arg), config.grid)
-    try:
-        with open(arg) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read policy file {arg}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in policy file {arg}: {exc}") from exc
+    data = read_json(arg, "policy file")
     if not isinstance(data, dict) or "m_hat" not in data or "sigma2" not in data:
         raise ConfigError("policy file must contain fields m_hat and sigma2")
     return PolicyParams(

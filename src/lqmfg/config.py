@@ -1,18 +1,22 @@
 """Experiment configuration: one JSON tree with dotted-key overrides.
 
-The schema mirrors the dataclasses it builds: a ``game`` section
-(GameParams), ``grid`` (n_steps; the step is T / n_steps) and ``learner``
-(LearnerConfig), each a flat object of numbers, then the temperature
-sweep and the seed. Every field is required, and validation errors name the
-offending dotted key. The output directory is not a setting: the CLI's
-``--out-dir`` passes it to ``harness.reproduce``.
+The schema is the dataclasses the tree builds, read from their fields and
+type hints in one walk: a ``game`` section (GameParams), ``grid``
+(``n_steps`` alone; the step is game.T / n_steps) and ``learner``
+(LearnerConfig), each a flat object of numbers, then the temperature sweep
+and the seed. Every field is required, and an error names the dotted key: a
+key the schema lacks is an "unknown field", whether it comes from a file or
+from an override. Overrides only write values into the tree, in order, so
+a later one wins; the tree is validated once, after the last. The output
+directory is not a setting: the CLI's ``--out-dir`` passes it to
+``harness.reproduce``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import get_type_hints
 
 from .learner import LearnerConfig
@@ -64,25 +68,16 @@ def default_config() -> ExperimentConfig:
 
 @functools.cache
 def _schema(cls) -> dict:
-    """Field name -> type of a dataclass, in declaration order."""
+    """Field name -> type of a dataclass, in declaration order. A TimeGrid
+    is set by its n_steps alone; _build takes its horizon from game.T."""
+    if cls is TimeGrid:
+        return {"n_steps": int}
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "game": asdict(cfg.game),
-        "grid": {"n_steps": cfg.grid.n_steps},
-        "learner": asdict(cfg.learner),
-        "lambda_se_values": list(cfg.lambda_se_values),
-        "seed": cfg.seed,
-    }
-
-
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required field {where}{key}")
-    return section[key]
+    return {**asdict(cfg), "grid": {"n_steps": cfg.grid.n_steps}}
 
 
 def _number(value, where: str) -> float:
@@ -92,7 +87,7 @@ def _number(value, where: str) -> float:
 
 
 def _numbers(value, where: str) -> tuple:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise ConfigError(f"field {where} must be a list of numbers, got {value!r}")
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
@@ -103,66 +98,62 @@ def _integer(value, where: str) -> int:
     return value
 
 
-_PARSERS = {float: _number, int: _integer}
+_PARSERS = {float: _number, int: _integer, tuple: _numbers}
 
 
-def _check_section(section, allowed, where: str) -> None:
-    """The section is a JSON object of allowed keys; ``where`` ends in a dot."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {where[:-1]} must be an object, got {section!r}")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown field {where}{key}")
+def _object(node, where: str) -> dict:
+    """``node``, a JSON object; ``where`` is its dotted key, empty at the root."""
+    if not isinstance(node, dict):
+        name = f"section {where}" if where else "configuration root"
+        raise ConfigError(f"{name} must be an object, got {node!r}")
+    return node
 
 
-def _build(cls, section, where: str):
+def _build(cls, section, where: str = "", outer=None):
     """The dataclass ``cls`` from its section, every field type-checked and
-    required."""
+    required. ``where`` is the section's dotted prefix, ending in a dot
+    below the root; ``outer`` holds the enclosing section's fields built so
+    far, of which a TimeGrid reads game."""
+    _object(section, where[:-1])
     schema = _schema(cls)
-    _check_section(section, schema, where)
-    kwargs = {
-        name: _PARSERS[kind](_need(section, name, where), f"{where}{name}")
-        for name, kind in schema.items()
-    }
+    for key in section:
+        if key not in schema:
+            raise ConfigError(f"unknown field {where}{key}")
+    kwargs = {}
+    for name, kind in schema.items():
+        if name not in section:
+            raise ConfigError(f"missing required field {where}{name}")
+        value, key = section[name], where + name
+        if is_dataclass(kind):
+            kwargs[name] = _build(kind, value, key + ".", kwargs)
+        else:
+            kwargs[name] = _PARSERS[kind](value, key)
     try:
+        if cls is TimeGrid:
+            return TimeGrid.from_horizon(outer["game"].T, **kwargs)
         return cls(**kwargs)
     except ParameterError as exc:
         raise ConfigError(f"{where[:-1]}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be an object")
-    _check_section(data, _schema(ExperimentConfig), "")
-    game = _build(GameParams, _need(data, "game", ""), "game.")
+    return _build(ExperimentConfig, data)
 
-    grid_sec = _need(data, "grid", "")
-    _check_section(grid_sec, ("n_steps",), "grid.")
-    n_steps = _integer(_need(grid_sec, "n_steps", "grid."), "grid.n_steps")
+
+def read_json(path: str, what: str):
+    """The JSON value in the file at ``path``, a ``what`` named in the
+    ConfigError raised when it cannot be read or parsed."""
     try:
-        grid = TimeGrid.from_horizon(game.T, n_steps)
-    except ParameterError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    learner = _build(LearnerConfig, _need(data, "learner", ""), "learner.")
-    return ExperimentConfig(
-        game=game,
-        grid=grid,
-        learner=learner,
-        lambda_se_values=_numbers(_need(data, "lambda_se_values", ""), "lambda_se_values"),
-        seed=_integer(_need(data, "seed", ""), "seed"),
-    )
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, "config"))
 
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
@@ -174,10 +165,11 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
 
 
 def apply_overrides(data: dict, overrides) -> dict:
-    """Apply dotted-key overrides (``game.A=2.5``) to a config tree.
+    """Write dotted-key overrides (``game.A=2.5``) into a config tree, in
+    order, so that a later one wins.
 
-    Values parse as JSON when possible and as raw strings otherwise; the
-    resulting tree still goes through full schema validation.
+    Values parse as JSON when possible and as raw strings otherwise. Keys
+    are not checked here: config_from_dict names one the schema lacks.
     """
     for item in overrides:
         if "=" not in item:
@@ -187,13 +179,9 @@ def apply_overrides(data: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
-                raise ConfigError(f"unknown config section {part!r} in override {key!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config field {key!r}")
-        node[parts[-1]] = value
+        *path, name = key.split(".")
+        node = _object(data, "")
+        for depth, part in enumerate(path, 1):
+            node = _object(node.setdefault(part, {}), ".".join(path[:depth]))
+        node[name] = value
     return data

@@ -46,6 +46,11 @@ TINY_LEARN = (
 )
 
 
+def out_dir_flag(argv, path):
+    """``--out-dir path`` for the subcommands that write a report directory."""
+    return ("--out-dir", str(path)) if argv[0] in ("learn", "reproduce") else ()
+
+
 def numeric_block(out: str) -> str:
     # everything after the header line (the header names the game variant)
     return out.split("\n", 1)[1]
@@ -82,6 +87,31 @@ class TestSolve:
             code, out, err = run_cli(capsys, "solve", "--set", override)
             assert code == EXIT_CONFIG, override
             assert named in err and out == "", override
+
+    def test_flags_and_overrides_apply_in_command_line_order(self, capsys):
+        # --lambda-se is --set game.lambda_se=V, so the later setting wins
+        _, out2, _ = run_cli(capsys, "solve", "--lambda-se", "2")
+        _, out3, _ = run_cli(capsys, "solve", "--lambda-se", "3")
+        assert out2 != out3
+        code, out, _ = run_cli(capsys, "solve", "--set", "game.lambda_se=2", "--lambda-se", "3")
+        assert code == EXIT_OK and out == out3
+        code, out, _ = run_cli(capsys, "solve", "--lambda-se", "3", "--set", "game.lambda_se=2")
+        assert code == EXIT_OK and out == out2
+        # a flag's value is parsed as JSON and checked as the key's
+        code, out, err = run_cli(capsys, "solve", "--lambda-se", "fast")
+        assert code == EXIT_CONFIG and out == ""
+        assert "field game.lambda_se must be a number, got 'fast'" in err
+
+    def test_a_config_file_is_validated_after_the_overrides(self, capsys, tmp_path):
+        data = config_to_dict(default_config())
+        data["game"]["A"] = "fast"
+        path = tmp_path / "bad_a.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        assert code == EXIT_CONFIG and "field game.A must be a number" in err
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path), "--set", "game.A=2")
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, "solve")[1]
 
     def test_csv_dump(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -275,13 +305,22 @@ class TestHelp:
             assert name in result.stdout
 
     def test_subcommand_help_lists_flags(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "lqmfg.cli", "reproduce", "--help"],
-            capture_output=True, text=True, env=cli_env(),
-        )
-        assert result.returncode == 0
-        for flag in ("--config", "--set", "--seed", "--out-dir", "--check"):
-            assert flag in result.stdout
+        for command, flags in (
+            ("solve", ("--lambda-se", "--lambda-ce", "--game", "--csv")),
+            ("simulate", ("--lambda-se", "--lambda-ce", "--policy", "--n-paths", "--dump-paths")),
+            ("learn", ("--lambda-se", "--lambda-ce", "--out-dir")),
+            ("reproduce", ("--out-dir", "--check")),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "lqmfg.cli", command, "--help"],
+                capture_output=True, text=True, env=cli_env(),
+            )
+            assert result.returncode == 0, command
+            for flag in ("--config", "--set", "--seed", *flags):
+                assert flag in result.stdout, (command, flag)
+            # only the subcommands that write a report directory take one
+            assert ("--out-dir" in result.stdout) == (command in ("learn", "reproduce")), command
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -290,7 +329,7 @@ class TestExitCodes:
     ], ids=["simulate", "reproduce"])
     def test_negative_seed_is_a_config_error(self, capsys, tmp_path, argv):
         out_dir = tmp_path / "out"
-        code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+        code, out, err = run_cli(capsys, *argv, *out_dir_flag(argv, out_dir))
         assert code == EXIT_CONFIG
         assert "field seed must be nonnegative" in err and out == ""
         assert not out_dir.exists()
@@ -326,7 +365,7 @@ class TestExitCodes:
     def test_a_value_whose_square_overflows_is_named(self, capsys, tmp_path, argv, named):
         # each would overflow squaring a Python float in the closed forms or
         # the gradient estimator, or divide by a square that underflows to 0
-        code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, *argv, *out_dir_flag(argv, tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert named in err and out == ""
 
@@ -369,7 +408,7 @@ class TestExitCodes:
         # the error comes without numpy warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+            code, out, err = run_cli(capsys, *argv, *out_dir_flag(argv, tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert named in err and out == ""
 
@@ -392,7 +431,7 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
-                capsys, *command, "--set", "game.D=1e-150", "--out-dir", str(out_dir)
+                capsys, *command, "--set", "game.D=1e-150", *out_dir_flag(command, out_dir)
             )
         assert code == EXIT_CONFIG
         assert "game.D, game.lambda_se and their product" in err and out == ""
@@ -410,7 +449,7 @@ class TestExitCodes:
         assert "unknown field n_eval_paths" in err and out == ""
         code, _, err = run_cli(capsys, "learn", *TINY_LEARN, "--set", "n_eval_paths=2")
         assert code == EXIT_CONFIG
-        assert "unknown config field 'n_eval_paths'" in err
+        assert "unknown field n_eval_paths" in err
 
     def test_a_config_setting_output_dir_is_rejected(self, capsys, tmp_path):
         # the output directory is --out-dir's alone: a config that names it
@@ -429,7 +468,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "learn", *TINY_LEARN, "--set", f"output_dir={stale}",
                                  "--out-dir", str(out_dir))
         assert code == EXIT_CONFIG
-        assert "unknown config field 'output_dir'" in err and out == ""
+        assert "unknown field output_dir" in err and out == ""
         assert not stale.exists() and not out_dir.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -452,7 +491,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "learn", *TINY_LEARN, "--set",
                                  f"learner.{key}={json.dumps(value)}", "--out-dir", str(out_dir))
         assert code == EXIT_CONFIG
-        assert f"unknown config field 'learner.{key}'" in err and out == ""
+        assert f"unknown field learner.{key}" in err and out == ""
         assert not out_dir.exists()
 
     def test_runtime_error_exit_code(self, capsys, tmp_path):
@@ -513,7 +552,7 @@ class TestExitCodes:
     ], ids=["simulate", "solve", "learn"])
     def test_an_allocation_too_large_for_memory_is_named(self, capsys, tmp_path, argv):
         out = tmp_path / "out"
-        code, _, err = run_cli(capsys, *argv, "--out-dir", str(out))
+        code, _, err = run_cli(capsys, *argv, *out_dir_flag(argv, out))
         assert code == EXIT_RUNTIME
         assert err.startswith("error: out of memory: Unable to allocate"), err
         assert not out.exists()

@@ -1,16 +1,22 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lqmfg import ConfigError, load_config, save_config
+from lqmfg import ConfigError, LearnerConfig, TimeGrid, load_config, save_config
 from lqmfg.cli import EXIT_CONFIG, main
 from lqmfg.config import (
+    ExperimentConfig,
     apply_overrides,
     config_from_dict,
     config_to_dict,
     default_config,
 )
+
+from conftest import random_params
 
 
 def test_round_trip(tmp_path):
@@ -18,6 +24,28 @@ def test_round_trip(tmp_path):
     path = tmp_path / "config.json"
     save_config(cfg, str(path))
     assert load_config(str(path)) == cfg
+
+
+# temperatures of 0 or at least 0.01: a positive one far smaller is a game
+# the closed forms reject
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 500),
+    st.builds(
+        LearnerConfig, n_outer=st.integers(1, 50), n_inner=st.integers(0, 10**4),
+        n_perturbations=st.integers(2, 500), radius=st.floats(1e-9, 1.0),
+        step_size=st.floats(1e-9, 10.0), sigma_floor=st.floats(1e-12, 1.0),
+    ),
+    st.lists(st.just(0.0) | st.floats(0.01, 100.0), min_size=1, max_size=5, unique=True),
+    st.integers(0, 2**70),
+)
+def test_every_config_round_trips_through_json(game_seed, n_steps, learner, sweep, seed):
+    game = random_params(np.random.default_rng(game_seed))
+    cfg = ExperimentConfig(
+        game=game, grid=TimeGrid.from_horizon(game.T, n_steps), learner=learner,
+        lambda_se_values=tuple(sweep), seed=seed,
+    )
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_missing_required_field_names_it():
@@ -116,8 +144,13 @@ def test_override_errors():
     data = config_to_dict(default_config())
     with pytest.raises(ConfigError, match="nonsense"):
         apply_overrides(data, ["nonsense"])
-    with pytest.raises(ConfigError, match="game.zz"):
-        apply_overrides(data, ["game.zz=1"])
+    # an unknown key is named by the schema walk, in the words it uses for a file's
+    apply_overrides(data, ["game.zz=1"])
+    with pytest.raises(ConfigError, match="unknown field game.zz"):
+        config_from_dict(data)
+    data = config_to_dict(default_config())
+    with pytest.raises(ConfigError, match="section game.A must be an object, got 2.0"):
+        apply_overrides(data, ["game.A.x=1"])
     apply_overrides(data, ["game.A=oops"])
     with pytest.raises(ConfigError, match="game.A"):
         config_from_dict(data)
@@ -127,6 +160,10 @@ def test_invalid_json_reports_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="broken.json"):
+        load_config(str(path))
+    # bytes that are not UTF-8 died with a UnicodeDecodeError traceback
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConfigError, match="invalid JSON in config .*broken.json"):
         load_config(str(path))
     with pytest.raises(ConfigError, match="missing.json"):
         load_config(str(tmp_path / "missing.json"))
