@@ -11,7 +11,9 @@ closed forms).
 
 Riccati coefficients are always evaluated from the closed form. The one
 ODE stepped here is the linear state-moment system behind the policy payoff
-(classical RK4 on the refined grid, ``_moment_paths``). Integrals use
+(classical RK4 on the refined grid, ``_moment_paths``): each step is formed
+as one affine map, for all steps at once, and the maps are then applied in
+a plain recurrence. Integrals use
 composite trapezoid on a uniform refinement of the simulation grid (smooth
 integrands, O(h^2) error, verifiable by refinement).
 
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .params import DomainError, GameParams, ParameterError, TimeGrid
+from .params import DomainError, GameParams, ParameterError, TimeGrid, check_finite
 
 GAMES = ("se", "ee")
 
@@ -68,7 +70,7 @@ def riccati_coefficient(params: GameParams, t, game: str = "se"):
     ``decay_rate``. Strictly positive on [0, T]; accepts scalar or array t.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > params.T):
+    if not np.all((t_arr >= 0.0) & (t_arr <= params.T)):  # NaN fails both
         raise DomainError(f"time outside the horizon [0, {params.T}]")
     rho = decay_rate(params, game)
     decay = np.exp(-rho * (params.T - t_arr))
@@ -247,10 +249,14 @@ def _moment_paths(
                 + D^2 * (mean_coeff^2 * (phi2 - 2*m(t)*mhat + m(t)^2) + var(t))
 
     Both callables must be vectorized: each is called once per stage time
-    vector (step starts, midpoints, ends), and the RK4 recurrence then runs
-    on Python floats. Every stage time and right-hand side is formed in the
-    same operation order as a step-by-step RK4 that calls m and var at each
-    stage, so the result is bit-identical to it.
+    vector (step starts, midpoints, ends). On this linear system an RK4 step
+    is an affine map y -> P y + q; the stage expressions are applied to the
+    states 0, e_mhat and e_phi2 for all steps at once, giving q and the
+    columns of P (P's upper-right entry is exactly 0: the mean equation does
+    not read phi2), and the recurrence then runs on Python floats. This
+    reorders the arithmetic of a step-by-step RK4 that calls m and var at
+    each stage, so each path differs from that one by less than 1e-12 of
+    its largest magnitude (at most 3.1e-13 in the tests).
     """
     a = params.A + params.B * mean_coeff
     D2 = params.D**2
@@ -262,34 +268,37 @@ def _moment_paths(
     h = times[1:] - t0
     # a step ends at t0 + h, which can differ from times[1:] in the last bit
     stage_times = (t0, t0 + h / 2, t0 + h)
-    m_start, m_mid, m_end = (
-        np.asarray(mean_field_fn(t), dtype=float).tolist() for t in stage_times
-    )
-    v_start, v_mid, v_end = (
-        np.asarray(variance_fn(t), dtype=float).tolist() for t in stage_times
-    )
+    ms, mm, me = (np.asarray(mean_field_fn(t), dtype=float) for t in stage_times)
+    vs, vm, ve = (np.asarray(variance_fn(t), dtype=float) for t in stage_times)
+
+    # rows: the images of the states 0, e_mhat and e_phi2 under each step
+    mh = np.array([[0.0], [1.0], [0.0]])
+    p2 = np.array([[0.0], [0.0], [1.0]])
+    half = h / 2
+    k1m = a * (ms - mh)
+    k1p = minus_two_a * p2 + two_a * ms * mh + D2 * (M2 * (p2 - 2.0 * ms * mh + ms * ms) + vs)
+    x, y = mh + half * k1m, p2 + half * k1p
+    k2m = a * (mm - x)
+    k2p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
+    x, y = mh + half * k2m, p2 + half * k2p
+    k3m = a * (mm - x)
+    k3p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
+    x, y = mh + h * k3m, p2 + h * k3p
+    k4m = a * (me - x)
+    k4p = minus_two_a * y + two_a * me * x + D2 * (M2 * (y - 2.0 * me * x + me * me) + ve)
+    sixth = h / 6
+    mh = mh + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    p2 = p2 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    q1, q2 = mh[0], p2[0]
+    maps = zip((mh[1] - q1).tolist(), q1.tolist(), (p2[1] - q2).tolist(),
+               (p2[2] - q2).tolist(), q2.tolist())
 
     mh = float(params.xi_mean)
     p2 = float(params.xi_second_moment)
     mhat = [mh]
     phi2 = [p2]
-    steps = zip(h.tolist(), m_start, v_start, m_mid, v_mid, m_end, v_end)
-    for dt, ms, vs, mm, vm, me, ve in steps:
-        half = dt / 2
-        k1m = a * (ms - mh)
-        k1p = minus_two_a * p2 + two_a * ms * mh + D2 * (M2 * (p2 - 2.0 * ms * mh + ms * ms) + vs)
-        x, y = mh + half * k1m, p2 + half * k1p
-        k2m = a * (mm - x)
-        k2p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
-        x, y = mh + half * k2m, p2 + half * k2p
-        k3m = a * (mm - x)
-        k3p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
-        x, y = mh + dt * k3m, p2 + dt * k3p
-        k4m = a * (me - x)
-        k4p = minus_two_a * y + two_a * me * x + D2 * (M2 * (y - 2.0 * me * x + me * me) + ve)
-        sixth = dt / 6
-        mh = mh + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        p2 = p2 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    for p11, q1, p21, p22, q2 in maps:
+        mh, p2 = p11 * mh + q1, p21 * mh + p22 * p2 + q2
         mhat.append(mh)
         phi2.append(p2)
     return np.array(mhat), np.array(phi2)
@@ -308,14 +317,18 @@ def feedback_policy_payoff(
     be vectorized: they are only ever called on arrays of times. Integrates
     the state-moment ODEs forward on the refined grid and assembles the
     running quadratic penalty, the Shannon exploration bonus, and the
-    terminal penalty by composite trapezoid. Requires strictly positive
-    policy variance along the horizon.
+    terminal penalty by composite trapezoid. Requires a finite feedback
+    coefficient, a finite mean path and a finite, strictly positive policy
+    variance along the horizon.
     """
+    check_finite(policy)
     times = _refined_times(0.0, params.T, grid.dt, refinement)
     var = np.asarray(policy.variance_fn(times), dtype=float)
-    if np.any(var <= 0.0):
-        raise DomainError("policy variance must be strictly positive on the horizon")
+    if not np.all((var > 0.0) & (var < math.inf)):
+        raise DomainError("policy variance must be finite and strictly positive on the horizon")
     m = np.asarray(mean_field_fn(times), dtype=float)
+    if not np.isfinite(m).all():
+        raise DomainError("mean field path must be finite on the horizon")
     mhat, phi2 = _moment_paths(
         params, policy.mean_coeff, policy.variance_fn, mean_field_fn, times
     )

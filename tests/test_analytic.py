@@ -118,6 +118,11 @@ class TestRiccatiCoefficient:
             riccati_coefficient(params, -0.01, "se")
         with pytest.raises(DomainError):
             riccati_coefficient(params, params.T + 0.01, "ee")
+        # game_value names a NaN time; the coefficient must too
+        with pytest.raises(DomainError):
+            riccati_coefficient(params, math.nan, "se")
+        with pytest.raises(DomainError):
+            riccati_coefficient(params, np.array([0.0, math.nan]), "ee")
 
     def test_enhanced_reduces_to_shannon_without_cross_temperature(self, params):
         ts = np.linspace(0, params.T, 11)
@@ -387,13 +392,23 @@ class TestFeedbackPolicyPayoff:
         assert out.entropy == pytest.approx(expected, rel=1e-12)
 
     def test_nonpositive_variance_rejected(self, params, grid):
-        pol = GaussianFeedbackPolicy(
-            mean_coeff=0.5,
-            variance_fn=constant_fn(0.0),
-            reference_mean_fn=constant_fn(0.1),
-        )
-        with pytest.raises(DomainError):
-            feedback_policy_payoff(params, pol, constant_fn(0.1), grid)
+        # non-finite inputs are named, not turned into an all-NaN payoff
+        cases = [
+            (0.5, 0.0, 0.1, DomainError, "strictly positive"),
+            (0.5, math.nan, 0.1, DomainError, "strictly positive"),
+            (0.5, math.inf, 0.1, DomainError, "strictly positive"),
+            (0.5, 0.3, math.inf, DomainError, "mean field path"),
+            (0.5, 0.3, math.nan, DomainError, "mean field path"),
+            (math.nan, 0.3, 0.1, ParameterError, "mean_coeff"),
+        ]
+        for mean_coeff, variance, mean, error, words in cases:
+            pol = GaussianFeedbackPolicy(
+                mean_coeff=mean_coeff,
+                variance_fn=constant_fn(variance),
+                reference_mean_fn=constant_fn(mean),
+            )
+            with pytest.raises(error, match=words):
+                feedback_policy_payoff(params, pol, constant_fn(mean), grid)
 
     def test_error_decreases_with_refinement(self, params, grid):
         pol = equilibrium_policy(params, "se")

@@ -1,9 +1,15 @@
 """``analytic._moment_paths`` against the per-node RK4 it replaced.
 
 The reference below calls the mean path and the variance schedule at every
-RK4 stage, one time at a time. The package samples both callables once per
-stage time vector and runs the same recurrence on Python floats; the two
-must agree bit for bit on every admissible game, grid and input shape.
+RK4 stage, one time at a time, and steps the two moments node by node. The
+package samples both callables once per stage time vector and writes each
+RK4 step as the affine map y -> P y + q it is on this linear system, so the
+same arithmetic runs in another order and the last bits move. The payoff
+integrates these paths by trapezoid, whose own error (about 1e-6 relative
+at the default refinement) is far above that, so the two must agree within
+1e-12 of each path's largest magnitude on every admissible game, grid and
+input shape, and raise the same ``DomainError`` for a stage time past the
+horizon.
 """
 
 import numpy as np
@@ -95,7 +101,7 @@ def _run(fn, *args):
     mean_kind=st.sampled_from(["constant", "linear", "step_fn"]),
     data=st.data(),
 )
-def test_matches_per_node_rk4_bit_for_bit(
+def test_matches_per_node_rk4(
     params, mean_coeff, n_steps, refinement, start_fraction, variance_kind, mean_kind, data
 ):
     grid = TimeGrid.from_horizon(params.T, n_steps)
@@ -113,4 +119,4 @@ def test_matches_per_node_rk4_bit_for_bit(
         return
     for want, got in zip(expected, actual):
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())

@@ -6,8 +6,9 @@ its own, and the "ee" offset rebuilds the state-variance path started at
 that time. The package makes one pass over one refined grid on [0, T]. The
 Riccati and policy-variance columns must agree bit for bit; the integrals
 change summation order, so they must agree within the benchmark's
-trapezoid tolerance 1e-9 + (R h)^2 / 2, and the state variance and the "se"
-game value must also match ``bench/oracle.py`` within it.
+trapezoid tolerance 1e-9 + (R h)^2 / 2, and the state variance, the "se"
+game value and the "ee" equilibrium policy's payoff must also match
+``bench/oracle.py`` within it.
 """
 
 import math
@@ -130,10 +131,15 @@ def test_one_pass_matches_per_grid_time_solve(params, game, n_steps, refinement)
 
     expected = oracle.state_variance(g, n_steps, game)
     assert _within(sol.state_variance, expected, tol, np.abs(expected))
+    # the benchmark's scale: the magnitudes of the payoff's three parts
+    payoff = feedback_policy_payoff(
+        params, sol.policy, sol.policy.reference_mean_fn, grid, refinement=refinement
+    )
+    scale = abs(payoff.running_quadratic) + abs(payoff.entropy) + abs(payoff.terminal)
     if game == "se":
-        # the benchmark's scale: the magnitudes of the payoff's three parts
-        payoff = feedback_policy_payoff(
-            params, sol.policy, sol.policy.reference_mean_fn, grid, refinement=refinement
-        )
-        scale = abs(payoff.running_quadratic) + abs(payoff.entropy) + abs(payoff.terminal)
         assert _within(sol.game_value, oracle.game_value(g), tol, scale)
+    else:
+        expected = oracle.payoff(
+            g, oracle.gain(g, game), lambda s: oracle.policy_variance(g, s, game)
+        )
+        assert _within(payoff.total, expected, tol, scale)
