@@ -5,7 +5,8 @@ once, with a comment beside them saying why.
 
 The SHA-256 digests below pin the exact bytes of the package's main
 outputs: the three report CSVs of ``reproduce`` (built-in configuration cut
-to two rounds of 30 steps), the state paths and rewards of the Euler
+to two rounds of 30 steps) and the traces of ``run_arms`` on a stack of
+two seeds shared unevenly (the same cut), the state paths and rewards of the Euler
 rollout at 2^14 + 1 paths (one path past a full chunk) on a 50-step grid
 against a linear mean path, one gradient estimate, the moment-ODE payoff
 (the four parts of ``feedback_policy_payoff`` and the ``_moment_paths``
@@ -34,7 +35,7 @@ from lqmfg import (
     simulate_states,
     solve_equilibrium,
 )
-from lqmfg import rng
+from lqmfg import harness, rng
 from lqmfg.analytic import DEFAULT_REFINEMENT, _moment_paths, _refined_times, step_fn
 from lqmfg.cli import main
 from lqmfg.config import config_from_dict, config_to_dict, default_config, save_config
@@ -53,6 +54,9 @@ GOLDEN = {
         "e1202247d9af97e9328d9fb67943ce75eb380e6a1c0a0b957811ffb7a9da256f",
     "mean_field.csv":
         "d41ccfce7a4c12c5a660380d28f358a6bbd8cfb46c24596e69da62a9896a3852",
+    # five arms on seeds 3 and 4: each arm's records, then its mean paths
+    "run_arms[mixed seeds]":
+        "ac7607ac5bb7afc06bb2d95849dab2136f7816d86f3a60a81da8b54d4f5747aa",
     "simulate_states":
         "46c20dd01459235970aa48787b61a2c63c70b37c973f999f4bf228ac7d0b53a2",
     "sample_rewards":
@@ -103,6 +107,21 @@ def test_report_tables(tmp_path):
     reproduce(config_from_dict(data), str(tmp_path))
     for name in ("learning_curve.csv", "variance_schedule.csv", "mean_field.csv"):
         assert _sha((tmp_path / name).read_bytes()) == GOLDEN[name], name
+
+
+def test_mixed_seed_stack():
+    # more than one distinct seed, fewer than the arms: the inner loop copies
+    # each step's directions per arm, which a one-seed stack never does
+    data = config_to_dict(default_config())
+    data["learner"].update({"n_outer": 2, "n_inner": 30})
+    arms = harness.run_arms(
+        config_from_dict(data), [(0.0, 3), (1.0, 3), (3.0, 3), (1.0, 4), (3.0, 4)]
+    )
+    digest = _sha(b"".join(
+        arm.result.trace.records.tobytes() + arm.result.trace.mean_paths.tobytes()
+        for arm in arms
+    ))
+    assert digest == GOLDEN["run_arms[mixed seeds]"]
 
 
 def test_saved_default_config(tmp_path):
