@@ -319,7 +319,7 @@ def feedback_policy_payoff(
     running quadratic penalty, the Shannon exploration bonus, and the
     terminal penalty by composite trapezoid. Requires a finite feedback
     coefficient, a finite mean path and a finite, strictly positive policy
-    variance along the horizon.
+    variance along the horizon; a part these overflow raises ParameterError.
     """
     check_finite(policy)
     times = _refined_times(0.0, params.T, grid.dt, refinement)
@@ -329,15 +329,24 @@ def feedback_policy_payoff(
     m = np.asarray(mean_field_fn(times), dtype=float)
     if not np.isfinite(m).all():
         raise DomainError("mean field path must be finite on the horizon")
-    mhat, phi2 = _moment_paths(
-        params, policy.mean_coeff, policy.variance_fn, mean_field_fn, times
-    )
-    ex2 = phi2 - 2.0 * m * mhat + m * m
-    running = -0.5 * params.Q * float(np.trapezoid(ex2, times))
-    entropy = 0.5 * params.lambda_se * float(
-        np.trapezoid(np.log(2.0 * math.pi * math.e * var), times)
-    )
-    terminal = -0.5 * params.Q_bar * float(ex2[-1])
+    # inputs far from the reference scale can overflow the moments; the parts
+    # are checked below, so the error names the first one that is lost
+    with np.errstate(over="ignore", invalid="ignore"):
+        mhat, phi2 = _moment_paths(
+            params, policy.mean_coeff, policy.variance_fn, mean_field_fn, times
+        )
+        ex2 = phi2 - 2.0 * m * mhat + m * m
+        running = -0.5 * params.Q * float(np.trapezoid(ex2, times))
+        entropy = 0.5 * params.lambda_se * float(
+            np.trapezoid(np.log(2.0 * math.pi * math.e * var), times)
+        )
+        terminal = -0.5 * params.Q_bar * float(ex2[-1])
+    for name, part in dict(running_quadratic=running, entropy=entropy, terminal=terminal).items():
+        if not math.isfinite(part):
+            raise ParameterError(
+                f"the payoff's {name} is not finite for {params}: the policy, the mean path "
+                "or the game coefficients are outside the closed forms' range"
+            )
     return PayoffBreakdown(
         total=running + entropy + terminal,
         running_quadratic=running,

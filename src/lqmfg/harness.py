@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .analytic import equilibrium_policy, game_value, riccati_coefficient
 from .config import ExperimentConfig, config_to_dict
-from .learner import LearnerDivergence, RunResult
+from .learner import LearnerDivergence
 from .learner import run as learner_run
 from .params import GameParams, ParameterError, TimeGrid
 from .simulate import SIGMA_FLOOR, PolicyParams, discrete_moments, discretize_policy
@@ -79,6 +79,25 @@ class PayoffEvaluator:
         return np.abs(value - self.reference_payoff) / abs(self.reference_payoff)
 
 
+@dataclass(frozen=True)
+class LearningTrace:
+    """One arm's scored policy at every step and its mean path at every round.
+
+    ``records``: K * (I + 1) rows of ``outer``, ``inner``, ``rel_error``,
+    ``m_hat`` and ``sigma2`` (N,), a round's first row its starting policy.
+    ``mean_paths``: (K + 1, N + 1), the initial path, then the path after
+    each round; round k plays against ``mean_paths[k]``.
+    """
+
+    records: np.recarray
+    mean_paths: np.ndarray
+
+
+@dataclass(frozen=True)
+class RunResult:
+    trace: LearningTrace
+
+
 @dataclass
 class ArmResult:
     """Outcome of one temperature setting in the sweep."""
@@ -103,31 +122,33 @@ def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
 
 def run_arms(config: ExperimentConfig, arms) -> list:
     """Run (lambda_se, seed) arms of the configured game in lockstep, then
-    score each arm's whole trace in one ``rel_error`` call; the config's
-    ``seed`` and ``lambda_se_values`` are not read. ``runtime_seconds`` is
-    the shared run's time, scoring included."""
+    score each arm's policies in one ``rel_error`` call into its trace; the
+    config's ``seed`` and ``lambda_se_values`` are not read.
+    ``runtime_seconds`` is the shared run's time, scoring included."""
     grid, learner = config.grid, config.learner
     lambdas, seeds = zip(*arms)
     evaluators = [PayoffEvaluator(_arm_params(config, lam), grid, learner.sigma_floor)
                   for lam in lambdas]
-    rows = (learner.n_outer, learner.n_inner + 1)
 
     start = time.perf_counter()
     # a diverging policy overflows the kernel before the step that makes it
     # non-finite raises LearnerDivergence, and a huge but finite gain can
     # overflow its score; the error and the score name them, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        results = learner_run(config.game, grid, learner, lambdas, seeds)
-        for result, evaluator in zip(results, evaluators):
-            records, paths = result.trace.records, result.trace.mean_paths
-            records["rel_error"] = evaluator.rel_error(
-                records.m_hat.reshape(rows), records.sigma2.reshape(rows + (-1,)),
-                paths[:-1, None],
-            ).ravel()
+        steps, mean_paths = learner_run(config.game, grid, learner, lambdas, seeds)
+        errors = [evaluator.rel_error(policies[..., 0], policies[..., 1:], paths[:-1, None])
+                  for evaluator, policies, paths in zip(evaluators, steps, mean_paths)]
+        # one record per arm, round k and step i, in (k, i) order per arm
+        _, k, i = np.indices(steps.shape[:3])
+        records = np.rec.fromarrays([k, i, errors, steps[..., 0], steps[..., 1:]], dtype=[
+            ("outer", np.int64), ("inner", np.int64), ("rel_error", float),
+            ("m_hat", float), ("sigma2", float, (grid.n_steps,)),
+        ]).reshape(len(steps), -1)
     runtime = time.perf_counter() - start
     return [
-        ArmResult(lambda_se=lam, result=result, evaluator=evaluator, runtime_seconds=runtime)
-        for lam, result, evaluator in zip(lambdas, results, evaluators)
+        ArmResult(lambda_se=lam, evaluator=evaluator, runtime_seconds=runtime,
+                  result=RunResult(trace=LearningTrace(records=rows, mean_paths=paths)))
+        for lam, evaluator, rows, paths in zip(lambdas, evaluators, records, mean_paths)
     ]
 
 

@@ -182,41 +182,23 @@ class LearnerDivergence(RuntimeError):
         self.arm = arm
 
 
-@dataclass(frozen=True)
-class LearningTrace:
-    """One arm's policy at every step and its mean path at every round.
-
-    ``records``: K * (I + 1) rows of ``outer``, ``inner``, ``rel_error`` (NaN
-    until scored), ``m_hat`` and ``sigma2`` (N,), a round's first row its
-    starting policy. ``mean_paths``: (K + 1, N + 1), the initial path, then
-    the path after each round; round k plays against ``mean_paths[k]``.
-    """
-
-    records: np.recarray
-    mean_paths: np.ndarray
-
-
 def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: LearnerConfig,
-               lambdas: np.ndarray, seeds: Sequence[int], outer_index: int = 0,
-               initial: Optional[np.ndarray] = None) -> np.ndarray:
+               lambdas: np.ndarray, seeds: Sequence[int], outer_index: int,
+               initial: np.ndarray) -> np.ndarray:
     """One best-response round of a stack of arms of one game (arm j:
     temperature ``lambdas[j]``, ``seeds[j]``, ``mean_paths[j]``) against
     frozen (S, N + 1) mean paths.
 
-    Starts from the (S, 1 + N) matrix ``initial`` or ``_initial_policy`` and
-    takes ``n_inner`` gradient steps for all arms at once, each ``_BLOCK``
-    steps' draws made before them; arms with the same seed share every
-    substream, drawn once. Returns the (S, I + 1, 1 + N) block of each arm's
-    policy before every step and after the last. The first step that makes
-    any arm's policy non-finite raises its LearnerDivergence.
+    Starts from the (S, 1 + N) matrix ``initial`` and takes ``n_inner``
+    gradient steps for all arms at once, each ``_BLOCK`` steps' draws made
+    before them; arms with the same seed share every substream, drawn once.
+    Returns the (S, I + 1, 1 + N) block of each arm's policy before every
+    step and after the last. The first step that makes any arm's policy
+    non-finite raises its LearnerDivergence.
     """
     slot = {}
     owner = np.array([slot.setdefault(seed, len(slot)) for seed in seeds])
     distinct = list(slot)
-    if initial is None:
-        initial = np.array([_initial_policy(
-            grid.n_steps, rng.substream(seed, rng.INITIAL_POLICY, outer_index), cfg.sigma_floor
-        ) for seed in distinct])[owner]
     steps = np.empty((len(seeds), cfg.n_inner + 1, grid.n_steps + 1))
     steps[:, 0] = policies = initial
     # loop-invariant kernel operands, broadcast over the n perturbations and
@@ -238,48 +220,35 @@ def inner_loop(params: GameParams, grid: TimeGrid, mean_paths: np.ndarray, cfg: 
     return steps
 
 
-@dataclass(frozen=True)
-class RunResult:
-    trace: LearningTrace
-
-
 def run(params: GameParams, grid: TimeGrid, cfg: LearnerConfig, lambdas,
-        seeds: Sequence[int]) -> list:
-    """Fictitious play for a stack of arms of one game in lockstep: arm j
+        seeds: Sequence[int]) -> tuple:
+    """Fictitious play for a stack of S arms of one game in lockstep: arm j
     plays at temperature ``lambdas[j]`` (the game's own lambda_se is not
-    read) on the substreams of ``seeds[j]``, from the mean path 0. Returns
-    one RunResult per arm, bit-identical to the arm's run alone. The first
-    step, or mean-field update after a round, that makes any arm non-finite
-    stops the whole stack and raises the LearnerDivergence of the
-    lowest-index such arm.
+    read) on the substreams of ``seeds[j]``, from the mean path 0 and the
+    ``_initial_policy`` of (seeds[j], INITIAL_POLICY, 0). Returns the
+    (S, K, I + 1, 1 + N) policies before every step and after each round's
+    last, and the (S, K + 1, N + 1) mean paths, each arm's bit-identical to
+    its run alone. The first step, or mean-field update after a round, that
+    makes any arm non-finite stops the whole stack and raises the
+    LearnerDivergence of the lowest-index such arm.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    n_outer, n_rows, n = cfg.n_outer, cfg.n_inner + 1, grid.n_steps
-    steps = np.empty((len(seeds), n_outer, n_rows, n + 1))
-    mean_paths = np.zeros((len(seeds), n_outer + 1, n + 1))
-    for k in range(n_outer):
-        steps[:, k] = block = inner_loop(
-            params, grid, mean_paths[:, k], cfg, lambdas, seeds, k,
-            steps[:, k - 1, -1] if k else None,
-        )
+    n = grid.n_steps
+    steps = np.empty((len(seeds), cfg.n_outer, cfg.n_inner + 1, n + 1))
+    mean_paths = np.zeros((len(seeds), cfg.n_outer + 1, n + 1))
+    policies = np.array([_initial_policy(n, rng.substream(seed, rng.INITIAL_POLICY, 0),
+                                         cfg.sigma_floor) for seed in seeds])
+    for k in range(cfg.n_outer):
+        steps[:, k] = inner_loop(params, grid, mean_paths[:, k], cfg, lambdas, seeds, k, policies)
+        policies = steps[:, k, -1]
         # the fictitious-play update: the mean path when every agent plays
         # the policy the round ended at
         mean_paths[:, k + 1] = propagate_mean_field(
-            params, grid, block[:, -1, 0], block[:, -1, 1:], mean_paths[:, k], lambdas
+            params, grid, policies[:, 0], policies[:, 1:], mean_paths[:, k], lambdas
         )[0]
         finite = np.isfinite(mean_paths[:, k + 1]).all(axis=1)
         if not finite.all():
             # a finite but huge gain overflows the update
             j = int(finite.argmin())
-            raise LearnerDivergence(k, None, block[j, -1], arm=j)
-    dtype = [("outer", np.int64), ("inner", np.int64), ("rel_error", float),
-             ("m_hat", float), ("sigma2", float, (n,))]
-    outer, inner = np.divmod(np.arange(n_outer * n_rows), n_rows)
-    results = []
-    for arm_steps, arm_paths in zip(steps, mean_paths):
-        rows = arm_steps.reshape(-1, n + 1)
-        records = np.rec.fromarrays(
-            [outer, inner, np.full(len(rows), np.nan), rows[:, 0], rows[:, 1:]], dtype=dtype
-        )
-        results.append(RunResult(trace=LearningTrace(records=records, mean_paths=arm_paths)))
-    return results
+            raise LearnerDivergence(k, None, policies[j], arm=j)
+    return steps, mean_paths

@@ -7,6 +7,7 @@ variance integral done by cumulative trapezoid on the same nodes).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,24 @@ class TestFeedbackPolicyPayoff:
                 reference_mean_fn=constant_fn(mean),
             )
             with pytest.raises(error, match=words):
+                feedback_policy_payoff(params, pol, constant_fn(mean), grid)
+
+    @pytest.mark.parametrize("mean_coeff, variance, mean", [
+        (0.5, 0.3, 1e200),
+        (0.5, 1e308, 0.1),
+        (1e150, 0.3, 0.1),
+    ], ids=["huge_mean_path", "huge_variance", "huge_mean_coeff"])
+    def test_overflowing_moments_name_the_part(self, params, grid, mean_coeff, variance, mean):
+        # finite inputs whose moments overflow: named, not a NaN total, and
+        # no numpy warning escapes on the way
+        pol = GaussianFeedbackPolicy(
+            mean_coeff=mean_coeff,
+            variance_fn=constant_fn(variance),
+            reference_mean_fn=constant_fn(mean),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="payoff's running_quadratic is not finite"):
                 feedback_policy_payoff(params, pol, constant_fn(mean), grid)
 
     def test_error_decreases_with_refinement(self, params, grid):

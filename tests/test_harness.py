@@ -118,10 +118,15 @@ class TestReproduce:
     def test_report_shape_and_tables(self, tmp_path):
         config = tiny_config()
         report = reproduce(config, str(tmp_path / "out"))
-        rows_per_arm = config.learner.n_outer * (config.learner.n_inner + 1)
+        n_outer, n_rows = config.learner.n_outer, config.learner.n_inner + 1
         for arm in report.arms:
-            assert len(arm.result.trace.records) == rows_per_arm
-            assert np.isfinite(arm.result.trace.records[-1].rel_error)
+            records = arm.result.trace.records
+            assert len(records) == n_outer * n_rows
+            assert np.isfinite(records[-1].rel_error)
+            # rows in (k, i) order, each round's first the policy it starts from
+            np.testing.assert_array_equal(records.outer, np.repeat(np.arange(n_outer), n_rows))
+            np.testing.assert_array_equal(records.inner, np.tile(np.arange(n_rows), n_outer))
+            assert records.sigma2.shape == (n_outer * n_rows, config.grid.n_steps)
 
         out = tmp_path / "out"
         names = sorted(os.listdir(out))
@@ -131,7 +136,7 @@ class TestReproduce:
         ]
         with open(out / "learning_curve.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == rows_per_arm * len(config.lambda_se_values)
+        assert len(rows) == n_outer * n_rows * len(config.lambda_se_values)
         lambdas = {row["lambda_se"] for row in rows}
         assert len(lambdas) == len(config.lambda_se_values)
         # total iteration index is k * (I + 1) + i

@@ -35,8 +35,17 @@ def small_cfg(**overrides):
 
 
 def run_one(params, grid, cfg, seed=SEED):
-    """The learner's run of a stack of one arm."""
-    return learner_run(params, grid, cfg, [params.lambda_se], [seed])[0]
+    """The learner's run of a stack of one arm: its (K, I + 1, 1 + N)
+    policies and its (K + 1, N + 1) mean paths."""
+    steps, mean_paths = learner_run(params, grid, cfg, [params.lambda_se], [seed])
+    return steps[0], mean_paths[0]
+
+
+def first_start(grid, cfg, seed, outer_index=0):
+    """The ``_initial_policy`` row of the (seed, INITIAL_POLICY, outer_index)
+    substream."""
+    stream = rng.substream(seed, rng.INITIAL_POLICY, outer_index)
+    return _initial_policy(grid.n_steps, stream, cfg.sigma_floor)
 
 
 def vector(policy):
@@ -44,13 +53,16 @@ def vector(policy):
     return np.concatenate(([policy.m_hat], policy.sigma2))
 
 
-def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, **kwargs):
+def inner_one(params, grid, mean_field, cfg, initial=None, seed=SEED, outer_index=0):
     """One best-response round of a stack of one arm from the (1 + N) row
-    ``initial``: (final policy row, the (I + 1, 1 + N) policies before every
-    step and after the last)."""
+    ``initial``, by default the ``first_start`` of the round's substream:
+    (final policy row, the (I + 1, 1 + N) policies before every step and
+    after the last)."""
+    if initial is None:
+        initial = first_start(grid, cfg, seed, outer_index)
     steps = inner_loop(
         params, grid, mean_field[None], cfg, np.array([params.lambda_se]), [seed],
-        initial=None if initial is None else initial[None], **kwargs,
+        outer_index, initial[None],
     )
     return steps[0, -1], steps[0]
 
@@ -191,9 +203,8 @@ class TestInnerLoop:
     def test_no_steps_returns_the_initializer(self, params, grid):
         mf = np.full(grid.n_steps + 1, params.xi_mean)
         cfg = small_cfg(n_inner=0)
-        policy, records = inner_one(params, grid, mf, cfg)
-        init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
-        expected = _initial_policy(grid.n_steps, init_stream, cfg.sigma_floor)
+        expected = first_start(grid, cfg, SEED)
+        policy, records = inner_one(params, grid, mf, cfg, initial=expected.copy())
         np.testing.assert_array_equal(policy, expected)
         assert len(records) == 1
 
@@ -235,8 +246,10 @@ class TestInnerLoop:
         cfg = small_cfg(n_inner=learner._BLOCK + 3)
         lambdas, seeds = np.array([1.0, 0.0, 3.0]), [4, 9, 4]
         mean_paths = np.linspace(0.0, 0.2, 3 * (grid.n_steps + 1)).reshape(3, -1)
-        steps = inner_loop(params, grid, mean_paths, cfg, lambdas, seeds, outer_index=1)
+        initial = np.array([first_start(grid, cfg, seed, 1) for seed in seeds])
+        steps = inner_loop(params, grid, mean_paths, cfg, lambdas, seeds, 1, initial)
         assert steps.shape == (3, cfg.n_inner + 1, grid.n_steps + 1)
+        np.testing.assert_array_equal(steps[:, 0], initial)
         expected = [steps[:, 0]]
         for i in range(cfg.n_inner):
             U, x0, dW = (np.array(parts) for parts in zip(*(
@@ -279,48 +292,45 @@ class TestInnerLoop:
 class TestRun:
     def test_minimal_loop(self, params, grid):
         cfg = small_cfg(n_outer=1, n_inner=0)
-        result = run_one(params, grid, cfg)
-        last = result.trace.records[-1]
-        init_stream = rng.substream(SEED, rng.INITIAL_POLICY, 0)
-        expected = _initial_policy(grid.n_steps, init_stream, cfg.sigma_floor)
-        np.testing.assert_array_equal(vector(last), expected)
-        assert len(result.trace.records) == 1
+        steps, paths = run_one(params, grid, cfg)
+        last = steps[-1, -1]
+        np.testing.assert_array_equal(last, first_start(grid, cfg, SEED))
+        assert steps.shape == (1, 1, grid.n_steps + 1)
         mf0 = np.zeros(grid.n_steps + 1)
         np.testing.assert_array_equal(
-            result.trace.mean_paths[-1],
-            discrete_moments(params, grid, last.m_hat, last.sigma2, mf0)[0],
+            paths[-1], discrete_moments(params, grid, last[0], last[1:], mf0)[0],
         )
 
     def test_trace_shape(self, params, grid):
         cfg = small_cfg(n_outer=3, n_inner=7)
-        result = run_one(params, grid, cfg)
-        records, paths = result.trace.records, result.trace.mean_paths
-        assert len(records) == 3 * (7 + 1)
-        outers = [r.outer for r in records]
-        inners = [r.inner for r in records]
-        assert outers == sorted(outers)
-        assert inners[:8] == list(range(8))
-        assert records.sigma2.shape == (3 * 8, grid.n_steps)
+        steps, paths = run_one(params, grid, cfg)
+        assert steps.shape == (3, 7 + 1, grid.n_steps + 1)
         assert paths.shape == (3 + 1, grid.n_steps + 1)
-        # every run starts from the mean path 0
+        # every run starts from the mean path 0, and each round from the
+        # policy the one before it ended at
         np.testing.assert_array_equal(paths[0], np.zeros(grid.n_steps + 1))
-        # the learner does not score its trace
-        assert np.isnan(records.rel_error).all()
+        np.testing.assert_array_equal(steps[1:, 0], steps[:-1, -1])
 
     def test_run_is_deterministic(self, params, grid):
         cfg = small_cfg()
-        r1 = run_one(params, grid, cfg)
-        r2 = run_one(params, grid, cfg)
-        last1, last2 = r1.trace.records[-1], r2.trace.records[-1]
-        assert last1.m_hat == last2.m_hat
-        np.testing.assert_array_equal(last1.sigma2, last2.sigma2)
-        np.testing.assert_array_equal(r1.trace.mean_paths, r2.trace.mean_paths)
+        steps1, paths1 = run_one(params, grid, cfg)
+        steps2, paths2 = run_one(params, grid, cfg)
+        np.testing.assert_array_equal(steps1, steps2)
+        np.testing.assert_array_equal(paths1, paths2)
 
     def test_variances_respect_the_floor_throughout(self, params, grid):
         cfg = small_cfg(n_outer=2, n_inner=50, step_size=0.5, radius=0.05)
-        result = run_one(params, grid, cfg)
-        for record in result.trace.records:
-            assert np.all(record.sigma2 >= cfg.sigma_floor)
+        steps, _ = run_one(params, grid, cfg)
+        assert np.all(steps[..., 1:] >= cfg.sigma_floor)
+
+    def test_every_arm_starts_at_its_own_seeds_draw(self, params, grid):
+        # two seeds shared unevenly: each arm's round 0 starts at the draw of
+        # its own seed's substream, and arms on one seed start alike
+        cfg = small_cfg(n_outer=1, n_inner=2)
+        seeds = [3, 4, 3, 4, 4]
+        steps, _ = learner_run(params, grid, cfg, [0.0, 1.0, 3.0, 1.0, 3.0], seeds)
+        for arm, seed in zip(steps, seeds):
+            np.testing.assert_array_equal(arm[0, 0], first_start(grid, cfg, seed))
 
     def test_equilibrium_start_stays_at_equilibrium(self, params, grid):
         # each round starts at the discretized equilibrium policy, mean path
