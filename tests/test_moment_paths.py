@@ -2,23 +2,27 @@
 
 The reference below calls the mean path and the variance schedule at every
 RK4 stage, one time at a time, and steps the two moments node by node. The
-package samples both callables once per stage time vector and writes each
-RK4 step as the affine map y -> P y + q it is on this linear system, so the
-same arithmetic runs in another order and the last bits move. The payoff
+package samples both callables once per stage time vector, writes each
+RK4 step as the affine map y -> P y + q it is on this linear system and
+composes the maps by a prefix scan, so the same arithmetic runs in another
+order and the last bits move. The payoff
 integrates these paths by trapezoid, whose own error (about 1e-6 relative
 at the default refinement) is far above that, so the two must agree within
 1e-12 of each path's largest magnitude on every admissible game, grid and
 input shape, and raise the same ``DomainError`` for a stage time past the
-horizon.
+horizon. The scan itself, ``analytic._affine_scan``, is checked against the
+sequential recurrence it replaces.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqmfg import GameParams, TimeGrid, equilibrium_policy
-from lqmfg.analytic import _moment_paths, _refined_times, constant_fn, step_fn
+from lqmfg.analytic import _affine_scan, _moment_paths, _refined_times, constant_fn, step_fn
 from lqmfg.params import DomainError
+
+from conftest import make_params
 
 
 def _moment_paths_per_node(params, mean_coeff, variance_fn, mean_field_fn, times):
@@ -83,6 +87,16 @@ def _time_function(draw, kind, grid, lo, hi):
     return step_fn(np.array(values), grid)
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an explicit example: hands out ``values`` in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 def _run(fn, *args):
     try:
         return fn(*args)
@@ -100,6 +114,16 @@ def _run(fn, *args):
     variance_kind=st.sampled_from(["constant", "linear", "step_fn", "se", "ee"]),
     mean_kind=st.sampled_from(["constant", "linear", "step_fn"]),
     data=st.data(),
+)
+# the deepest scan (6001 nodes) against a per-step mean path, and a single map
+@example(
+    params=make_params(lambda_ce=1.0), mean_coeff=1.5, n_steps=60, refinement=100,
+    start_fraction=0.0, variance_kind="ee", mean_kind="step_fn",
+    data=_Drawn(np.linspace(-0.5, 0.5, 60).tolist()),
+)
+@example(
+    params=make_params(), mean_coeff=0.5, n_steps=1, refinement=1, start_fraction=0.0,
+    variance_kind="linear", mean_kind="linear", data=_Drawn(0.4, -0.5, 0.1, 0.8),
 )
 def test_matches_per_node_rk4(
     params, mean_coeff, n_steps, refinement, start_fraction, variance_kind, mean_kind, data
@@ -120,3 +144,37 @@ def test_matches_per_node_rk4(
     for want, got in zip(expected, actual):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
+def _affine_path(p, q, y0):
+    path = [y0]
+    for p_i, q_i in zip(p.tolist(), q.tolist()):
+        path.append(p_i * path[-1] + q_i)
+    return np.array(path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    length=st.integers(0, 7000),
+    factors=st.sampled_from(["contracting", "near_one", "growing"]),
+    seed=st.integers(0, 2**32 - 1),
+    y0=_uniform(-10.0, 10.0),
+)
+@example(length=0, factors="growing", seed=0, y0=-2.5)
+@example(length=1, factors="contracting", seed=1, y0=3.0)
+@example(length=4096, factors="near_one", seed=2, y0=-1.0)
+@example(length=6001, factors="growing", seed=3, y0=0.5)
+def test_affine_scan_matches_the_recurrence(length, factors, seed, y0):
+    # |p| <= 1, or p <= 1 + 1/length, keeps every partial product below e;
+    # forcing terms and starts take either sign
+    grow = 1.0 + 1.0 / max(length, 1)
+    lo, hi = {"contracting": (-1.0, 1.0), "near_one": (2.0 - grow, grow), "growing": (1.0, grow)}[
+        factors
+    ]
+    draws = np.random.default_rng(seed)
+    p = draws.uniform(lo, hi, length)
+    q = draws.uniform(-1.0, 1.0, length)
+    want = _affine_path(p, q, y0)
+    got = _affine_scan(p.copy(), q.copy(), y0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
