@@ -5,13 +5,13 @@ RK4 stage, one time at a time, and steps the two moments node by node. The
 package samples both callables once per stage time vector, writes each
 RK4 step as the affine map y -> P y + q it is on this linear system and
 composes the maps by a prefix scan, so the same arithmetic runs in another
-order and the last bits move. The payoff
-integrates these paths by trapezoid, whose own error (about 1e-6 relative
-at the default refinement) is far above that, so the two must agree within
-1e-12 of each path's largest magnitude on every admissible game, grid and
-input shape, and raise the same ``DomainError`` for a stage time past the
-horizon. The scan itself, ``analytic._affine_scan``, is checked against the
-sequential recurrence it replaces.
+order and the last bits move. The payoff integrates these paths by
+trapezoid, whose own error (about 1e-6 relative at the default refinement)
+is far above that, so the two must agree within 1e-12 of each path's
+largest magnitude on every admissible game, grid and input shape, and
+raise the same ``DomainError`` for a stage time past the horizon. The scan
+itself, ``analytic._affine_scan``, is checked against the sequential
+recurrence it replaces.
 """
 
 import numpy as np
