@@ -11,9 +11,11 @@ closed forms).
 
 Riccati coefficients are always evaluated from the closed form. The one
 ODE stepped here is the linear state-moment system behind the policy payoff
-(classical RK4 on the refined grid, ``_moment_paths``): each step is formed
-as one affine map, for all steps at once, and the maps are then composed by
-a log-depth prefix scan (``_affine_scan``). Integrals use composite
+(classical RK4 on the uniform refined grid, ``_moment_paths``): each step's
+affine map is written in closed form from the mean path and the variance
+schedule sampled on the nodes and the step midpoints, for all steps at
+once, and the maps are then composed by a log-depth prefix scan on their
+factors less 1 (``_affine_scan``). Integrals use composite
 trapezoid on a uniform refinement of the simulation grid (smooth
 integrands, O(h^2) error, verifiable by refinement).
 
@@ -232,81 +234,118 @@ class PayoffBreakdown:
     terminal: float
 
 
+def _uniform_step(times: np.ndarray) -> np.float64:
+    """The one step of the uniform nodes ``times``; ParameterError if they are not.
+
+    ``_refined_times``' spacings stay within 1.4 eps * max|t| of their mean
+    (eps the float64 machine epsilon); one off by more than 4 eps * max|t| is
+    not uniform.
+    """
+    n = max(len(times) - 1, 1)
+    h = (times[-1] - times[0]) / n
+    off = np.abs(np.diff(times) - h)
+    if np.any(off > 4.0 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))):
+        i = int(np.argmax(off))
+        raise ParameterError(
+            f"quadrature nodes are not uniform: step {i} is {times[i + 1] - times[i]!r}, "
+            f"not {h!r}"
+        )
+    return h
+
+
+def _rk4_growth(z: np.float64) -> np.float64:
+    """RK4's one-step factor on y' = (z/h) y, less 1: z + z^2/2 + z^3/6 + z^4/24."""
+    return z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+
 def _moment_paths(
     params: GameParams,
     mean_coeff: float,
     variance_fn: Callable,
     mean_field_fn: Callable,
     times: np.ndarray,
+    var: np.ndarray,
+    m: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and second moments of the controlled state along ``times`` (RK4).
 
     The controlled dynamics aggregate the policy's action moments, so the
-    state moments close into a linear ODE system:
+    state moments y = (mhat, phi2) close into a linear ODE y' = L(t) y + b(t):
 
-        mhat' = a * (m(t) - mhat),                      a = A + B*mean_coeff
-        phi2' = -2a*phi2 + 2a*m(t)*mhat
-                + D^2 * (mean_coeff^2 * (phi2 - 2*m(t)*mhat + m(t)^2) + var(t))
+        L = [[-a, 0], [e*m(t), c]],   b = [a*m(t), D^2*(M^2*m(t)^2 + var(t))]
 
-    Both callables must be vectorized: each is called once per stage time
-    vector (step starts, midpoints, ends). On this linear system an RK4 step
-    is an affine map y -> P y + q; the stage expressions are applied to the
-    states 0, e_mhat and e_phi2 for all steps at once, giving q and the
-    columns of P (P's upper-right entry is exactly 0: the mean equation does
-    not read phi2); two affine scans give mhat, then phi2 forced by
-    p21 * mhat + q2. This reorders the arithmetic of a step-by-step RK4 that
-    calls m and var at each stage, so each path differs from that one by
-    less than 1e-12 of its largest magnitude (at most 3.3e-13 in the tests).
+    with M = mean_coeff, a = A + B*M, c = D^2*M^2 - 2a and e = 2a - 2D^2*M^2.
+    ``times`` must be uniform nodes (``_refined_times``; else ParameterError)
+    and ``var`` and ``m`` the two callables' values on them. The callables
+    must be vectorized: each is called once more, on the step midpoints.
+
+    An RK4 step of length h is the affine map y -> P y + q with
+    P = I + (h/6)(L1+4L2+L4) + (h^2/6)(L2L1+L2^2+L4L2)
+    + (h^3/12)(L2^2L1+L4L2^2) + (h^4/24)L4L2^2L1 (L1, L2, L4 at the step's
+    start, midpoint and end) and q the same with b1, b2, b2, b1 on the right.
+    L's diagonal is constant, so P's diagonal less 1 is the RK4 polynomial of
+    -a*h and of c*h, one scalar each, and p21, q1 and q2 are sums of the node
+    and midpoint samples with scalar weights. Two affine scans give mhat, then
+    phi2 forced by p21 * mhat + q2. This reorders the arithmetic of a
+    step-by-step RK4 that calls m and var at each stage, so each path differs
+    from that one by less than 1e-12 of its largest magnitude.
     """
-    a = params.A + params.B * mean_coeff
-    D2 = params.D**2
-    M2 = mean_coeff**2
-    two_a = 2.0 * a
-    minus_two_a = -2.0 * a
+    h = _uniform_step(times)
+    # float64 throughout, so an overflow is an inf under the caller's errstate
+    # and not a Python OverflowError
+    M = np.float64(mean_coeff)
+    D2 = np.float64(params.D) ** 2
+    D2M2 = D2 * M * M
+    a = params.A + params.B * M
+    c = D2M2 - 2.0 * a
+    e = 2.0 * a - 2.0 * D2M2
+    z1, z2 = -a * h, c * h
+    s = z1 + z2
 
-    t0 = times[:-1]
-    h = times[1:] - t0
-    # a step ends at t0 + h, which can differ from times[1:] in the last bit
-    stage_times = (t0, t0 + h / 2, t0 + h)
-    ms, mm, me = (np.asarray(mean_field_fn(t), dtype=float) for t in stage_times)
-    vs, vm, ve = (np.asarray(variance_fn(t), dtype=float) for t in stage_times)
+    mid = times[:-1] + h / 2
+    mm = np.asarray(mean_field_fn(mid), dtype=float)
+    gm = D2 * (M * M * mm * mm + np.asarray(variance_fn(mid), dtype=float))
+    g = D2 * (M * M * m * m + var)  # b's second row on the nodes
+    m0, m1 = m[:-1], m[1:]
 
-    # rows: the images of the states 0, e_mhat and e_phi2 under each step
-    mh = np.array([[0.0], [1.0], [0.0]])
-    p2 = np.array([[0.0], [0.0], [1.0]])
-    half = h / 2
-    k1m = a * (ms - mh)
-    k1p = minus_two_a * p2 + two_a * ms * mh + D2 * (M2 * (p2 - 2.0 * ms * mh + ms * ms) + vs)
-    x, y = mh + half * k1m, p2 + half * k1p
-    k2m = a * (mm - x)
-    k2p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
-    x, y = mh + half * k2m, p2 + half * k2p
-    k3m = a * (mm - x)
-    k3p = minus_two_a * y + two_a * mm * x + D2 * (M2 * (y - 2.0 * mm * x + mm * mm) + vm)
-    x, y = mh + h * k3m, p2 + h * k3p
-    k4m = a * (me - x)
-    k4p = minus_two_a * y + two_a * me * x + D2 * (M2 * (y - 2.0 * me * x + me * me) + ve)
+    # the scalar weights of the start, midpoint and end samples; (h/6) *
+    # (1 + z + z^2/2 + z^3/4) weighs p21's start and q2's start at z = c*h
+    # (wc), p21's end and q1's start at z = -a*h (wa)
     sixth = h / 6
-    mh = mh + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    p2 = p2 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    q1, q2 = mh[0], p2[0]
-    mhat = _affine_scan(mh[1] - q1, q1, params.xi_mean)
-    forcing = (p2[1] - q2) * mhat[:-1] + q2
-    return mhat, _affine_scan(p2[2] - q2, forcing, params.xi_second_moment)
+    wc = sixth * (1.0 + z2 * (1.0 + z2 * (0.5 + z2 / 4)))
+    wa = sixth * (1.0 + z1 * (1.0 + z1 * (0.5 + z1 / 4)))
+    p21 = e * (wc * m0 + sixth * (4.0 + s * (2.0 + s / 2 + z1 * z2 / 4)) * mm + wa * m1)
+    q1 = a * (wa * m0 + sixth * (4.0 + z1 * (2.0 + z1 / 2)) * mm + sixth * m1)
+    # q2's products of L's lower-left entries with b's first row
+    hh = h * sixth
+    cross = mm * (
+        hh * (1.0 + s / 2 + z2 * s / 4) * m0 + hh * (1.0 + z2 / 2) * mm + hh * (1.0 + z1 / 2) * m1
+    ) + hh * (z1 * z1 / 4) * m0 * m1
+    q2 = wc * g[:-1] + sixth * (4.0 + z2 * (2.0 + z2 / 2)) * gm + sixth * g[1:]
+    q2 += e * a * cross
+
+    n = len(q1)
+    mhat = _affine_scan(np.full(n, _rk4_growth(z1)), q1, params.xi_mean)
+    forcing = p21 * mhat[:-1] + q2
+    return mhat, _affine_scan(np.full(n, _rk4_growth(z2)), forcing, params.xi_second_moment)
 
 
-def _affine_scan(p: np.ndarray, q: np.ndarray, y0: float) -> np.ndarray:
-    """The path y[0] = y0, y[i+1] = p[i] * y[i] + q[i], overwriting p and q.
+def _affine_scan(delta: np.ndarray, q: np.ndarray, y0: float) -> np.ndarray:
+    """The path y[0] = y0, y[i+1] = (1 + delta[i]) * y[i] + q[i], overwriting
+    delta and q.
 
     Hillis-Steele doubling: pass d composes each map with the one d before it,
-    by products and sums only (never a division by a cumulative product).
+    by products and sums only (never a division by a cumulative product). The
+    factors are carried as 1 + delta, so a factor near 1 keeps its low bits:
+    with 1 + delta rounded once, M equal maps would repeat one rounding M times.
     """
     d = 1
-    while d < len(p):
-        q[d:] += p[d:] * q[:-d]
-        p[d:] *= p[:-d]
+    while d < len(delta):
+        grow = 1.0 + delta[d:]
+        q[d:] += q[:-d] * grow
+        delta[d:] += delta[:-d] * grow
         d *= 2
-    return np.concatenate(([y0], p * y0 + q))
+    return np.concatenate(([y0], y0 + delta * y0 + q))
 
 
 def feedback_policy_payoff(
@@ -338,7 +377,7 @@ def feedback_policy_payoff(
     # are checked below, so the error names the first one that is lost
     with np.errstate(over="ignore", invalid="ignore"):
         mhat, phi2 = _moment_paths(
-            params, policy.mean_coeff, policy.variance_fn, mean_field_fn, times
+            params, policy.mean_coeff, policy.variance_fn, mean_field_fn, times, var, m
         )
         ex2 = phi2 - 2.0 * m * mhat + m * m
         running = -0.5 * params.Q * float(np.trapezoid(ex2, times))

@@ -6,6 +6,7 @@ value offsets by composite trapezoid on 1e6-node grids (with the nested
 variance integral done by cumulative trapezoid on the same nodes).
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -411,14 +412,20 @@ class TestFeedbackPolicyPayoff:
             with pytest.raises(error, match=words):
                 feedback_policy_payoff(params, pol, constant_fn(mean), grid)
 
-    @pytest.mark.parametrize("mean_coeff, variance, mean", [
-        (0.5, 0.3, 1e200),
-        (0.5, 1e308, 0.1),
-        (1e150, 0.3, 0.1),
-    ], ids=["huge_mean_path", "huge_variance", "huge_mean_coeff"])
-    def test_overflowing_moments_name_the_part(self, params, grid, mean_coeff, variance, mean):
-        # finite inputs whose moments overflow: named, not a NaN total, and
-        # no numpy warning escapes on the way
+    @pytest.mark.parametrize("mean_coeff, variance, mean, coefficient", [
+        (0.5, 0.3, 1e200, {}),
+        (0.5, 1e308, 0.1, {}),
+        (1e150, 0.3, 0.1, {}),
+        (0.5, 0.3, 0.1, {"A": 1e150}),
+        (0.5, 0.3, 0.1, {"B": 1e150}),
+        (0.5, 0.3, 0.1, {"D": 1e150}),
+    ], ids=["huge_mean_path", "huge_variance", "huge_mean_coeff", "huge_A", "huge_B", "huge_D"])
+    def test_overflowing_moments_name_the_part(
+        self, params, grid, mean_coeff, variance, mean, coefficient
+    ):
+        # finite inputs whose moments overflow: named, not a NaN total or a
+        # Python OverflowError, and no numpy warning escapes on the way
+        params = dataclasses.replace(params, **coefficient)
         pol = GaussianFeedbackPolicy(
             mean_coeff=mean_coeff,
             variance_fn=constant_fn(variance),
@@ -466,7 +473,9 @@ class TestClosedFormMoments:
         # a start at the constant mean path keeps the mean there
         m = params.xi_mean
         times = np.linspace(0.0, params.T, 101)
-        mhat, _ = _moment_paths(params, 0.6, constant_fn(0.3), constant_fn(m), times)
+        mhat, _ = _moment_paths(
+            params, 0.6, constant_fn(0.3), constant_fn(m), times, np.full(101, 0.3), np.full(101, m)
+        )
         np.testing.assert_allclose(mhat, m, atol=1e-10)
 
 

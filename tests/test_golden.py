@@ -219,7 +219,8 @@ def test_payoff_outputs():
         parts = np.array([out.total, out.running_quadratic, out.entropy, out.terminal])
         times = _refined_times(0.0, params.T, grid.dt, DEFAULT_REFINEMENT)
         mhat, phi2 = _moment_paths(
-            params, policy.mean_coeff, policy.variance_fn, mean_fn, times
+            params, policy.mean_coeff, policy.variance_fn, mean_fn, times,
+            policy.variance_on(times), np.asarray(mean_fn(times), dtype=float),
         )
         digest = _sha(parts.tobytes() + mhat.tobytes() + phi2.tobytes())
         assert digest == GOLDEN[f"feedback_policy_payoff[{name}]"], name

@@ -2,25 +2,36 @@
 
 The reference below calls the mean path and the variance schedule at every
 RK4 stage, one time at a time, and steps the two moments node by node. The
-package samples both callables once per stage time vector, writes each
-RK4 step as the affine map y -> P y + q it is on this linear system and
-composes the maps by a prefix scan, so the same arithmetic runs in another
-order and the last bits move. The payoff integrates these paths by
-trapezoid, whose own error (about 1e-6 relative at the default refinement)
-is far above that, so the two must agree within 1e-12 of each path's
-largest magnitude on every admissible game, grid and input shape, and
-raise the same ``DomainError`` for a stage time past the horizon. The scan
-itself, ``analytic._affine_scan``, is checked against the sequential
-recurrence it replaces.
+package samples both callables on the nodes and on the step midpoints only,
+forms each RK4 step's affine map y -> P y + q in closed form from those
+samples (P's diagonal from one scalar step) and composes the maps by a
+prefix scan, so the same arithmetic runs in another order and the last bits
+move. The payoff integrates these paths by trapezoid, whose own error (about
+1e-6 relative at the default refinement) is far above that, so the two must
+agree within 1e-12 of each path's largest magnitude on every admissible
+game, grid and input shape, the drift and stiff corners of the box included.
+
+One scalar step is exact only on uniform nodes: ``_refined_times``' nodes
+are checked to be uniform within the tolerance ``_moment_paths`` uses, and
+graded nodes are refused. The scan itself, ``analytic._affine_scan``, is
+checked against the sequential recurrence y -> (1 + delta) y + q it replaces.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqmfg import GameParams, TimeGrid, equilibrium_policy
-from lqmfg.analytic import _affine_scan, _moment_paths, _refined_times, constant_fn, step_fn
-from lqmfg.params import DomainError
+from lqmfg.analytic import (
+    _affine_scan,
+    _moment_paths,
+    _refined_times,
+    _uniform_step,
+    constant_fn,
+    step_fn,
+)
+from lqmfg.params import ParameterError
 
 from conftest import make_params
 
@@ -44,18 +55,25 @@ def _moment_paths_per_node(params, mean_coeff, variance_fn, mean_field_fn, times
     mhat[0] = params.xi_mean
     phi2[0] = params.xi_second_moment
     for i in range(n - 1):
+        # the step ends at the next node: t + h is that node bitwise wherever
+        # Sterbenz's lemma makes h exact (every step of a grid from 0), and
+        # can round past the horizon on one step from 0.3 T
         t, h = times[i], times[i + 1] - times[i]
         k1m, k1p = rhs(t, mhat[i], phi2[i])
         k2m, k2p = rhs(t + h / 2, mhat[i] + h / 2 * k1m, phi2[i] + h / 2 * k1p)
         k3m, k3p = rhs(t + h / 2, mhat[i] + h / 2 * k2m, phi2[i] + h / 2 * k2p)
-        k4m, k4p = rhs(t + h, mhat[i] + h * k3m, phi2[i] + h * k3p)
+        k4m, k4p = rhs(times[i + 1], mhat[i] + h * k3m, phi2[i] + h * k3p)
         mhat[i + 1] = mhat[i] + h / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
         phi2[i + 1] = phi2[i] + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
     return mhat, phi2
 
 
 def _uniform(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    # below 2.2e-308 a float keeps fewer than 52 bits, so no order of the
+    # arithmetic holds 1e-12 relative there: from a mean of 2.2e-311 the
+    # per-node reference ends 7 subnormal units off the exact decay (the
+    # bound allows 5), while _moment_paths ends within 1
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
 @st.composite
@@ -97,13 +115,6 @@ class _Drawn:
         return next(self.values)
 
 
-def _run(fn, *args):
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        return repr(exc)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     params=games(),
@@ -125,6 +136,18 @@ def _run(fn, *args):
     params=make_params(), mean_coeff=0.5, n_steps=1, refinement=1, start_fraction=0.0,
     variance_kind="linear", mean_kind="linear", data=_Drawn(0.4, -0.5, 0.1, 0.8),
 )
+# the drift corner: a growing second moment over 6000 equal maps, where a
+# factor P rounded once per map drifted 1.2e-12 of the path's largest magnitude
+@example(
+    params=make_params(A=0.5, B=4.0, D=3.0, T=0.05, lambda_ce=1.0), mean_coeff=2.0,
+    n_steps=60, refinement=100, start_fraction=0.0, variance_kind="ee", mean_kind="step_fn",
+    data=_Drawn(np.linspace(-0.5, 0.5, 60).tolist()),
+)
+# the stiff corner: one step of h = 1 at a = 12, c = -23
+@example(
+    params=make_params(A=4.0, B=4.0, D=0.5, T=1.0), mean_coeff=2.0, n_steps=1, refinement=1,
+    start_fraction=0.0, variance_kind="se", mean_kind="linear", data=_Drawn(0.4, -0.5),
+)
 def test_matches_per_node_rk4(
     params, mean_coeff, n_steps, refinement, start_fraction, variance_kind, mean_kind, data
 ):
@@ -136,27 +159,26 @@ def test_matches_per_node_rk4(
     mean_fn = _time_function(data.draw, mean_kind, grid, -1.0, 1.0)
     times = _refined_times(start_fraction * params.T, params.T, grid.dt, refinement)
 
-    expected = _run(_moment_paths_per_node, params, mean_coeff, variance_fn, mean_fn, times)
-    actual = _run(_moment_paths, params, mean_coeff, variance_fn, mean_fn, times)
-    if isinstance(expected, str):  # a stage time past the horizon
-        assert actual == expected
-        return
+    expected = _moment_paths_per_node(params, mean_coeff, variance_fn, mean_fn, times)
+    var = np.asarray(variance_fn(times), dtype=float)
+    m = np.asarray(mean_fn(times), dtype=float)
+    actual = _moment_paths(params, mean_coeff, variance_fn, mean_fn, times, var, m)
     for want, got in zip(expected, actual):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
 
 
-def _affine_path(p, q, y0):
+def _affine_path(delta, q, y0):
     path = [y0]
-    for p_i, q_i in zip(p.tolist(), q.tolist()):
-        path.append(p_i * path[-1] + q_i)
+    for d_i, q_i in zip(delta.tolist(), q.tolist()):
+        path.append(path[-1] + d_i * path[-1] + q_i)
     return np.array(path)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     length=st.integers(0, 7000),
-    factors=st.sampled_from(["contracting", "near_one", "growing"]),
+    factors=st.sampled_from(["contracting", "near_one", "growing", "equal"]),
     seed=st.integers(0, 2**32 - 1),
     y0=_uniform(-10.0, 10.0),
 )
@@ -164,17 +186,65 @@ def _affine_path(p, q, y0):
 @example(length=1, factors="contracting", seed=1, y0=3.0)
 @example(length=4096, factors="near_one", seed=2, y0=-1.0)
 @example(length=6001, factors="growing", seed=3, y0=0.5)
+@example(length=6000, factors="equal", seed=4, y0=1.5)
 def test_affine_scan_matches_the_recurrence(length, factors, seed, y0):
-    # |p| <= 1, or p <= 1 + 1/length, keeps every partial product below e;
-    # forcing terms and starts take either sign
-    grow = 1.0 + 1.0 / max(length, 1)
-    lo, hi = {"contracting": (-1.0, 1.0), "near_one": (2.0 - grow, grow), "growing": (1.0, grow)}[
-        factors
-    ]
+    # each map is y -> (1 + delta) y + q; |1 + delta| <= 1, or
+    # delta <= 1/length, keeps every partial product below e; "equal" repeats
+    # one map, as a constant-coefficient RK4 step does; forcing terms and
+    # starts take either sign
+    step = 1.0 / max(length, 1)
+    lo, hi = {
+        "contracting": (-2.0, 0.0), "near_one": (-step, step), "growing": (0.0, step),
+        "equal": (-step, step),
+    }[factors]
     draws = np.random.default_rng(seed)
-    p = draws.uniform(lo, hi, length)
-    q = draws.uniform(-1.0, 1.0, length)
-    want = _affine_path(p, q, y0)
-    got = _affine_scan(p.copy(), q.copy(), y0)
+    if factors == "equal":
+        delta = np.full(length, draws.uniform(lo, hi))
+        q = np.full(length, draws.uniform(-1.0, 1.0))
+    else:
+        delta = draws.uniform(lo, hi, length)
+        q = draws.uniform(-1.0, 1.0, length)
+    want = _affine_path(delta, q, y0)
+    got = _affine_scan(delta.copy(), q.copy(), y0)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    T=_uniform(1e-2, 10.0),
+    start_fraction=st.sampled_from([0.0, 0.3]),
+    n_steps=st.integers(1, 100),
+    refinement=st.sampled_from([1, 10, 100]),
+)
+@example(T=0.1, start_fraction=0.0, n_steps=100, refinement=100)
+@example(T=7.3, start_fraction=0.3, n_steps=1, refinement=1)
+def test_refined_nodes_are_uniform_and_end_each_step(T, start_fraction, n_steps, refinement):
+    # up to 10^4 steps; one scalar step h and end stages sampled on the nodes
+    # rest on two properties of the nodes
+    times = _refined_times(start_fraction * T, T, T / n_steps, refinement)
+    h = np.diff(times)
+    # Sterbenz's lemma: t[i+1] - t[i] is exact where t[i+1] <= 2 t[i], so the
+    # step ends on the next node bitwise; on a grid from 0 that is every step
+    # (a single step from 0.3 T is not covered, and can miss by one ulp)
+    exact = (times[:-1] == 0.0) | (times[1:] <= 2.0 * times[:-1])
+    assert exact.all() or start_fraction > 0.0
+    np.testing.assert_array_equal((times[:-1] + h)[exact], times[1:][exact])
+    # uniform within the tolerance _moment_paths uses
+    assert _uniform_step(times) == (times[-1] - times[0]) / (len(times) - 1)
+
+
+@pytest.mark.parametrize("nodes", [
+    np.linspace(0.0, 1.0, 101) ** 2,
+    np.concatenate((np.linspace(0.0, 0.5, 11), np.linspace(0.6, 1.0, 5))),
+    np.linspace(0.0, 0.1, 501) + np.arange(501) % 2 * 1e-15,
+], ids=["graded", "two_spacings", "jitter_1e-15"])
+def test_non_uniform_nodes_are_refused(nodes):
+    # one scalar step would silently misplace every stage of graded nodes
+    params = GameParams(
+        A=2.0, B=3.0, D=2.0, Q=3.0, Q_bar=2.0, lambda_se=1.0, lambda_ce=0.0, T=1.0,
+        xi_mean=0.1, xi_second_moment=1.0,
+    )
+    ones = np.ones_like(nodes)
+    with pytest.raises(ParameterError, match="quadrature nodes are not uniform"):
+        _moment_paths(params, 0.5, constant_fn(0.3), constant_fn(0.1), nodes, ones, ones)
