@@ -70,23 +70,27 @@ GOLDEN = {
     # far below the trapezoid's own O(h^2) error (about 1e-6 relative);
     # regenerated again when a log-depth prefix scan came to compose those
     # maps: each part moved by at most 1.6e-13 relative (entropy not at all)
-    # and each path stays within 3.3e-13 of a per-node RK4's largest magnitude
+    # and each path stays within 3.3e-13 of a per-node RK4's largest magnitude;
+    # regenerated again when each map came to be formed in closed form from
+    # the node and midpoint samples and scanned as 1 + delta: each part moved
+    # by at most 1.96e-13 relative (entropy not at all) and each path now
+    # stays within 3.4e-15 of a per-node RK4's largest magnitude
     "feedback_policy_payoff[se[5]]":
-        "dc390c8dcbb3c7842e48fe01465a755c9676178d8e2c667f760d2d9e3a0173b4",
+        "a0f3968b1d39caef6904d721299f2479e0ea86c7bcdc1dd1bcf630f5e4729633",
     "feedback_policy_payoff[ee[5]]":
-        "d099527b05f588a029bc666a55a709051d10397180126bee615f0fa11b4a2d4a",
+        "a701a7d646eb5d729899280d8daffe67a242c3bed1c0b5f4a1c239da8ba6c9eb",
     "feedback_policy_payoff[se[11]]":
-        "f5a8426e5ae22fa3b9d9469a0537989c50df28997b8315d1311ca47f94509161",
+        "a01fe2096e94ddac03b6ea8791b79150e0bee4247342e1f2a4af9fc1e3dcffdd",
     "feedback_policy_payoff[ee[11]]":
-        "268bf5504aae85b81f2a107bdf9b0f3721b11ee08302791fbf97a2073eaa3606",
+        "9cc1e6c66c6b4ccc4396a7779a7a4adf352ea00c6341c3d64ed77394ca8b960d",
     "feedback_policy_payoff[se[50]]":
-        "3fbecc9e4427aff0d5035416861fb77d884e03451bfb6498f6a1d3f8ad117aee",
+        "363bfae95cd08efc32a90e06197001bf733135d61d5163991970b3234efa9a0f",
     "feedback_policy_payoff[ee[50]]":
-        "0050a5e0de40b6539aae50079af9c0e7b197579f48f9c02ccda2d8f65d2e9890",
+        "7336a554d7f2dd8bef57d0b183c209edf2698f493b55ac603624eece06c68258",
     "feedback_policy_payoff[step_fn[7]]":
-        "e42e92eb11740cf4161bd00b9c9e4636a8326b6b606d3b2f3f372f732a2b279a",
+        "517d060eb159b746be1e1c30bd82c53af7d7cb8f381d1ac41bd25dfb5254fa89",
     "feedback_policy_payoff[linear[5]]":
-        "82fb414f0cfcefb3cccbeca53dedf2ec3c537d0d071e9075bdefec50a82cae81",
+        "33fb05725a01c9958db02207eaaa2a66cecf831fc4df77af3e51d49c22a4c512",
     "solve_equilibrium":
         "caa466c1de5819710a7b09b82ed600071ddcdcea4f3032366ef59247f001acb0",
     "simulate --dump-paths":
