@@ -241,8 +241,7 @@ def _uniform_step(times: np.ndarray) -> np.float64:
     (eps the float64 machine epsilon); one off by more than 4 eps * max|t| is
     not uniform.
     """
-    n = max(len(times) - 1, 1)
-    h = (times[-1] - times[0]) / n
+    h = (times[-1] - times[0]) / (len(times) - 1)
     off = np.abs(np.diff(times) - h)
     if np.any(off > 4.0 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))):
         i = int(np.argmax(off))

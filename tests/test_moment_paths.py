@@ -136,8 +136,8 @@ class _Drawn:
     params=make_params(), mean_coeff=0.5, n_steps=1, refinement=1, start_fraction=0.0,
     variance_kind="linear", mean_kind="linear", data=_Drawn(0.4, -0.5, 0.1, 0.8),
 )
-# the drift corner: a growing second moment over 6000 equal maps, where a
-# factor P rounded once per map drifted 1.2e-12 of the path's largest magnitude
+# the drift corner: a second moment growing by c*h = 1.6e-4 over each of 6000
+# equal maps, where a factor 1 + delta rounded once per map repeats its rounding
 @example(
     params=make_params(A=0.5, B=4.0, D=3.0, T=0.05, lambda_ce=1.0), mean_coeff=2.0,
     n_steps=60, refinement=100, start_fraction=0.0, variance_kind="ee", mean_kind="step_fn",
