@@ -237,9 +237,10 @@ class PayoffBreakdown:
 def _uniform_step(times: np.ndarray) -> np.float64:
     """The one step of the uniform nodes ``times``; ParameterError if they are not.
 
-    ``_refined_times``' spacings stay within 1.4 eps * max|t| of their mean
-    (eps the float64 machine epsilon); one off by more than 4 eps * max|t| is
-    not uniform.
+    The payoff steps its moments with this one scalar, so graded nodes are
+    refused here rather than stepped as if uniform. ``_refined_times``'
+    spacings stay within 1.4 eps * max|t| of their mean (eps the float64
+    machine epsilon); one off by more than 4 eps * max|t| is not uniform.
     """
     h = (times[-1] - times[0]) / (len(times) - 1)
     off = np.abs(np.diff(times) - h)
@@ -260,13 +261,13 @@ def _rk4_growth(z: np.float64) -> np.float64:
 def _moment_paths(
     params: GameParams,
     mean_coeff: float,
-    variance_fn: Callable,
-    mean_field_fn: Callable,
-    times: np.ndarray,
+    h: np.float64,
     var: np.ndarray,
     m: np.ndarray,
+    var_mid: np.ndarray,
+    m_mid: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First and second moments of the controlled state along ``times`` (RK4).
+    """First and second moments of the controlled state on uniform nodes (RK4).
 
     The controlled dynamics aggregate the policy's action moments, so the
     state moments y = (mhat, phi2) close into a linear ODE y' = L(t) y + b(t):
@@ -274,9 +275,9 @@ def _moment_paths(
         L = [[-a, 0], [e*m(t), c]],   b = [a*m(t), D^2*(M^2*m(t)^2 + var(t))]
 
     with M = mean_coeff, a = A + B*M, c = D^2*M^2 - 2a and e = 2a - 2D^2*M^2.
-    ``times`` must be uniform nodes (``_refined_times``; else ParameterError)
-    and ``var`` and ``m`` the two callables' values on them. The callables
-    must be vectorized: each is called once more, on the step midpoints.
+    ``var`` and ``m`` are var(t) and m(t) on nodes a step ``h`` apart (the
+    one step ``_uniform_step`` gives), ``var_mid`` and ``m_mid`` the same at
+    the step midpoints.
 
     An RK4 step of length h is the affine map y -> P y + q with
     P = I + (h/6)(L1+4L2+L4) + (h^2/6)(L2L1+L2^2+L4L2)
@@ -289,7 +290,6 @@ def _moment_paths(
     step-by-step RK4 that calls m and var at each stage, so each path differs
     from that one by less than 1e-12 of its largest magnitude.
     """
-    h = _uniform_step(times)
     # float64 throughout, so an overflow is an inf under the caller's errstate
     # and not a Python OverflowError
     M = np.float64(mean_coeff)
@@ -301,9 +301,7 @@ def _moment_paths(
     z1, z2 = -a * h, c * h
     s = z1 + z2
 
-    mid = times[:-1] + h / 2
-    mm = np.asarray(mean_field_fn(mid), dtype=float)
-    gm = D2 * (M * M * mm * mm + np.asarray(variance_fn(mid), dtype=float))
+    gm = D2 * (M * M * m_mid * m_mid + var_mid)
     g = D2 * (M * M * m * m + var)  # b's second row on the nodes
     m0, m1 = m[:-1], m[1:]
 
@@ -313,12 +311,14 @@ def _moment_paths(
     sixth = h / 6
     wc = sixth * (1.0 + z2 * (1.0 + z2 * (0.5 + z2 / 4)))
     wa = sixth * (1.0 + z1 * (1.0 + z1 * (0.5 + z1 / 4)))
-    p21 = e * (wc * m0 + sixth * (4.0 + s * (2.0 + s / 2 + z1 * z2 / 4)) * mm + wa * m1)
-    q1 = a * (wa * m0 + sixth * (4.0 + z1 * (2.0 + z1 / 2)) * mm + sixth * m1)
+    p21 = e * (wc * m0 + sixth * (4.0 + s * (2.0 + s / 2 + z1 * z2 / 4)) * m_mid + wa * m1)
+    q1 = a * (wa * m0 + sixth * (4.0 + z1 * (2.0 + z1 / 2)) * m_mid + sixth * m1)
     # q2's products of L's lower-left entries with b's first row
     hh = h * sixth
-    cross = mm * (
-        hh * (1.0 + s / 2 + z2 * s / 4) * m0 + hh * (1.0 + z2 / 2) * mm + hh * (1.0 + z1 / 2) * m1
+    cross = m_mid * (
+        hh * (1.0 + s / 2 + z2 * s / 4) * m0
+        + hh * (1.0 + z2 / 2) * m_mid
+        + hh * (1.0 + z1 / 2) * m1
     ) + hh * (z1 * z1 / 4) * m0 * m1
     q2 = wc * g[:-1] + sixth * (4.0 + z2 * (2.0 + z2 / 2)) * gm + sixth * g[1:]
     q2 += e * a * cross
@@ -366,6 +366,7 @@ def feedback_policy_payoff(
     """
     check_finite(policy)
     times = _refined_times(0.0, params.T, grid.dt, refinement)
+    h = _uniform_step(times)
     var = np.asarray(policy.variance_fn(times), dtype=float)
     if not np.all((var > 0.0) & (var < math.inf)):
         raise DomainError("policy variance must be finite and strictly positive on the horizon")
@@ -375,9 +376,10 @@ def feedback_policy_payoff(
     # inputs far from the reference scale can overflow the moments; the parts
     # are checked below, so the error names the first one that is lost
     with np.errstate(over="ignore", invalid="ignore"):
-        mhat, phi2 = _moment_paths(
-            params, policy.mean_coeff, policy.variance_fn, mean_field_fn, times, var, m
-        )
+        mid = times[:-1] + h / 2
+        var_mid = np.asarray(policy.variance_fn(mid), dtype=float)
+        m_mid = np.asarray(mean_field_fn(mid), dtype=float)
+        mhat, phi2 = _moment_paths(params, policy.mean_coeff, h, var, m, var_mid, m_mid)
         ex2 = phi2 - 2.0 * m * mhat + m * m
         running = -0.5 * params.Q * float(np.trapezoid(ex2, times))
         entropy = 0.5 * params.lambda_se * float(

@@ -474,7 +474,8 @@ class TestClosedFormMoments:
         m = params.xi_mean
         times = np.linspace(0.0, params.T, 101)
         mhat, _ = _moment_paths(
-            params, 0.6, constant_fn(0.3), constant_fn(m), times, np.full(101, 0.3), np.full(101, m)
+            params, 0.6, params.T / 100, np.full(101, 0.3), np.full(101, m), np.full(100, 0.3),
+            np.full(100, m),
         )
         np.testing.assert_allclose(mhat, m, atol=1e-10)
 

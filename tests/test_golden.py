@@ -36,12 +36,13 @@ from lqmfg import (
     solve_equilibrium,
 )
 from lqmfg import harness, rng
-from lqmfg.analytic import DEFAULT_REFINEMENT, _moment_paths, _refined_times, step_fn
+from lqmfg.analytic import DEFAULT_REFINEMENT, _refined_times, step_fn
 from lqmfg.cli import main
 from lqmfg.config import config_from_dict, config_to_dict, default_config, save_config
 from lqmfg.learner import _draw_block
 
 from conftest import make_params
+from test_moment_paths import sampled_moment_paths
 
 GOLDEN = {
     # regenerated when trace rows came to be scored by the exact expected
@@ -222,9 +223,8 @@ def test_payoff_outputs():
         out = feedback_policy_payoff(params, policy, mean_fn, grid)
         parts = np.array([out.total, out.running_quadratic, out.entropy, out.terminal])
         times = _refined_times(0.0, params.T, grid.dt, DEFAULT_REFINEMENT)
-        mhat, phi2 = _moment_paths(
-            params, policy.mean_coeff, policy.variance_fn, mean_fn, times,
-            policy.variance_on(times), np.asarray(mean_fn(times), dtype=float),
+        mhat, phi2 = sampled_moment_paths(
+            params, policy.mean_coeff, policy.variance_fn, mean_fn, times
         )
         digest = _sha(parts.tobytes() + mhat.tobytes() + phi2.tobytes())
         assert digest == GOLDEN[f"feedback_policy_payoff[{name}]"], name

@@ -12,9 +12,11 @@ agree within 1e-12 of each path's largest magnitude on every admissible
 game, grid and input shape, the drift and stiff corners of the box included.
 
 One scalar step is exact only on uniform nodes: ``_refined_times``' nodes
-are checked to be uniform within the tolerance ``_moment_paths`` uses, and
-graded nodes are refused. The scan itself, ``analytic._affine_scan``, is
-checked against the sequential recurrence y -> (1 + delta) y + q it replaces.
+are checked to be uniform within the tolerance of ``_uniform_step``, which
+gives the payoff its step, and the payoff refuses graded nodes. The scan
+itself, ``analytic._affine_scan``, is checked against the sequential
+recurrence y -> (1 + delta) y + q it replaces and, on equal maps, within
+1e-14 of their closed form, which a scan on P = fl(1 + delta) misses.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lqmfg import GameParams, TimeGrid, equilibrium_policy
+from lqmfg import GameParams, TimeGrid, analytic, equilibrium_policy, feedback_policy_payoff
 from lqmfg.analytic import (
     _affine_scan,
     _moment_paths,
@@ -69,40 +71,55 @@ def _moment_paths_per_node(params, mean_coeff, variance_fn, mean_field_fn, times
 
 
 def _uniform(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _normal(lo, hi):
     # below 2.2e-308 a float keeps fewer than 52 bits, so no order of the
-    # arithmetic holds 1e-12 relative there: from a mean of 2.2e-311 the
-    # per-node reference ends 7 subnormal units off the exact decay (the
-    # bound allows 5), while _moment_paths ends within 1
+    # arithmetic holds 1e-12 relative there: from a mean of 2.2e-311 on a zero
+    # mean path the per-node reference ends 51 subnormal units off the exact
+    # RK4 (the bound allows 4), while _moment_paths ends within 1
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
 @st.composite
-def games(draw):
+def games(draw, floats=_uniform):
     """Admissible games over the ranges of ``conftest.random_params``."""
-    xi_mean = draw(_uniform(-1.0, 1.0))
+    xi_mean = draw(floats(-1.0, 1.0))
     return GameParams(
-        A=draw(_uniform(0.5, 4.0)),
-        B=draw(_uniform(0.5, 4.0)),
-        D=draw(_uniform(0.5, 3.0)),
-        Q=draw(_uniform(0.5, 5.0)),
-        Q_bar=draw(_uniform(0.5, 5.0)),
-        lambda_se=draw(_uniform(0.2, 3.0)),
-        lambda_ce=draw(_uniform(0.0, 3.0)),
-        T=draw(_uniform(0.05, 1.0)),
+        A=draw(floats(0.5, 4.0)),
+        B=draw(floats(0.5, 4.0)),
+        D=draw(floats(0.5, 3.0)),
+        Q=draw(floats(0.5, 5.0)),
+        Q_bar=draw(floats(0.5, 5.0)),
+        lambda_se=draw(floats(0.2, 3.0)),
+        lambda_ce=draw(floats(0.0, 3.0)),
+        T=draw(floats(0.05, 1.0)),
         xi_mean=xi_mean,
-        xi_second_moment=xi_mean**2 + draw(_uniform(0.0, 2.0)),
+        xi_second_moment=xi_mean**2 + draw(floats(0.0, 2.0)),
     )
 
 
 def _time_function(draw, kind, grid, lo, hi):
     if kind == "constant":
-        return constant_fn(draw(_uniform(lo, hi)))
+        return constant_fn(draw(_normal(lo, hi)))
     if kind == "linear":
-        c0 = draw(_uniform(lo, hi))
-        c1 = draw(_uniform(-1.0, 1.0))
+        c0 = draw(_normal(lo, hi))
+        c1 = draw(_normal(-1.0, 1.0))
         return lambda t: c0 + c1 * np.asarray(t)
-    values = draw(st.lists(_uniform(lo, hi), min_size=grid.n_steps, max_size=grid.n_steps))
+    values = draw(st.lists(_normal(lo, hi), min_size=grid.n_steps, max_size=grid.n_steps))
     return step_fn(np.array(values), grid)
+
+
+def sampled_moment_paths(params, mean_coeff, variance_fn, mean_field_fn, times):
+    """``_moment_paths`` on ``times`` with the samples the payoff passes it."""
+    h = _uniform_step(times)
+    mid = times[:-1] + h / 2
+    return _moment_paths(
+        params, mean_coeff, h,
+        np.asarray(variance_fn(times), dtype=float), np.asarray(mean_field_fn(times), dtype=float),
+        np.asarray(variance_fn(mid), dtype=float), np.asarray(mean_field_fn(mid), dtype=float),
+    )
 
 
 class _Drawn:
@@ -117,8 +134,8 @@ class _Drawn:
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    params=games(),
-    mean_coeff=_uniform(0.0, 2.0),
+    params=games(_normal),
+    mean_coeff=_normal(0.0, 2.0),
     n_steps=st.integers(1, 60),
     refinement=st.sampled_from([1, 10, 100]),
     start_fraction=st.sampled_from([0.0, 0.3]),
@@ -160,9 +177,7 @@ def test_matches_per_node_rk4(
     times = _refined_times(start_fraction * params.T, params.T, grid.dt, refinement)
 
     expected = _moment_paths_per_node(params, mean_coeff, variance_fn, mean_fn, times)
-    var = np.asarray(variance_fn(times), dtype=float)
-    m = np.asarray(mean_fn(times), dtype=float)
-    actual = _moment_paths(params, mean_coeff, variance_fn, mean_fn, times, var, m)
+    actual = sampled_moment_paths(params, mean_coeff, variance_fn, mean_fn, times)
     for want, got in zip(expected, actual):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
@@ -212,6 +227,28 @@ def test_affine_scan_matches_the_recurrence(length, factors, seed, y0):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
+    length=st.integers(1, 7000),
+    rate=st.one_of(st.floats(-0.9, -1e-6), st.floats(1e-6, 1.0)),
+    q=_uniform(-1.0, 1.0),
+    y0=_uniform(-10.0, 10.0),
+)
+# the drift corner's second-moment map: c*h = 1.6e-4 on each of 6000 steps
+@example(length=6000, rate=0.96, q=0.3, y0=1.5)
+def test_affine_scan_keeps_equal_maps_within_a_few_ulps(length, rate, q, y0):
+    # length equal maps y -> (1 + delta) y + q against their closed form
+    # y0 (1 + delta)^k + q ((1 + delta)^k - 1) / delta, taken from log1p and
+    # expm1 so that 1 + delta is never rounded; a scan on P = fl(1 + delta)
+    # repeats that one rounding length times (3.5e-13 at the example), where
+    # the 1 + delta scan stays below 2e-15
+    delta = rate / length
+    growth = np.expm1(np.arange(length + 1) * np.log1p(delta))
+    want = y0 + growth * y0 + q * growth / delta
+    got = _affine_scan(np.full(length, delta), np.full(length, q), y0)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
     T=_uniform(1e-2, 10.0),
     start_fraction=st.sampled_from([0.0, 0.3]),
     n_steps=st.integers(1, 100),
@@ -230,7 +267,7 @@ def test_refined_nodes_are_uniform_and_end_each_step(T, start_fraction, n_steps,
     exact = (times[:-1] == 0.0) | (times[1:] <= 2.0 * times[:-1])
     assert exact.all() or start_fraction > 0.0
     np.testing.assert_array_equal((times[:-1] + h)[exact], times[1:][exact])
-    # uniform within the tolerance _moment_paths uses
+    # uniform within the tolerance the payoff's _uniform_step uses
     assert _uniform_step(times) == (times[-1] - times[0]) / (len(times) - 1)
 
 
@@ -239,12 +276,12 @@ def test_refined_nodes_are_uniform_and_end_each_step(T, start_fraction, n_steps,
     np.concatenate((np.linspace(0.0, 0.5, 11), np.linspace(0.6, 1.0, 5))),
     np.linspace(0.0, 0.1, 501) + np.arange(501) % 2 * 1e-15,
 ], ids=["graded", "two_spacings", "jitter_1e-15"])
-def test_non_uniform_nodes_are_refused(nodes):
-    # one scalar step would silently misplace every stage of graded nodes
-    params = GameParams(
-        A=2.0, B=3.0, D=2.0, Q=3.0, Q_bar=2.0, lambda_se=1.0, lambda_ce=0.0, T=1.0,
-        xi_mean=0.1, xi_second_moment=1.0,
-    )
-    ones = np.ones_like(nodes)
+def test_non_uniform_nodes_are_refused(monkeypatch, nodes):
+    # the payoff steps its moments with one scalar step, which would silently
+    # misplace every stage of graded nodes
+    monkeypatch.setattr(analytic, "_refined_times", lambda *args: nodes)
+    params = make_params(T=1.0)
     with pytest.raises(ParameterError, match="quadrature nodes are not uniform"):
-        _moment_paths(params, 0.5, constant_fn(0.3), constant_fn(0.1), nodes, ones, ones)
+        feedback_policy_payoff(
+            params, equilibrium_policy(params), constant_fn(0.1), TimeGrid.from_horizon(1.0, 5)
+        )
