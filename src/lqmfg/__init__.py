@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .analytic import (
     GaussianFeedbackPolicy,
     equilibrium_policy,
-    equilibrium_state_rates,
     feedback_policy_payoff,
     game_value,
     riccati_coefficient,
@@ -44,7 +43,6 @@ __all__ = [
     "discrete_moments",
     "discretize_policy",
     "equilibrium_policy",
-    "equilibrium_state_rates",
     "estimate_gradient",
     "feedback_policy_payoff",
     "game_value",

@@ -6,18 +6,19 @@ Two game variants are supported, selected by the ``game`` argument:
 * ``"ee"``: enhanced exploration (additional cross-exploration bonus at
   temperature lambda_ce). ``lambda_ce == 0`` reduces "ee" to "se" exactly.
 
-Everything here is a pure function of its inputs (the README lists the
-closed forms).
-
-Riccati coefficients are always evaluated from the closed form. The one
-ODE stepped here is the linear state-moment system behind the policy payoff
-(classical RK4 on the uniform refined grid, ``_moment_paths``): each step's
-affine map is written in closed form from the mean path and the variance
-schedule sampled on the nodes and the step midpoints, for all steps at
-once, and the maps are then composed by a log-depth prefix scan on their
-factors less 1 (``_affine_scan``). Integrals use composite
-trapezoid on a uniform refinement of the simulation grid (smooth
-integrands, O(h^2) error, verifiable by refinement).
+The variants differ only in their total temperature and its ratio to
+lambda_se (``_temperatures``). Everything here is a pure function of its
+inputs (the README lists the closed forms). Riccati coefficients are always
+evaluated from the closed form, by ``riccati_coefficient``, the one check
+that a time lies on the horizon [0, T]. The one ODE stepped here is the
+linear state-moment system behind the policy payoff (classical RK4 on the
+uniform refined grid, ``_moment_paths``): each step's affine map is written
+in closed form from the mean path and the variance schedule sampled on the
+nodes and the step midpoints, for all steps at once, and the maps are then
+composed by a log-depth prefix scan on their factors less 1
+(``_affine_scan``). Integrals use composite trapezoid on a uniform
+refinement of the simulation grid (smooth integrands, O(h^2) error,
+verifiable by refinement).
 
 The value offsets and the equilibrium state variance share one pass over
 the refined nodes (``_equilibrium_integrals``): backward cumulative
@@ -41,27 +42,20 @@ GAMES = ("se", "ee")
 DEFAULT_REFINEMENT = 100
 
 
-def _check_game(game: str) -> None:
+def _temperatures(params: GameParams, game: str) -> tuple[float, float]:
+    """Total exploration temperature of the variant and its ratio to lambda_se."""
     if game not in GAMES:
         raise ParameterError(f"game must be one of {GAMES}, got {game!r}")
-
-
-def temperature(params: GameParams, game: str) -> float:
-    """Total exploration temperature of the variant."""
-    _check_game(game)
-    return params.lambda_se + (params.lambda_ce if game == "ee" else 0.0)
-
-
-def _temperature_ratio(params: GameParams, game: str) -> float:
     if game == "se":
-        return 1.0
+        return params.lambda_se, 1.0
     params.require_positive_temperature()
-    return temperature(params, game) / params.lambda_se
+    lam = params.lambda_se + params.lambda_ce
+    return lam, lam / params.lambda_se
 
 
 def decay_rate(params: GameParams, game: str) -> float:
     """Rate of the linear backward ODE solved by the value curvature."""
-    ratio = _temperature_ratio(params, game)
+    _, ratio = _temperatures(params, game)
     return 2.0 * params.A + params.B**2 / params.D**2 * ratio
 
 
@@ -70,10 +64,13 @@ def riccati_coefficient(params: GameParams, t, game: str = "se"):
 
     Solves eta' = rho * eta - Q backward from eta(T) = Q_bar, where rho is
     ``decay_rate``. Strictly positive on [0, T]; accepts scalar or array t.
+    The one horizon check: a DomainError names the first time outside it.
     """
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr <= params.T)):  # NaN fails both
-        raise DomainError(f"time outside the horizon [0, {params.T}]")
+    inside = (t_arr >= 0.0) & (t_arr <= params.T)  # NaN fails both
+    if not inside.all():
+        first = float(t_arr.flat[np.argmin(inside)])
+        raise DomainError(f"time {first!r} outside the horizon [0, {params.T}]")
     rho = decay_rate(params, game)
     decay = np.exp(-rho * (params.T - t_arr))
     out = params.Q_bar * decay + (params.Q / rho) * (1.0 - decay)
@@ -85,25 +82,17 @@ def _refined_times(t0: float, t1: float, base_dt: float, refinement: int) -> np.
     span = t1 - t0
     if span <= 0.0:
         return np.array([t0])
-    n = max(1, math.ceil(span / base_dt - 1e-12) * refinement)
+    # a relative tolerance: T/dt can land an ulp above n_steps from ~18 000 steps
+    n = max(1, math.ceil(span / base_dt * (1.0 - 1e-12)) * refinement)
     return np.linspace(t0, t1, n + 1)
 
 
-def equilibrium_state_rates(params: GameParams, game: str) -> tuple[float, float]:
-    """Linear rates (drift_rate, variance_feedback_rate) of the equilibrium state.
-
-    The equilibrium state follows a linear SDE whose variance obeys
-    var' = (2*drift_rate + variance_feedback_rate) * var + source; the drift
-    rate is negative (mean reversion), the feedback rate positive.
-
-    The drift rate is A plus the control gain B times the policy's feedback
-    coefficient ratio*B/D^2, i.e. -(A + ratio * B^2/D^2). Only the control
-    part is amplified by the temperature ratio; an alternative form scaling
-    the whole sum by the ratio disagrees with simulation of the equilibrium
-    dynamics whenever the cross temperature is positive (19 sigma at
-    lambda_se = lambda_ce = 1 with 2e5 paths) and is not used.
-    """
-    ratio = _temperature_ratio(params, game)
+def _state_rates(params: GameParams, ratio: float) -> tuple[float, float]:
+    """Drift rate and variance feedback rate of the equilibrium state, whose
+    variance obeys var' = (2*drift_rate + feedback) * var + source. Only the
+    control part of the drift carries the temperature ratio: scaling the whole
+    drift by it is 19 sigma off in simulation (lambda_se = lambda_ce = 1, 2e5
+    paths)."""
     drift_rate = -(params.A + ratio * params.B**2 / params.D**2)
     variance_feedback = (params.B / params.D * ratio) ** 2
     return drift_rate, variance_feedback
@@ -115,8 +104,7 @@ def _equilibrium_integrals(
     """Value offsets (integrated up to times[-1], the horizon T) and the
     equilibrium state variance (started at times[0]) at every node."""
     params.require_positive_temperature()
-    _check_game(game)
-    lam = temperature(params, game)
+    lam, ratio = _temperatures(params, game)
     eta = riccati_coefficient(params, times, game)
     h = np.diff(times)
 
@@ -126,7 +114,7 @@ def _equilibrium_integrals(
     def tail(f):  # \int_{times[i]}^{times[-1]} f
         return np.concatenate((np.cumsum((0.5 * (f[1:] + f[:-1]) * h)[::-1])[::-1], [0.0]))
 
-    drift_rate, feedback = equilibrium_state_rates(params, game)
+    drift_rate, feedback = _state_rates(params, ratio)
     rate = 2.0 * drift_rate + feedback
     rel = times - times[0]
     grow, shrink = np.exp(rate * rel), np.exp(-rate * rel)
@@ -183,16 +171,11 @@ class GaussianFeedbackPolicy:
     variance_fn: Callable
     reference_mean_fn: Callable
 
-    def variance_on(self, times) -> np.ndarray:
-        return np.asarray(self.variance_fn(np.asarray(times, dtype=float)), dtype=float)
-
 
 def equilibrium_policy(params: GameParams, game: str = "se") -> GaussianFeedbackPolicy:
     """Equilibrium Gaussian feedback policy of the chosen game variant."""
     params.require_positive_temperature()
-    _check_game(game)
-    ratio = _temperature_ratio(params, game)
-    lam = temperature(params, game)
+    lam, ratio = _temperatures(params, game)
     mean_coeff = ratio * params.B / params.D**2
 
     def variance_fn(t):
@@ -217,8 +200,7 @@ def game_value(
     Averaging the quadratic value ansatz over the initial state gives
     -eta(t)/2 * Var[xi] + gamma(t).
     """
-    params.check_time(t)
-    eta_t = riccati_coefficient(params, t, game)
+    eta_t = riccati_coefficient(params, t, game)  # checks t is on the horizon
     times = _refined_times(t, params.T, grid.dt, refinement)
     offsets, _ = _equilibrium_integrals(params, game, times)
     return -0.5 * eta_t * params.xi_var + float(offsets[0])
@@ -423,23 +405,23 @@ def solve_equilibrium(
 ) -> EquilibriumSolution:
     """Evaluate every closed-form equilibrium object on the grid, in one pass."""
     times = grid.times()
-    params.check_time(float(times[-1]))
-    fine = _refined_times(0.0, params.T, grid.dt, refinement)
-    # the grid times are every refinement-th node only if the grid spans [0, T]
-    if len(fine) != grid.n_steps * refinement + 1:
-        raise ParameterError(f"grid of {grid.n_steps} steps does not span [0, {params.T}]")
     # coefficients far from the reference scale can overflow; the columns
     # are checked below, so the error names the first one that is lost
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        riccati = riccati_coefficient(params, times, game)  # a grid past T fails here
+        fine = _refined_times(0.0, params.T, grid.dt, refinement)
+        # the grid times are every refinement-th node only if the grid spans [0, T]
+        if len(fine) != grid.n_steps * refinement + 1:
+            raise ParameterError(f"grid of {grid.n_steps} steps does not span [0, {params.T}]")
         offsets, variance = _equilibrium_integrals(params, game, fine)
         policy = equilibrium_policy(params, game)
         solution = EquilibriumSolution(
             game=game,
             times=times,
-            riccati=riccati_coefficient(params, times, game),
+            riccati=riccati,
             value_offset=offsets[::refinement],
             policy=policy,
-            policy_variance=policy.variance_on(times),
+            policy_variance=policy.variance_fn(times),
             game_value=-0.5 * riccati_coefficient(params, 0.0, game) * params.xi_var
             + float(offsets[0]),
             m_star=params.xi_mean,

@@ -109,10 +109,6 @@ class GameParams:
                 "(a zero temperature concentrates the action law to a point mass)"
             )
 
-    def check_time(self, t: float) -> None:
-        if not 0.0 <= t <= self.T:
-            raise DomainError(f"time {t!r} outside the horizon [0, {self.T}]")
-
 
 # Reference model coefficients used by the built-in experiment configuration.
 REFERENCE_MODEL = dict(

@@ -72,7 +72,7 @@ def discretize_policy(policy: GaussianFeedbackPolicy, grid: TimeGrid) -> PolicyP
     the keys instead of numpy warnings.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sigma2 = policy.variance_on(grid.step_times())
+        sigma2 = np.asarray(policy.variance_fn(grid.step_times()), dtype=float)
     if not (np.isfinite(sigma2).all() and (sigma2 > 0.0).all()):
         raise ParameterError(
             "game: the policy variances lambda_se / (D^2 * riccati) on the grid are not "

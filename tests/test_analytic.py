@@ -20,7 +20,6 @@ from lqmfg import (
     TimeGrid,
     discretize_policy,
     equilibrium_policy,
-    equilibrium_state_rates,
     feedback_policy_payoff,
     game_value,
     riccati_coefficient,
@@ -28,7 +27,14 @@ from lqmfg import (
     solve_equilibrium,
 )
 from lqmfg import rng
-from lqmfg.analytic import _moment_paths, constant_fn, decay_rate, step_fn
+from lqmfg.analytic import (
+    _moment_paths,
+    _refined_times,
+    _state_rates,
+    constant_fn,
+    decay_rate,
+    step_fn,
+)
 
 from conftest import make_params, mc_reward, random_params
 
@@ -91,7 +97,7 @@ def fine_trapezoid_offset_oracle(params, game, n_nodes=1_000_001):
 GAMMA_SE_0_ORACLE = -0.0008433335587270142
 # Nested-quadrature oracle for the enhanced offset, lambda_se=lambda_ce=1,
 # initial variance 0.99 (with the derivation-consistent mean-reversion
-# constant -(A + ratio * B^2/D^2); see equilibrium_state_rates).
+# constant -(A + ratio * B^2/D^2); see _state_rates).
 GAMMA_EE_0_ORACLE = 0.3654038340884465
 # Composition of the two oracles above: -(eta_0/2) * 0.99 + gamma_0.
 GAME_VALUE_SE_ORACLE = -0.6411740323764152
@@ -125,6 +131,15 @@ class TestRiccatiCoefficient:
             riccati_coefficient(params, math.nan, "se")
         with pytest.raises(DomainError):
             riccati_coefficient(params, np.array([0.0, math.nan]), "ee")
+
+    def test_domain_error_names_the_first_time_outside(self, params):
+        with pytest.raises(DomainError, match=r"^time 0\.2 outside the horizon \[0, 0\.1\]$"):
+            riccati_coefficient(params, [0.05, 0.2, -1.0])
+        with pytest.raises(DomainError, match=r"^time nan outside the horizon"):
+            riccati_coefficient(params, np.array([0.0, math.nan]), "ee")
+        # a numpy scalar is named as a plain float, not as np.float64(...)
+        with pytest.raises(DomainError, match=r"^time -0\.5 outside"):
+            game_value(params, "se", np.float64(-0.5), TimeGrid.from_horizon(params.T, 5))
 
     def test_enhanced_reduces_to_shannon_without_cross_temperature(self, params):
         ts = np.linspace(0, params.T, 11)
@@ -198,7 +213,7 @@ class TestEquilibriumPolicy:
     def test_variance_decreasing_when_running_weight_small(self, params, grid):
         # Q / rate < Q_bar makes the curvature increase, so variance decreases
         assert params.Q / decay_rate(params, "se") < params.Q_bar
-        var = equilibrium_policy(params, "se").variance_on(np.linspace(0, params.T, 30))
+        var = equilibrium_policy(params, "se").variance_fn(np.linspace(0, params.T, 30))
         assert np.all(np.diff(var) < 0)
 
     def test_enhanced_reduces_to_shannon(self, params):
@@ -206,7 +221,7 @@ class TestEquilibriumPolicy:
         ee = equilibrium_policy(params, "ee")
         assert ee.mean_coeff == se.mean_coeff
         ts = np.linspace(0, params.T, 9)
-        np.testing.assert_array_equal(ee.variance_on(ts), se.variance_on(ts))
+        np.testing.assert_array_equal(ee.variance_fn(ts), se.variance_fn(ts))
         np.testing.assert_array_equal(ee.reference_mean_fn(ts), se.reference_mean_fn(ts))
 
     def test_enhanced_gain(self):
@@ -228,7 +243,7 @@ class TestEquilibriumPolicy:
 
 class TestEquilibriumStateRates:
     def test_reference_values(self, params):
-        drift, feedback = equilibrium_state_rates(params, "ee")
+        drift, feedback = _state_rates(params, 1.0)  # lambda_ce = 0: ratio 1
         assert drift == pytest.approx(-4.25, rel=1e-14)
         assert feedback == pytest.approx(2.25, rel=1e-14)
 
@@ -236,7 +251,7 @@ class TestEquilibriumStateRates:
         gen = np.random.default_rng(1)
         for _ in range(30):
             p = random_params(gen)
-            drift, feedback = equilibrium_state_rates(p, "ee")
+            drift, feedback = _state_rates(p, (p.lambda_se + p.lambda_ce) / p.lambda_se)
             assert drift < 0
             assert feedback > 0
 
@@ -510,3 +525,11 @@ class TestSolveEquilibrium:
         # before T has no nodes to read them from
         with pytest.raises(ParameterError, match="does not span"):
             solve_equilibrium(params, "se", TimeGrid(n_steps=5, dt=0.01))
+
+    def test_fine_grid_counts_its_own_steps(self, params):
+        # T/dt lands an ulp above n_steps here; an absolute tolerance on the
+        # step count added a step and refused the grid as not spanning [0, T]
+        grid = TimeGrid.from_horizon(params.T, 20826)
+        assert len(_refined_times(0.0, params.T, grid.dt, 1)) == 20827
+        sol = solve_equilibrium(params, "se", grid, refinement=1)
+        assert sol.state_variance.shape == (20827,)

@@ -74,6 +74,18 @@ class TestSolve:
         assert code == EXIT_OK
         assert "policy_gain 1.5" in out
 
+    def test_grid_past_the_horizon_names_the_time(self, capsys):
+        # 11 * (0.1 / 11) ends one ulp above T
+        code, out, err = run_cli(capsys, "solve", "--set", "grid.n_steps=11")
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "error: time 0.10000000000000002 outside the horizon [0, 0.1]\n"
+
+    def test_fine_grid_spans_the_horizon(self, capsys):
+        # 20826 * (0.1 / 20826) lands an ulp above T's step count, not a step
+        code, out, err = run_cli(capsys, "solve", "--set", "grid.n_steps=20826")
+        assert code == EXIT_OK, err
+        assert len(out.splitlines()) == 5 + 20827
+
     def test_invalid_parameter_is_a_config_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--set", "game.A=-1")
         assert code == EXIT_CONFIG

@@ -15,7 +15,6 @@ PUBLIC = [
     "discrete_moments",
     "discretize_policy",
     "equilibrium_policy",
-    "equilibrium_state_rates",
     "estimate_gradient",
     "feedback_policy_payoff",
     "game_value",

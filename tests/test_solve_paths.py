@@ -20,13 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lqmfg import TimeGrid, equilibrium_policy, feedback_policy_payoff, solve_equilibrium
-from lqmfg.analytic import (
-    _check_game,
-    _refined_times,
-    equilibrium_state_rates,
-    riccati_coefficient,
-    temperature,
-)
+from lqmfg.analytic import _refined_times, riccati_coefficient
 from lqmfg.params import DomainError
 
 from test_moment_paths import games
@@ -37,9 +31,15 @@ import oracle  # noqa: E402
 import workloads  # noqa: E402
 
 
+def _temperature(params, game):
+    return params.lambda_se + (params.lambda_ce if game == "ee" else 0.0)
+
+
 def _state_variance_path(params, times, start_time, game):
-    lam = temperature(params, game)
-    drift_rate, feedback = equilibrium_state_rates(params, game)
+    lam = _temperature(params, game)
+    ratio = lam / params.lambda_se
+    drift_rate = -(params.A + ratio * params.B**2 / params.D**2)
+    feedback = (params.B / params.D * ratio) ** 2
     rate = 2.0 * drift_rate + feedback
     eta = riccati_coefficient(params, times, game)
     rel = times - start_time
@@ -51,12 +51,9 @@ def _state_variance_path(params, times, start_time, game):
 
 
 def _value_offset(params, t, grid, game, refinement):
-    params.check_time(t)
-    params.require_positive_temperature()
-    _check_game(game)
     if t == params.T:
         return 0.0
-    lam = temperature(params, game)
+    lam = _temperature(params, game)
     zs = _refined_times(t, params.T, grid.dt, refinement)
     eta = riccati_coefficient(params, zs, game)
     out = (lam / 2.0) * math.log(2.0 * math.pi * lam / params.D**2) * (params.T - t)
@@ -69,10 +66,7 @@ def _value_offset(params, t, grid, game, refinement):
 
 
 def _equilibrium_state_variance(params, s, grid, game, start_time, refinement):
-    params.require_positive_temperature()
-    _check_game(game)
-    params.check_time(start_time)
-    if not start_time <= s <= params.T:
+    if not 0.0 <= start_time <= s <= params.T:
         raise DomainError(f"time {s!r} outside [{start_time}, {params.T}]")
     times = _refined_times(start_time, s, grid.dt, refinement)
     return float(_state_variance_path(params, times, start_time, game)[-1])
@@ -124,7 +118,7 @@ def test_one_pass_matches_per_grid_time_solve(params, game, n_steps, refinement)
     times = grid.times()
     assert sol.riccati.tobytes() == riccati_coefficient(params, times, game).tobytes()
     policy = equilibrium_policy(params, game)
-    assert sol.policy_variance.tobytes() == policy.variance_on(times).tobytes()
+    assert sol.policy_variance.tobytes() == policy.variance_fn(times).tobytes()
     # offsets vanish at T and can cross zero: compare on the column's scale
     assert _within(sol.value_offset, offsets, tol, np.abs(offsets).max())
     assert _within(sol.state_variance, var_path, tol, np.abs(var_path))
