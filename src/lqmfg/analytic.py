@@ -15,7 +15,7 @@ linear state-moment system behind the policy payoff (classical RK4 on the
 uniform refined grid, ``_moment_paths``): each step's affine map is written
 in closed form from the mean path and the variance schedule sampled on the
 nodes and the step midpoints, for all steps at once, and the maps are then
-composed by a log-depth prefix scan on their factors less 1
+composed by a log-depth prefix scan on their one factor less 1
 (``_affine_scan``). Integrals use composite trapezoid on a uniform
 refinement of the simulation grid (smooth integrands, O(h^2) error,
 verifiable by refinement).
@@ -79,6 +79,8 @@ def riccati_coefficient(params: GameParams, t, game: str = "se"):
 
 def _refined_times(t0: float, t1: float, base_dt: float, refinement: int) -> np.ndarray:
     """Uniform quadrature nodes on [t0, t1] with step about base_dt/refinement."""
+    if not isinstance(refinement, (int, np.integer)) or refinement < 1:
+        raise ParameterError(f"refinement must be an integer >= 1, got {refinement!r}")
     span = t1 - t0
     if span <= 0.0:
         return np.array([t0])
@@ -172,6 +174,11 @@ class GaussianFeedbackPolicy:
     reference_mean_fn: Callable
 
 
+def _exploration_variance(params: GameParams, lam: float, eta):
+    """Equilibrium policy variance at total temperature lam and Riccati coefficient eta."""
+    return lam / (params.D**2 * eta)
+
+
 def equilibrium_policy(params: GameParams, game: str = "se") -> GaussianFeedbackPolicy:
     """Equilibrium Gaussian feedback policy of the chosen game variant."""
     params.require_positive_temperature()
@@ -179,7 +186,7 @@ def equilibrium_policy(params: GameParams, game: str = "se") -> GaussianFeedback
     mean_coeff = ratio * params.B / params.D**2
 
     def variance_fn(t):
-        return lam / (params.D**2 * riccati_coefficient(params, t, game))
+        return _exploration_variance(params, lam, riccati_coefficient(params, t, game))
 
     return GaussianFeedbackPolicy(
         mean_coeff=mean_coeff,
@@ -305,28 +312,31 @@ def _moment_paths(
     q2 = wc * g[:-1] + sixth * (4.0 + z2 * (2.0 + z2 / 2)) * gm + sixth * g[1:]
     q2 += e * a * cross
 
-    n = len(q1)
-    mhat = _affine_scan(np.full(n, _rk4_growth(z1)), q1, params.xi_mean)
+    mhat = _affine_scan(_rk4_growth(z1), q1, params.xi_mean)
     forcing = p21 * mhat[:-1] + q2
-    return mhat, _affine_scan(np.full(n, _rk4_growth(z2)), forcing, params.xi_second_moment)
+    return mhat, _affine_scan(_rk4_growth(z2), forcing, params.xi_second_moment)
 
 
-def _affine_scan(delta: np.ndarray, q: np.ndarray, y0: float) -> np.ndarray:
-    """The path y[0] = y0, y[i+1] = (1 + delta[i]) * y[i] + q[i], overwriting
-    delta and q.
+def _affine_scan(delta: np.float64, q: np.ndarray, y0: float) -> np.ndarray:
+    """The path y[0] = y0, y[i+1] = (1 + delta) * y[i] + q[i], overwriting q.
 
-    Hillis-Steele doubling: pass d composes each map with the one d before it,
-    by products and sums only (never a division by a cumulative product). The
-    factors are carried as 1 + delta, so a factor near 1 keeps its low bits:
-    with 1 + delta rounded once, M equal maps would repeat one rounding M times.
+    Hillis-Steele doubling on factors carried less 1 (M equal maps must not
+    repeat one rounding of 1 + delta M times), by products and sums only. Before
+    pass d the maps from d - 1 on share one composed factor D_d, so the pass
+    extends the path's factors by one block and doubles D_d: O(M) factor work,
+    with the bits of a pass that composes every map with the one d before it.
     """
+    n = len(q)
+    path = np.empty(n)  # path[i]: the factor of maps 0..i composed, less 1
+    path[:1] = delta
     d = 1
-    while d < len(delta):
-        grow = 1.0 + delta[d:]
+    while d < n:
+        grow = 1.0 + delta
         q[d:] += q[:-d] * grow
-        delta[d:] += delta[:-d] * grow
+        path[d : 2 * d] = delta + path[: min(d, n - d)] * grow
+        delta = delta + delta * grow
         d *= 2
-    return np.concatenate(([y0], y0 + delta * y0 + q))
+    return np.concatenate(([y0], y0 + path * y0 + q))
 
 
 def feedback_policy_payoff(
@@ -414,16 +424,14 @@ def solve_equilibrium(
         if len(fine) != grid.n_steps * refinement + 1:
             raise ParameterError(f"grid of {grid.n_steps} steps does not span [0, {params.T}]")
         offsets, variance = _equilibrium_integrals(params, game, fine)
-        policy = equilibrium_policy(params, game)
         solution = EquilibriumSolution(
             game=game,
             times=times,
             riccati=riccati,
             value_offset=offsets[::refinement],
-            policy=policy,
-            policy_variance=policy.variance_fn(times),
-            game_value=-0.5 * riccati_coefficient(params, 0.0, game) * params.xi_var
-            + float(offsets[0]),
+            policy=equilibrium_policy(params, game),
+            policy_variance=_exploration_variance(params, _temperatures(params, game)[0], riccati),
+            game_value=-0.5 * float(riccati[0]) * params.xi_var + float(offsets[0]),
             m_star=params.xi_mean,
             state_variance=variance[::refinement],
         )

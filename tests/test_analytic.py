@@ -505,20 +505,28 @@ def test_step_fn_holds_each_value_from_its_left_endpoint():
 
 
 class TestSolveEquilibrium:
-    def test_summary_consistency(self, params, grid):
-        sol = solve_equilibrium(params, "se", grid)
-        assert sol.game == "se"
+    @pytest.mark.parametrize("game, lambda_ce, mean_coeff, value", [
+        ("se", 0.0, 0.75, GAME_VALUE_SE_ORACLE),
+        ("ee", 1.0, 1.5, -0.5 * ETA_EE_0_ORACLE * 0.99 + GAMMA_EE_0_ORACLE),
+    ])
+    def test_summary_consistency(self, grid, game, lambda_ce, mean_coeff, value):
+        params = make_params(lambda_ce=lambda_ce)
+        sol = solve_equilibrium(params, game, grid)
+        assert sol.game == game
         assert sol.m_star == params.xi_mean
         assert sol.riccati[-1] == params.Q_bar
         assert sol.value_offset[-1] == 0.0
-        assert sol.policy.mean_coeff == 0.75
-        np.testing.assert_allclose(
-            sol.policy_variance,
-            params.lambda_se / (params.D**2 * sol.riccati),
-            rtol=1e-14,
+        assert sol.policy.mean_coeff == mean_coeff
+        # read off the Riccati column, bit for bit what the policy and the
+        # value at time 0 give
+        np.testing.assert_array_equal(
+            sol.policy_variance, equilibrium_policy(params, game).variance_fn(grid.times())
+        )
+        assert sol.game_value == (
+            -0.5 * riccati_coefficient(params, 0.0, game) * params.xi_var + sol.value_offset[0]
         )
         assert sol.state_variance[0] == pytest.approx(params.xi_var, rel=1e-12)
-        assert sol.game_value == pytest.approx(GAME_VALUE_SE_ORACLE, abs=2e-6)
+        assert sol.game_value == pytest.approx(value, abs=2e-6)
 
     def test_grid_must_span_the_horizon(self, params):
         # the columns are read off a refinement of [0, T]; a grid ending
@@ -533,3 +541,18 @@ class TestSolveEquilibrium:
         assert len(_refined_times(0.0, params.T, grid.dt, 1)) == 20827
         sol = solve_equilibrium(params, "se", grid, refinement=1)
         assert sol.state_variance.shape == (20827,)
+
+
+@pytest.mark.parametrize("refinement", [0, -3, 2.5])
+@pytest.mark.parametrize("evaluate", [
+    lambda params, grid, r: feedback_policy_payoff(
+        params, equilibrium_policy(params), constant_fn(params.xi_mean), grid, refinement=r
+    ),
+    lambda params, grid, r: game_value(params, "se", 0.0, grid, refinement=r),
+    lambda params, grid, r: solve_equilibrium(params, "se", grid, refinement=r),
+], ids=["feedback_policy_payoff", "game_value", "solve_equilibrium"])
+def test_refinement_below_one_or_fractional_is_refused(params, grid, evaluate, refinement):
+    # below 1 the quadrature took one interval of the whole horizon, and a
+    # fraction failed inside linspace
+    with pytest.raises(ParameterError, match="refinement must be an integer >= 1"):
+        evaluate(params, grid, refinement)

@@ -16,7 +16,10 @@ are checked to be uniform within the tolerance of ``_uniform_step``, which
 gives the payoff its step, and the payoff refuses graded nodes. The scan
 itself, ``analytic._affine_scan``, is checked against the sequential
 recurrence y -> (1 + delta) y + q it replaces and, on equal maps, within
-1e-14 of their closed form, which a scan on P = fl(1 + delta) misses.
+1e-14 of their closed form, which a scan on P = fl(1 + delta) misses. It
+takes the one factor that every map of a uniform grid shares, and its paths
+are pinned bit for bit to the Hillis-Steele scan on an array of factors that
+it replaced, kept below as the reference.
 """
 
 import numpy as np
@@ -185,44 +188,76 @@ def test_matches_per_node_rk4(
 
 def _affine_path(delta, q, y0):
     path = [y0]
-    for d_i, q_i in zip(delta.tolist(), q.tolist()):
-        path.append(path[-1] + d_i * path[-1] + q_i)
+    for q_i in q.tolist():
+        path.append(path[-1] + delta * path[-1] + q_i)
     return np.array(path)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    length=st.integers(0, 7000),
-    factors=st.sampled_from(["contracting", "near_one", "growing", "equal"]),
-    seed=st.integers(0, 2**32 - 1),
-    y0=_uniform(-10.0, 10.0),
-)
-@example(length=0, factors="growing", seed=0, y0=-2.5)
-@example(length=1, factors="contracting", seed=1, y0=3.0)
-@example(length=4096, factors="near_one", seed=2, y0=-1.0)
-@example(length=6001, factors="growing", seed=3, y0=0.5)
-@example(length=6000, factors="equal", seed=4, y0=1.5)
-def test_affine_scan_matches_the_recurrence(length, factors, seed, y0):
+def _affine_scan_per_map(delta, q, y0):
+    """The Hillis-Steele scan on an array of factors less 1, one per map."""
+    d = 1
+    while d < len(delta):
+        grow = 1.0 + delta[d:]
+        q[d:] += q[:-d] * grow
+        delta[d:] += delta[:-d] * grow
+        d *= 2
+    return np.concatenate(([y0], y0 + delta * y0 + q))
+
+
+def _scan_inputs(length, factors, seed):
     # each map is y -> (1 + delta) y + q; |1 + delta| <= 1, or
-    # delta <= 1/length, keeps every partial product below e; "equal" repeats
-    # one map, as a constant-coefficient RK4 step does; forcing terms and
-    # starts take either sign
+    # delta <= 1/length, keeps every partial product below e; "equal" also
+    # repeats one forcing term, as a constant-coefficient RK4 step does;
+    # forcing terms and starts take either sign
     step = 1.0 / max(length, 1)
     lo, hi = {
         "contracting": (-2.0, 0.0), "near_one": (-step, step), "growing": (0.0, step),
         "equal": (-step, step),
     }[factors]
     draws = np.random.default_rng(seed)
+    delta = np.float64(draws.uniform(lo, hi))
     if factors == "equal":
-        delta = np.full(length, draws.uniform(lo, hi))
-        q = np.full(length, draws.uniform(-1.0, 1.0))
-    else:
-        delta = draws.uniform(lo, hi, length)
-        q = draws.uniform(-1.0, 1.0, length)
+        return delta, np.full(length, draws.uniform(-1.0, 1.0))
+    return delta, draws.uniform(-1.0, 1.0, length)
+
+
+_SCAN_CASES = dict(
+    length=st.integers(0, 7000),
+    factors=st.sampled_from(["contracting", "near_one", "growing", "equal"]),
+    seed=st.integers(0, 2**32 - 1),
+    y0=_uniform(-10.0, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**_SCAN_CASES)
+@example(length=0, factors="growing", seed=0, y0=-2.5)
+@example(length=1, factors="contracting", seed=1, y0=3.0)
+@example(length=4096, factors="near_one", seed=2, y0=-1.0)
+@example(length=6001, factors="growing", seed=3, y0=0.5)
+@example(length=6000, factors="equal", seed=4, y0=1.5)
+def test_affine_scan_matches_the_recurrence(length, factors, seed, y0):
+    delta, q = _scan_inputs(length, factors, seed)
     want = _affine_path(delta, q, y0)
-    got = _affine_scan(delta.copy(), q.copy(), y0)
+    got = _affine_scan(delta, q.copy(), y0)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**_SCAN_CASES)
+@example(length=0, factors="growing", seed=0, y0=-2.5)
+@example(length=1, factors="contracting", seed=1, y0=3.0)
+@example(length=4097, factors="near_one", seed=2, y0=-1.0)
+@example(length=6000, factors="equal", seed=4, y0=1.5)
+def test_affine_scan_keeps_the_bits_of_the_scan_per_map(length, factors, seed, y0):
+    # one scalar grow per pass and one block of composed factors per pass
+    # are the operands and operations the per-map scan applies to equal
+    # factors, so the paths are bitwise the same
+    delta, q = _scan_inputs(length, factors, seed)
+    want = _affine_scan_per_map(np.full(length, delta), q.copy(), y0)
+    got = _affine_scan(delta, q.copy(), y0)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -243,7 +278,7 @@ def test_affine_scan_keeps_equal_maps_within_a_few_ulps(length, rate, q, y0):
     delta = rate / length
     growth = np.expm1(np.arange(length + 1) * np.log1p(delta))
     want = y0 + growth * y0 + q * growth / delta
-    got = _affine_scan(np.full(length, delta), np.full(length, q), y0)
+    got = _affine_scan(np.float64(delta), np.full(length, q), y0)
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
 
 
