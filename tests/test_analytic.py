@@ -505,12 +505,8 @@ def test_step_fn_holds_each_value_from_its_left_endpoint():
 
 
 class TestSolveEquilibrium:
-    @pytest.mark.parametrize("game, lambda_ce, mean_coeff, value", [
-        ("se", 0.0, 0.75, GAME_VALUE_SE_ORACLE),
-        ("ee", 1.0, 1.5, -0.5 * ETA_EE_0_ORACLE * 0.99 + GAMMA_EE_0_ORACLE),
-    ])
-    def test_summary_consistency(self, grid, game, lambda_ce, mean_coeff, value):
-        params = make_params(lambda_ce=lambda_ce)
+    @staticmethod
+    def _check_summary(params, grid, game, mean_coeff, value):
         sol = solve_equilibrium(params, game, grid)
         assert sol.game == game
         assert sol.m_star == params.xi_mean
@@ -527,6 +523,15 @@ class TestSolveEquilibrium:
         )
         assert sol.state_variance[0] == pytest.approx(params.xi_var, rel=1e-12)
         assert sol.game_value == pytest.approx(value, abs=2e-6)
+
+    def test_summary_consistency(self, params, grid):
+        self._check_summary(params, grid, "se", 0.75, GAME_VALUE_SE_ORACLE)
+
+    def test_summary_consistency_ee(self, grid):
+        self._check_summary(
+            make_params(lambda_ce=1.0), grid, "ee", 1.5,
+            -0.5 * ETA_EE_0_ORACLE * 0.99 + GAMMA_EE_0_ORACLE,
+        )
 
     def test_grid_must_span_the_horizon(self, params):
         # the columns are read off a refinement of [0, T]; a grid ending
