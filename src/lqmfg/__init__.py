@@ -14,7 +14,6 @@ from .analytic import (
     GaussianFeedbackPolicy,
     equilibrium_policy,
     feedback_policy_payoff,
-    game_value,
     riccati_coefficient,
     solve_equilibrium,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "equilibrium_policy",
     "estimate_gradient",
     "feedback_policy_payoff",
-    "game_value",
     "gradient_step",
     "load_config",
     "reference_policy",

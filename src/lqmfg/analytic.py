@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .params import DomainError, GameParams, ParameterError, TimeGrid, check_finite
+from .params import DomainError, GameParams, ParameterError, TimeGrid, check_fields
 
 GAMES = ("se", "ee")
 
@@ -104,13 +104,13 @@ def _equilibrium_integrals(
     params: GameParams, game: str, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Value offsets (integrated up to times[-1], the horizon T) and the
-    equilibrium state variance (started at times[0]) at every node."""
+    equilibrium state variance (started at times[0] = 0) at every node."""
     params.require_positive_temperature()
     lam, ratio = _temperatures(params, game)
     eta = riccati_coefficient(params, times, game)
     h = np.diff(times)
 
-    def head(f):  # \int_{times[0]}^{times[i]} f
+    def head(f):  # \int_0^{times[i]} f
         return np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * h)))
 
     def tail(f):  # \int_{times[i]}^{times[-1]} f
@@ -118,9 +118,8 @@ def _equilibrium_integrals(
 
     drift_rate, feedback = _state_rates(params, ratio)
     rate = 2.0 * drift_rate + feedback
-    rel = times - times[0]
-    grow, shrink = np.exp(rate * rel), np.exp(-rate * rel)
-    # var(s) = e^{rate*(s-t0)} * (var0 + \int_{t0}^{s} e^{-rate*(u-t0)} lam/eta(u) du)
+    grow, shrink = np.exp(rate * times), np.exp(-rate * times)
+    # var(s) = e^{rate*s} * (var0 + \int_0^s e^{-rate*u} lam/eta(u) du)
     variance = grow * (params.xi_var + head(shrink * lam / eta))
 
     offsets = (lam / 2.0) * tail(np.log(2.0 * math.pi * lam / (params.D**2 * eta)))
@@ -195,22 +194,15 @@ def equilibrium_policy(params: GameParams, game: str = "se") -> GaussianFeedback
     )
 
 
-def game_value(
-    params: GameParams,
-    game: str,
-    t: float,
-    grid: TimeGrid,
-    refinement: int = DEFAULT_REFINEMENT,
-) -> float:
-    """Expected value of the game at time ``t`` over the initial distribution.
-
-    Averaging the quadratic value ansatz over the initial state gives
-    -eta(t)/2 * Var[xi] + gamma(t).
+def game_value(params: GameParams, game: str, grid: TimeGrid) -> float:
+    """Expected value of the game at t = 0 over the initial distribution,
+    -eta(0)/2 * Var[xi] + gamma(0): ``solve_equilibrium``'s ``game_value``
+    wherever that runs. The variance path integrated on the way can overflow
+    where the value does not, so the harness calls it under ``np.errstate``.
     """
-    eta_t = riccati_coefficient(params, t, game)  # checks t is on the horizon
-    times = _refined_times(t, params.T, grid.dt, refinement)
+    times = _refined_times(0.0, params.T, grid.dt, DEFAULT_REFINEMENT)
     offsets, _ = _equilibrium_integrals(params, game, times)
-    return -0.5 * eta_t * params.xi_var + float(offsets[0])
+    return -0.5 * riccati_coefficient(params, 0.0, game) * params.xi_var + float(offsets[0])
 
 
 @dataclass(frozen=True)
@@ -356,7 +348,7 @@ def feedback_policy_payoff(
     coefficient, a finite mean path and a finite, strictly positive policy
     variance along the horizon; a part these overflow raises ParameterError.
     """
-    check_finite(policy)
+    check_fields(policy)
     times = _refined_times(0.0, params.T, grid.dt, refinement)
     h = _uniform_step(times)
     var = np.asarray(policy.variance_fn(times), dtype=float)

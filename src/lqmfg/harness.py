@@ -45,11 +45,13 @@ class DegenerateReferenceError(ParameterError):
 
 
 class PayoffEvaluator:
-    """Exact relative-error scorer of one game, with its reference payoff cached.
+    """Exact relative-error scorer of one game, with its references cached.
 
     A policy is scored by its gain, variances and mean path, batched as
     ``discrete_moments`` takes them; the reference plays against the
-    constant path ``reference_path``.
+    constant path ``reference_path``. ``game_value``, reported beside the
+    reference payoff, is the ``se`` game's closed-form value at t = 0 (its
+    quadratic term alone at lambda_se = 0).
     """
 
     def __init__(self, params: GameParams, grid: TimeGrid, sigma_floor: float = SIGMA_FLOOR):
@@ -57,12 +59,15 @@ class PayoffEvaluator:
         self.grid = grid
         self.reference = reference_policy(params, grid, sigma_floor)
         self.reference_path = np.full(grid.n_steps + 1, params.xi_mean)
-        # a game far from the reference scale overflows the recursion; the
-        # check below names it instead of numpy warnings
+        # a game far from the reference scale overflows the recursion, and
+        # can overflow the game value's unused variance path: the check below
+        # names the first, and neither leaks numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             self.reference_payoff = float(discrete_moments(
                 params, grid, self.reference.m_hat, self.reference.sigma2, self.reference_path
             )[2])
+            self.game_value = (game_value(params, "se", grid) if params.lambda_se > 0.0 else
+                               -0.5 * riccati_coefficient(params, 0.0, "se") * params.xi_var)
         if not np.isfinite(self.reference_payoff):
             raise DegenerateReferenceError(
                 f"reference payoff is not finite for {params}; relative error undefined"
@@ -116,10 +121,6 @@ class ExperimentReport:
     arms: list = field(default_factory=list)
 
 
-def _arm_params(config: ExperimentConfig, lambda_se: float) -> GameParams:
-    return dataclasses.replace(config.game, lambda_se=lambda_se)
-
-
 def run_arms(config: ExperimentConfig, arms) -> list:
     """Run (lambda_se, seed) arms of the configured game in lockstep, then
     score each arm's policies in one ``rel_error`` call into its trace; the
@@ -127,8 +128,8 @@ def run_arms(config: ExperimentConfig, arms) -> list:
     ``runtime_seconds`` is the shared run's time, scoring included."""
     grid, learner = config.grid, config.learner
     lambdas, seeds = zip(*arms)
-    evaluators = [PayoffEvaluator(_arm_params(config, lam), grid, learner.sigma_floor)
-                  for lam in lambdas]
+    evaluators = [PayoffEvaluator(dataclasses.replace(config.game, lambda_se=lam), grid,
+                                  learner.sigma_floor) for lam in lambdas]
 
     start = time.perf_counter()
     # a diverging policy overflows the kernel before the step that makes it
@@ -177,18 +178,6 @@ def reproduce(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     if out_dir:
         write_report(report, out_dir)
     return report
-
-
-def _continuous_game_value(config: ExperimentConfig, lambda_se: float) -> float:
-    """Closed-form value reported alongside the exact discrete reference payoff.
-
-    In the zero-temperature limit the offset vanishes and only the quadratic
-    term survives.
-    """
-    params = _arm_params(config, lambda_se)
-    if lambda_se > 0.0:
-        return game_value(params, "se", 0.0, config.grid)
-    return -0.5 * float(riccati_coefficient(params, 0.0, "se")) * params.xi_var
 
 
 # The --check gate on every positive-temperature arm's final relative error.
@@ -317,9 +306,7 @@ def write_report(report: ExperimentReport, out_dir: str) -> list:
                     "learned_m_hat": arm.result.trace.records[-1].m_hat,
                     "final_rel_error": arm.result.trace.records[-1].rel_error,
                     "reference_payoff": arm.evaluator.reference_payoff,
-                    "reference_game_value": _continuous_game_value(
-                        report.config, arm.lambda_se
-                    ),
+                    "reference_game_value": arm.evaluator.game_value,
                     "runtime_seconds": arm.runtime_seconds,
                 }
                 for arm in report.arms

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .params import GameParams, ParameterError, TimeGrid, check_finite
+from .params import GameParams, ParameterError, TimeGrid, check_fields
 from .simulate import SIGMA_FLOOR, rollout, scale_noise
 from .simulate import discrete_moments as propagate_mean_field
 
@@ -74,7 +74,7 @@ class LearnerConfig:
     sigma_floor: float = SIGMA_FLOOR
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.n_outer < 1:
             raise ParameterError("n_outer must be >= 1")
         if self.n_perturbations < 2:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 _SQUARE_BOUND = math.sqrt(sys.float_info.max)  # the largest float with a finite square
+# a field's declared type (a string: annotations are postponed) -> the numbers it takes
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
 
 
 class ParameterError(ValueError):
@@ -19,13 +22,20 @@ class DomainError(ValueError):
     """Raised when a time argument falls outside the game horizon."""
 
 
-def check_finite(obj) -> None:
-    """Raise ParameterError naming the first float field of the dataclass
-    ``obj`` that is NaN, infinite or too large to square, as the closed forms
-    and the learner do, without overflow (only a float can be any of these)."""
+def check_fields(obj) -> None:
+    """Raise ParameterError naming the first field of the dataclass ``obj``
+    its type refuses: an ``int`` field takes an integer (numpy's too) and a
+    ``float`` field a real number, neither a bool, and the number must be
+    finite and small enough to square, as the closed forms and the learner
+    do, checked without overflow. Fields of other types are not checked."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not abs(value) <= _SQUARE_BOUND:
+        if f.type not in _FIELD_KINDS:
+            continue
+        value, (kind, noun) = getattr(obj, f.name), _FIELD_KINDS[f.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ParameterError(f"{f.name} must be {noun}, got {value!r}")
+        # a numpy scalar compared as it is casts the bound to its own type
+        if not abs(value.item() if isinstance(value, np.generic) else value) <= _SQUARE_BOUND:
             raise ParameterError(
                 f"{f.name} must be finite, of magnitude at most {_SQUARE_BOUND:.4g}"
             )
@@ -74,7 +84,7 @@ class GameParams:
     xi_second_moment: float
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         for name in ("A", "B", "D", "Q", "Q_bar", "T"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be strictly positive")
@@ -126,6 +136,7 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_steps < 1:
             raise ParameterError("n_steps must be >= 1")
         if not self.dt > 0:

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lqmfg import (
     DomainError,
@@ -21,7 +23,6 @@ from lqmfg import (
     discretize_policy,
     equilibrium_policy,
     feedback_policy_payoff,
-    game_value,
     riccati_coefficient,
     simulate_states,
     solve_equilibrium,
@@ -33,6 +34,7 @@ from lqmfg.analytic import (
     _state_rates,
     constant_fn,
     decay_rate,
+    game_value,
     step_fn,
 )
 
@@ -126,7 +128,7 @@ class TestRiccatiCoefficient:
             riccati_coefficient(params, -0.01, "se")
         with pytest.raises(DomainError):
             riccati_coefficient(params, params.T + 0.01, "ee")
-        # game_value names a NaN time; the coefficient must too
+        # a NaN time lies on no horizon
         with pytest.raises(DomainError):
             riccati_coefficient(params, math.nan, "se")
         with pytest.raises(DomainError):
@@ -139,7 +141,7 @@ class TestRiccatiCoefficient:
             riccati_coefficient(params, np.array([0.0, math.nan]), "ee")
         # a numpy scalar is named as a plain float, not as np.float64(...)
         with pytest.raises(DomainError, match=r"^time -0\.5 outside"):
-            game_value(params, "se", np.float64(-0.5), TimeGrid.from_horizon(params.T, 5))
+            riccati_coefficient(params, np.float64(-0.5))
 
     def test_enhanced_reduces_to_shannon_without_cross_temperature(self, params):
         ts = np.linspace(0, params.T, 11)
@@ -270,11 +272,11 @@ class TestEquilibriumStateVariance:
         assert np.all(solve_equilibrium(p, "ee", grid).state_variance[1:] > 0.0)
 
     def test_domain(self, params, grid):
-        # a grid running past the horizon, and a value time past it
+        # a grid running past the horizon, and a time past it
         with pytest.raises(DomainError):
             solve_equilibrium(params, "ee", TimeGrid(n_steps=5, dt=0.04))
         with pytest.raises(DomainError):
-            game_value(params, "ee", 0.2, grid)
+            riccati_coefficient(params, 0.2, "ee")
 
     def test_monte_carlo_oracle(self, params):
         # sample variance of the equilibrium dynamics on a fine grid
@@ -295,15 +297,35 @@ class TestEquilibriumStateVariance:
 class TestGameValue:
     def test_deterministic_start_terminal_time(self, grid):
         p = make_params(xi_mean=0.1, xi_second_moment=0.1**2)
-        assert game_value(p, "se", p.T, grid) == 0.0
+        sol = solve_equilibrium(p, "se", grid)
+        assert -0.5 * sol.riccati[-1] * p.xi_var + sol.value_offset[-1] == 0.0
 
     def test_composition_of_oracles(self, params, grid):
-        assert game_value(params, "se", 0.0, grid) == pytest.approx(
+        assert game_value(params, "se", grid) == pytest.approx(
             GAME_VALUE_SE_ORACLE, abs=2e-6
         )
 
     def test_variant_reduction(self, params, grid):
-        assert game_value(params, "ee", 0.0, grid) == game_value(params, "se", 0.0, grid)
+        assert game_value(params, "ee", grid) == game_value(params, "se", grid)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        game=st.sampled_from(["se", "ee"]),
+        n_steps=st.integers(1, 60),
+    )
+    def test_is_the_solve_s_value_to_the_bit(self, seed, game, n_steps):
+        # the value at t = 0 that solve_equilibrium gives wherever it runs,
+        # which is not on a grid ending an ulp past T, nor where one of its
+        # columns overflows
+        p = random_params(np.random.default_rng(seed))
+        assume(n_steps * (p.T / n_steps) <= p.T)
+        grid = TimeGrid.from_horizon(p.T, n_steps)
+        try:
+            expected = np.float64(solve_equilibrium(p, game, grid).game_value)
+        except ParameterError:
+            assume(False)
+        assert np.float64(game_value(p, game, grid)).tobytes() == expected.tobytes()
 
     def test_enhanced_value_monte_carlo_oracle(self):
         # independent route to the enhanced game value: simulate the
@@ -347,7 +369,7 @@ class TestGameValue:
             total_sq += (rewards**2).sum()
         mc = total / n_total
         stderr = math.sqrt((total_sq / n_total - mc**2) / n_total)
-        gv = game_value(p, "ee", 0.0, fine)
+        gv = game_value(p, "ee", fine)
         # 3 sigma plus a first-order time-step allowance; the resulting band
         # (about 0.03) is narrower than the 0.05 value shift that the
         # rejected mean-reversion form would produce in the variance path,
@@ -385,7 +407,7 @@ class TestFeedbackPolicyPayoff:
     def test_equilibrium_policy_recovers_game_value(self, params, grid):
         pol = equilibrium_policy(params, "se")
         out = feedback_policy_payoff(params, pol, constant_fn(params.xi_mean), grid)
-        assert out.total == pytest.approx(game_value(params, "se", 0.0, grid), abs=1e-6)
+        assert out.total == pytest.approx(game_value(params, "se", grid), abs=1e-6)
 
     def test_monte_carlo_oracle_at_equilibrium(self, params):
         fine = TimeGrid.from_horizon(params.T, 50)
@@ -453,7 +475,7 @@ class TestFeedbackPolicyPayoff:
 
     def test_error_decreases_with_refinement(self, params, grid):
         pol = equilibrium_policy(params, "se")
-        reference = game_value(params, "se", 0.0, grid, refinement=1000)
+        reference = solve_equilibrium(params, "se", grid, refinement=1000).game_value
         errors = [
             abs(
                 feedback_policy_payoff(
@@ -553,9 +575,8 @@ class TestSolveEquilibrium:
     lambda params, grid, r: feedback_policy_payoff(
         params, equilibrium_policy(params), constant_fn(params.xi_mean), grid, refinement=r
     ),
-    lambda params, grid, r: game_value(params, "se", 0.0, grid, refinement=r),
     lambda params, grid, r: solve_equilibrium(params, "se", grid, refinement=r),
-], ids=["feedback_policy_payoff", "game_value", "solve_equilibrium"])
+], ids=["feedback_policy_payoff", "solve_equilibrium"])
 def test_refinement_below_one_or_fractional_is_refused(params, grid, evaluate, refinement):
     # below 1 the quadrature took one interval of the whole horizon, and a
     # fraction failed inside linspace

@@ -268,6 +268,30 @@ class TestLearn:
         assert code == EXIT_OK
         assert out.startswith("lambda_se 3")
 
+    def test_an_overflowing_state_variance_leaks_no_warning(self, tmp_path):
+        # the reported game value integrates the equilibrium state variance
+        # on the way, which overflows in these games where the value does not
+        for game in (
+            ("game.A=400", "game.T=1"),
+            ("game.A=0.001", "game.B=1000", "game.D=0.01", "game.T=0.01", "game.Q_bar=0.001"),
+        ):
+            overrides = [arg for key in game for arg in ("--set", key)]
+            result = subprocess.run(
+                [sys.executable, "-m", "lqmfg.cli", "learn", "--lambda-se", "1", *overrides,
+                 "--set", "learner.n_outer=1", "--set", "learner.n_inner=2",
+                 "--out-dir", str(tmp_path / "learn")],
+                capture_output=True, text=True, env=cli_env(),
+            )
+            assert (result.returncode, result.stderr) == (EXIT_OK, ""), game
+        # nor does the harness take the value from solve_equilibrium, which
+        # refuses this grid (it ends an ulp past T)
+        result = subprocess.run(
+            [sys.executable, "-m", "lqmfg.cli", "reproduce", "--set", "grid.n_steps=11",
+             "--out-dir", str(tmp_path / "reproduce")],
+            capture_output=True, text=True, env=cli_env(),
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+
 
 class TestReproduce:
     def test_runs_and_writes_tables(self, capsys, tmp_path):

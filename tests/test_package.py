@@ -17,7 +17,6 @@ PUBLIC = [
     "equilibrium_policy",
     "estimate_gradient",
     "feedback_policy_payoff",
-    "game_value",
     "gradient_step",
     "load_config",
     "reference_policy",

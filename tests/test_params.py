@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqmfg import ParameterError, TimeGrid
+from lqmfg import LearnerConfig, ParameterError, TimeGrid
 
 from conftest import make_params
 
@@ -53,6 +53,29 @@ def test_grid_validation():
         TimeGrid(n_steps=0, dt=0.1)
     with pytest.raises(ParameterError):
         TimeGrid(n_steps=5, dt=0.0)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: TimeGrid(n_steps=2.5, dt=0.04), "n_steps must be an integer, got 2.5"),
+    (lambda: TimeGrid(n_steps=True, dt=0.1), "n_steps must be an integer, got True"),
+    (lambda: LearnerConfig(n_outer=2.5), "n_outer must be an integer"),
+    (lambda: LearnerConfig(n_perturbations=2.5), "n_perturbations must be an integer"),
+    (lambda: LearnerConfig(n_inner=True), "n_inner must be an integer"),
+    (lambda: make_params(A=True), "A must be a real number, got True"),
+    (lambda: make_params(A=10**400), "A must be finite"),
+], ids=["fractional_steps", "bool_steps", "fractional_rounds", "fractional_perturbations",
+        "bool_inner", "bool_coefficient", "huge_int_coefficient"])
+def test_counts_and_coefficients_are_named(build, named):
+    # a fraction failed later inside linspace or the learner, a bool counted
+    # as 1, and an int too large to square passed to overflow in the solve
+    with pytest.raises(ParameterError, match=f"^{named}"):
+        build()
+
+
+def test_numpy_counts_and_int_coefficients_are_accepted():
+    assert TimeGrid(n_steps=np.int64(5), dt=np.float32(0.02)).n_steps == 5
+    assert LearnerConfig(n_outer=np.int32(2), n_inner=np.uint8(3)).n_inner == 3
+    assert make_params(A=2, B=np.int64(3)).A == 2
 
 
 def test_step_times_are_left_endpoints():

@@ -19,13 +19,12 @@ from lqmfg import (
     discretize_policy,
     equilibrium_policy,
     feedback_policy_payoff,
-    game_value,
     sample_rewards,
     simulate_states,
     solve_equilibrium,
 )
 from lqmfg import rng
-from lqmfg.analytic import constant_fn
+from lqmfg.analytic import constant_fn, game_value
 from lqmfg.simulate import _CHUNK, SIGMA_FLOOR, check_path, rollout
 
 from conftest import draw_noise, make_params, mc_reward, random_params
@@ -158,7 +157,7 @@ class TestRealizedReward:
         policy = ne_policy(params, grid)
         mf = np.full(grid.n_steps + 1, params.xi_mean)
         mean, stderr = mc_reward(params, grid, policy, mf, 100_000, seed=9)
-        gv = game_value(params, "se", 0.0, grid)
+        gv = game_value(params, "se", grid)
         # 3 sigma plus a first-order time-step budget (measured sensitivity
         # is about 0.38 * dt; see the acceptance suite)
         assert abs(mean - gv) <= 3 * stderr + 0.6 * grid.dt
